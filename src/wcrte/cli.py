@@ -219,9 +219,9 @@ def cmd_estimate(args) -> int:
         line = f"{spec.label()}  estimate={value:.10g}  n={x.n}{note}"
         if spec.kind is EstimatorKind.LSTAT and x.n >= 3:
             if spec.order is None:
-                sigma2 = wcre_lstat_variance(x.values)
+                sigma2 = wcre_lstat_variance(x)
             else:
-                sigma2 = wcrte_lstat_variance(x.values, spec.order)
+                sigma2 = wcrte_lstat_variance(x, spec.order)
             if sigma2 > 0.0:
                 se = math.sqrt(sigma2 / x.n)
                 lo, hi = value - _Z_95 * se, value + _Z_95 * se

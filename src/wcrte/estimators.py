@@ -19,6 +19,21 @@ order -> 1 limit (the WCRE):
 
 Windowed kinds clamp out-of-range order statistics to the sample extremes,
 so the first and last spacings are one-sided.
+
+Every kind, at every order, window and plotting position, is a fixed linear
+functional of the sorted squares ``s2``: the L-statistic weighs ``s2``, the
+other kinds weigh the spacings ``d = diff(s2)``. A clamped difference
+``s2[hi] - s2[lo]`` is a sum of consecutive spacings, so the coefficient of a
+spacing is a windowed sum of scaled tail weights, read off one nondecreasing
+cumulative sum. No spacing coefficient is negative, so tied samples give
+exactly 0 and no spacing estimate is negative.
+
+A batch is thus validated, sorted and squared once, and each estimator is
+one contraction with its O(n) coefficient vector. That is one contraction
+per estimator, never one matrix product over many, and by ``np.einsum``
+rather than BLAS, whose blocked products may round a row differently with
+the matrix shape or the BLAS thread count: the Monte Carlo harness promises
+that adding cells or threads never moves a cell.
 """
 
 from __future__ import annotations
@@ -32,7 +47,7 @@ from typing import Literal
 import numpy as np
 
 from .distributions import check_order
-from .errors import DomainError, ParseError
+from .errors import DomainError, NumericError, ParseError
 from .sample import Sample, read_sample
 
 __all__ = [
@@ -62,6 +77,10 @@ __all__ = [
 
 PlottingPosition = Literal["n", "n+1"]
 
+#: Samples reaching this value would overflow when squared; they are scaled
+#: down by an exact power of two first.
+_SQUARE_LIMIT = 2.0**511
+
 
 class EstimatorKind(str, Enum):
     EMPIRICAL = "empirical"
@@ -79,32 +98,61 @@ class EstimatorKind(str, Enum):
         )
 
 
-def _as_rows(x) -> tuple[np.ndarray, bool]:
-    """Normalize input to a (B, n) float array; report whether to squeeze."""
+class _SortedSquares:
+    """Sorted squares ``s2`` of validated samples and their spacings ``d``.
+
+    A batch whose largest value reaches 2**511 is stored as the squares of
+    ``x * 2**-shift``; :meth:`finish` scales results back exactly. ``coefs``
+    memoizes coefficient vectors and may be shared between batches.
+    """
+
+    __slots__ = ("s2", "d", "shift", "squeeze", "coefs")
+
+    def __init__(self, srt: np.ndarray, squeeze: bool, coefs: dict | None) -> None:
+        top = float(srt[:, -1].max())
+        self.shift = math.frexp(top)[1] if top >= _SQUARE_LIMIT else 0
+        if self.shift:
+            srt = np.ldexp(srt, -self.shift)
+        self.s2 = srt * srt
+        self.d = np.diff(self.s2, axis=1)
+        self.squeeze = squeeze
+        self.coefs = {} if coefs is None else coefs
+
+    def finish(self, out: np.ndarray, power: int = 1):
+        """Undo the scaling of a result of degree ``power`` in ``s2``."""
+        if self.shift:
+            with np.errstate(over="ignore"):  # reported below
+                out = np.ldexp(out, 2 * power * self.shift)
+        if not np.all(np.isfinite(out)):
+            raise NumericError("the estimate is not finite: it leaves the float range")
+        return float(out[0]) if self.squeeze else out
+
+
+def _prepare(x, coefs: dict | None = None, presorted: bool = False) -> _SortedSquares:
+    """Validate, sort and square once; every estimator starts here.
+
+    A :class:`Sample` contributes its validated sorted copy. With
+    ``presorted=True`` the caller vouches that the rows are sorted, finite
+    and nonnegative. An already prepared batch is returned as it is.
+    """
+    if isinstance(x, _SortedSquares):
+        return x
     if isinstance(x, Sample):
-        x = x.values
+        return _SortedSquares(x.sorted_values[np.newaxis], True, coefs)
     arr = np.asarray(x, dtype=float)
     if arr.ndim > 2:
         raise DomainError(f"sample must be 1-D or 2-D, got shape {arr.shape}")
-    squeeze = arr.ndim == 1
     rows = np.atleast_2d(arr)
     if rows.shape[1] < 2:
         raise DomainError(f"need at least 2 observations per sample, got {rows.shape[1]}")
-    if not np.all(np.isfinite(rows)):
-        raise DomainError("sample contains non-finite values")
-    if rows.min() < 0.0:
-        raise DomainError("sample values must be nonnegative")
-    return rows, squeeze
-
-
-def _ret(out: np.ndarray, squeeze: bool):
-    return float(out[0]) if squeeze else out
-
-
-def _sorted_squares(rows: np.ndarray) -> np.ndarray:
-    # Values are nonnegative, so squaring preserves the order.
-    s = np.sort(rows, axis=1)
-    return s * s
+    if not presorted:
+        rows = np.sort(rows, axis=1)
+        # Sorting moves NaN and +inf to the end of a row and -inf to its start.
+        if not (np.isfinite(rows[:, 0]).all() and np.isfinite(rows[:, -1]).all()):
+            raise DomainError("sample contains non-finite values")
+        if rows[:, 0].min() < 0.0:
+            raise DomainError("sample values must be nonnegative")
+    return _SortedSquares(rows, arr.ndim == 1, coefs)
 
 
 def max_window(n: int) -> int:
@@ -152,36 +200,6 @@ def _warn_below_one(a: float) -> None:
         )
 
 
-def _clamped_spacings(s2: np.ndarray, m: int) -> np.ndarray:
-    """m-step symmetric differences of sorted squares with clamped indices.
-
-    Entry i (1-based) is s2[min(i+m, n)] - s2[max(i-m, 1)].
-    """
-    n = s2.shape[1]
-    idx = np.arange(1, n + 1)
-    hi = np.minimum(idx + m, n) - 1
-    lo = np.maximum(idx - m, 1) - 1
-    return s2[:, hi] - s2[:, lo]
-
-
-def _wcrte_tail_weights(n: int, a: float, upto_n: bool) -> np.ndarray:
-    """Weights (1 - i/n) - (1 - i/n)**a for i = 1..n-1 (or 1..n)."""
-    i = np.arange(1, (n + 1) if upto_n else n, dtype=float)
-    tail = 1.0 - i / n
-    return tail - tail**a
-
-
-def _wcre_tail_weights(n: int, upto_n: bool = False) -> np.ndarray:
-    """Weights -(1 - i/n) * log(1 - i/n), nonnegative, zero at i = n."""
-    i = np.arange(1, (n + 1) if upto_n else n, dtype=float)
-    tail = 1.0 - i / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -tail * np.log(tail)
-    if upto_n:
-        out[-1] = 0.0
-    return out
-
-
 def ebrahimi_weights(n: int, m) -> np.ndarray:
     """Boundary-corrected denominators c_i for the spacing estimators.
 
@@ -198,6 +216,72 @@ def ebrahimi_weights(n: int, m) -> np.ndarray:
     return c
 
 
+# --- the linear core ------------------------------------------------------------
+
+
+def _build_coefficients(kind: EstimatorKind, order, m, plotting, n: int) -> np.ndarray:
+    """Coefficients over ``s2`` (L-statistic) or over ``d`` (other kinds)."""
+    if kind is EstimatorKind.LSTAT:
+        p = np.arange(1, n + 1, dtype=float) / (n if plotting == "n" else n + 1)
+        if order is not None:
+            return (1.0 - order * (1.0 - p) ** (order - 1.0)) / (2.0 * (order - 1.0) * n)
+        with np.errstate(divide="ignore"):
+            c = -(1.0 + np.log(1.0 - p)) / (2.0 * n)
+        if plotting == "n":
+            c[-1] = 0.0  # the log(0) term is dropped
+        return c
+    # Tail weights for i = 1..n-1; the i = n term of the windowed WCRTE sums
+    # is always 0, so both measures stop at n - 1.
+    tail = 1.0 - np.arange(1, n, dtype=float) / n
+    if order is None:
+        w = -tail * np.log(tail)
+    else:
+        w = (tail - tail**order) / (order - 1.0)
+    if kind is EstimatorKind.EMPIRICAL:
+        return w / 2.0
+    if kind is EstimatorKind.VASICEK:
+        w /= 4.0 * m
+    elif kind is EstimatorKind.EBRAHIMI:
+        w /= ebrahimi_weights(n, m)[:-1] * (2.0 * m)
+    else:
+        w /= ebrahimi_weights(n, m)[:-1] ** 2 * m
+    # Spacing j (0-based) lies inside the clamped window of every 1-based i
+    # with j - m + 2 <= i <= j + m + 1. With C[k] = w_1 + ... + w_k = cum[k - 1]
+    # and C[0] = 0, its coefficient is C[min(j + m + 1, n - 1)] - C[max(j - m + 1, 0)].
+    cum = np.cumsum(w, out=w)
+    out = np.full(n - 1, cum[-1])
+    out[: n - 1 - m] = cum[m:]
+    out[m:] -= cum[: n - 1 - m]
+    return out
+
+
+def _coefficients(coefs: dict, kind, order, m, plotting, n: int) -> np.ndarray:
+    """Coefficient vector of one estimator at sample size n, memoized in ``coefs``.
+
+    ``m`` must be an admissible window; ``plotting=None`` means the default.
+    """
+    if kind is EstimatorKind.LSTAT:
+        if plotting is None:
+            plotting = "n+1" if order is None else "n"
+        elif plotting not in ("n", "n+1"):
+            raise DomainError(f"plotting position must be 'n' or 'n+1', got {plotting!r}")
+    key = (kind, order, m, plotting, n)
+    c = coefs.get(key)
+    if c is None:
+        c = coefs[key] = _build_coefficients(*key)
+    return c
+
+
+def _evaluate(kind: EstimatorKind, order, m, plotting, x):
+    sq = _prepare(x)
+    n = sq.s2.shape[1]
+    if kind.needs_window:
+        m = _check_window(n, m)
+    c = _coefficients(sq.coefs, kind, order, m, plotting, n)
+    rows = sq.s2 if kind is EstimatorKind.LSTAT else sq.d
+    return sq.finish(np.einsum("ij,j->i", rows, c))
+
+
 # --- WCRTE estimators --------------------------------------------------------
 
 
@@ -205,64 +289,30 @@ def wcrte_empirical(x, order):
     """Plug-in estimate of the order-``order`` measure.
 
     Sum over i = 1..n-1 of (x2_(i+1) - x2_(i)) * ((1-i/n) - (1-i/n)**a),
-    divided by 2(a - 1). Nonnegative for orders above 1.
+    divided by 2(a - 1). Nonnegative for every order.
     """
-    a = check_order(order)
-    rows, squeeze = _as_rows(x)
-    n = rows.shape[1]
-    s2 = _sorted_squares(rows)
-    w = _wcrte_tail_weights(n, a, upto_n=False)
-    out = (np.diff(s2, axis=1) * w).sum(axis=1) / (2.0 * (a - 1.0))
-    return _ret(out, squeeze)
+    return _evaluate(EstimatorKind.EMPIRICAL, check_order(order), None, None, x)
 
 
 def wcrte_vasicek(x, order, m):
     """Spacing estimate with symmetric m-step differences, sum over i = 1..n."""
     a = check_order(order)
     _warn_below_one(a)
-    rows, squeeze = _as_rows(x)
-    n = rows.shape[1]
-    mi = _check_window(n, m)
-    s2 = _sorted_squares(rows)
-    w = _wcrte_tail_weights(n, a, upto_n=True)
-    out = (_clamped_spacings(s2, mi) * w).sum(axis=1) / (4.0 * mi * (a - 1.0))
-    return _ret(out, squeeze)
+    return _evaluate(EstimatorKind.VASICEK, a, m, None, x)
 
 
 def wcrte_ebrahimi(x, order, m):
     """Spacing estimate with boundary-corrected denominators c_i."""
     a = check_order(order)
     _warn_below_one(a)
-    rows, squeeze = _as_rows(x)
-    n = rows.shape[1]
-    mi = _check_window(n, m)
-    s2 = _sorted_squares(rows)
-    w = _wcrte_tail_weights(n, a, upto_n=True)
-    c = ebrahimi_weights(n, mi)
-    out = (_clamped_spacings(s2, mi) / c * w).sum(axis=1) / (2.0 * mi * (a - 1.0))
-    return _ret(out, squeeze)
+    return _evaluate(EstimatorKind.EBRAHIMI, a, m, None, x)
 
 
 def wcrte_modified_n(x, order, m):
     """Spacing estimate with squared boundary-corrected denominators."""
     a = check_order(order)
     _warn_below_one(a)
-    rows, squeeze = _as_rows(x)
-    n = rows.shape[1]
-    mi = _check_window(n, m)
-    s2 = _sorted_squares(rows)
-    w = _wcrte_tail_weights(n, a, upto_n=True)
-    c = ebrahimi_weights(n, mi)
-    out = (_clamped_spacings(s2, mi) / (c * c) * w).sum(axis=1) / (mi * (a - 1.0))
-    return _ret(out, squeeze)
-
-
-def _lstat_positions(n: int, plotting: PlottingPosition) -> np.ndarray:
-    if plotting == "n":
-        return np.arange(1, n + 1, dtype=float) / n
-    if plotting == "n+1":
-        return np.arange(1, n + 1, dtype=float) / (n + 1)
-    raise DomainError(f"plotting position must be 'n' or 'n+1', got {plotting!r}")
+    return _evaluate(EstimatorKind.MODIFIED_N, a, m, None, x)
 
 
 def _check_order_above_one(order) -> float:
@@ -282,45 +332,48 @@ def wcrte_lstat(x, order, plotting: PlottingPosition = "n"):
     Requires order > 1.
     """
     a = _check_order_above_one(order)
-    rows, squeeze = _as_rows(x)
-    n = rows.shape[1]
-    p = _lstat_positions(n, plotting)
-    w = 1.0 - a * (1.0 - p) ** (a - 1.0)
-    s2 = _sorted_squares(rows)
-    out = (s2 * w).sum(axis=1) / (2.0 * (a - 1.0) * n)
-    return _ret(out, squeeze)
+    return _evaluate(EstimatorKind.LSTAT, a, None, plotting, x)
+
+
+def _lstat_variance(x, coef_of_tail, denominator: float):
+    """Shared body of the two variance companions (n >= 3).
+
+    The double sum over ordered index pairs is evaluated in O(n) via a
+    cumulative sum; a literal O(n^2) version is kept in the test suite as an
+    oracle.
+    """
+    sq = _prepare(x)
+    n = sq.s2.shape[1]
+    if n < 3:
+        raise DomainError(f"variance estimation needs n >= 3, got {n}")
+    i = np.arange(1, n, dtype=float)  # spacing index, 1..n-1
+    tail = 1.0 - i / n
+    coef = coef_of_tail(tail)
+    upper = tail * coef * sq.d  # factor carrying the larger index
+    lower = (i / n) * coef * sq.d  # factor carrying the smaller index
+    cum = np.cumsum(lower, axis=1)
+    # A product overflows only when the variance itself is out of range,
+    # which finish() reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = (upper[:, 1:] * cum[:, :-1]).sum(axis=1)
+    out = sq.finish(inner / denominator, power=2)
+    if np.any(np.asarray(out) < 0.0):
+        warnings.warn("negative variance estimate (small-sample artifact)", stacklevel=3)
+    return out
 
 
 def wcrte_lstat_variance(x, order):
     """Variance estimator attached to the L-statistic (order > 1, n >= 3).
 
-    Estimates the variance of sqrt(n) * (estimate - target). The double sum
-    over ordered index pairs is evaluated in O(n) via a cumulative sum; a
-    literal O(n^2) version is kept in the test suite as an oracle. Small
-    samples can produce a negative value, which is reported with a warning
-    rather than clipped.
+    Estimates the variance of sqrt(n) * (estimate - target). Small samples
+    can produce a negative value, which is reported with a warning rather
+    than clipped.
     """
     a = _check_order_above_one(order)
-    rows, squeeze = _as_rows(x)
-    n = rows.shape[1]
-    if n < 3:
-        raise DomainError(f"variance estimation needs n >= 3, got {n}")
-    s2 = _sorted_squares(rows)
-    d = np.diff(s2, axis=1)  # i = 1..n-1
-    i = np.arange(1, n, dtype=float)
-    tail = 1.0 - i / n
-    coef = 1.0 - a * tail ** (a - 1.0)
-    upper = tail * coef * d  # factor carrying the larger index
-    lower = (i / n) * coef * d  # factor carrying the smaller index
-    cum = np.cumsum(lower, axis=1)
-    inner = (upper[:, 1:] * cum[:, :-1]).sum(axis=1)
     # Twice the ordered-pair sum covers the symmetric index square and
     # estimates the variance of the auxiliary statistic 2(order - 1) times
     # the estimate; dividing by (2(order - 1))^2 rescales to the estimate.
-    out = inner / (2.0 * (a - 1.0) ** 2)
-    if np.any(out < 0.0):
-        warnings.warn("negative variance estimate (small-sample artifact)", stacklevel=2)
-    return _ret(out, squeeze)
+    return _lstat_variance(x, lambda tail: 1.0 - a * tail ** (a - 1.0), 2.0 * (a - 1.0) ** 2)
 
 
 # --- WCRE estimators (order -> 1 limit) ---------------------------------------
@@ -328,45 +381,20 @@ def wcrte_lstat_variance(x, order):
 
 def wcre_empirical(x):
     """Plug-in estimate of the WCRE; nonnegative by construction."""
-    rows, squeeze = _as_rows(x)
-    n = rows.shape[1]
-    s2 = _sorted_squares(rows)
-    w = _wcre_tail_weights(n)
-    out = (np.diff(s2, axis=1) * w).sum(axis=1) / 2.0
-    return _ret(out, squeeze)
+    return _evaluate(EstimatorKind.EMPIRICAL, None, None, None, x)
 
 
 def wcre_vasicek(x, m):
     """Symmetric-difference estimate of the WCRE, sum over i = 1..n-1."""
-    rows, squeeze = _as_rows(x)
-    n = rows.shape[1]
-    mi = _check_window(n, m)
-    s2 = _sorted_squares(rows)
-    w = _wcre_tail_weights(n)
-    out = (_clamped_spacings(s2, mi)[:, :-1] * w).sum(axis=1) / (4.0 * mi)
-    return _ret(out, squeeze)
+    return _evaluate(EstimatorKind.VASICEK, None, m, None, x)
 
 
 def wcre_ebrahimi(x, m):
-    rows, squeeze = _as_rows(x)
-    n = rows.shape[1]
-    mi = _check_window(n, m)
-    s2 = _sorted_squares(rows)
-    w = _wcre_tail_weights(n)
-    c = ebrahimi_weights(n, mi)[:-1]
-    out = (_clamped_spacings(s2, mi)[:, :-1] / c * w).sum(axis=1) / (2.0 * mi)
-    return _ret(out, squeeze)
+    return _evaluate(EstimatorKind.EBRAHIMI, None, m, None, x)
 
 
 def wcre_modified_n(x, m):
-    rows, squeeze = _as_rows(x)
-    n = rows.shape[1]
-    mi = _check_window(n, m)
-    s2 = _sorted_squares(rows)
-    w = _wcre_tail_weights(n)
-    c = ebrahimi_weights(n, mi)[:-1]
-    out = (_clamped_spacings(s2, mi)[:, :-1] / (c * c) * w).sum(axis=1) / mi
-    return _ret(out, squeeze)
+    return _evaluate(EstimatorKind.MODIFIED_N, None, m, None, x)
 
 
 def wcre_lstat(x, plotting: PlottingPosition = "n+1"):
@@ -376,47 +404,21 @@ def wcre_lstat(x, plotting: PlottingPosition = "n+1"):
     With ``plotting="n"`` the i = n term contains log(0) and is dropped,
     with a diagnostic warning.
     """
-    rows, squeeze = _as_rows(x)
-    n = rows.shape[1]
-    s2 = _sorted_squares(rows)
     if plotting == "n":
         warnings.warn(
             "plotting position i/n makes the last WCRE L-statistic term "
             "log(0); dropping the i = n term",
             stacklevel=2,
         )
-        p = np.arange(1, n, dtype=float) / n
-        w = 1.0 + np.log(1.0 - p)
-        out = -(s2[:, :-1] * w).sum(axis=1) / (2.0 * n)
-    else:
-        p = _lstat_positions(n, plotting)
-        w = 1.0 + np.log(1.0 - p)
-        out = -(s2 * w).sum(axis=1) / (2.0 * n)
-    return _ret(out, squeeze)
+    return _evaluate(EstimatorKind.LSTAT, None, None, plotting, x)
 
 
 def wcre_lstat_variance(x):
     """Variance estimator attached to the WCRE L-statistic (n >= 3)."""
-    rows, squeeze = _as_rows(x)
-    n = rows.shape[1]
-    if n < 3:
-        raise DomainError(f"variance estimation needs n >= 3, got {n}")
-    s2 = _sorted_squares(rows)
-    d = np.diff(s2, axis=1)
-    i = np.arange(1, n, dtype=float)
-    tail = 1.0 - i / n
-    coef = 1.0 + np.log(tail)
-    upper = tail * coef * d
-    lower = (i / n) * coef * d
-    cum = np.cumsum(lower, axis=1)
-    inner = (upper[:, 1:] * cum[:, :-1]).sum(axis=1)
     # Same structure as the ordered variant: twice the ordered-pair sum
     # estimates the variance of -2 times the estimate, so the net constant
     # is 2/4 = 1/2.
-    out = inner / 2.0
-    if np.any(out < 0.0):
-        warnings.warn("negative variance estimate (small-sample artifact)", stacklevel=2)
-    return _ret(out, squeeze)
+    return _lstat_variance(x, lambda tail: 1.0 + np.log(tail), 2.0)
 
 
 # --- estimator specs and dispatch ---------------------------------------------
@@ -467,9 +469,8 @@ class EstimatorSpec:
         kind = EstimatorKind(self.kind)
         object.__setattr__(self, "kind", kind)
         if self.order is not None:
-            a = check_order(self.order)
-            if kind is EstimatorKind.LSTAT and a < 1.0:
-                raise DomainError("the L-statistic requires order > 1")
+            lstat = kind is EstimatorKind.LSTAT
+            a = _check_order_above_one(self.order) if lstat else check_order(self.order)
             object.__setattr__(self, "order", a)
         if self.window is not None:
             if not kind.needs_window:
@@ -558,35 +559,16 @@ def parse_estimator(text: str) -> EstimatorSpec:
 
 
 def estimate(spec: EstimatorSpec, x):
-    """Dispatch to the estimator selected by ``spec``.
+    """Evaluate the estimator selected by ``spec`` on ``x``.
 
-    Windowed kinds need ``spec.window`` resolved; callers that want an
-    automatic choice resolve it first (see ``mc.heuristic_window``).
+    Goes through the public function of the spec's measure and kind, so its
+    argument checks and warnings apply. Windowed kinds need ``spec.window``
+    resolved; callers that want an automatic choice resolve it first (see
+    ``mc.heuristic_window``).
     """
-    kind = spec.kind
-    if kind.needs_window:
-        if spec.window is None:
-            raise DomainError(
-                f"estimator {spec.label()} needs a window; set m or resolve one first"
-            )
-        if spec.order is None:
-            fn = {
-                EstimatorKind.VASICEK: wcre_vasicek,
-                EstimatorKind.EBRAHIMI: wcre_ebrahimi,
-                EstimatorKind.MODIFIED_N: wcre_modified_n,
-            }[kind]
-            return fn(x, spec.window)
-        fn = {
-            EstimatorKind.VASICEK: wcrte_vasicek,
-            EstimatorKind.EBRAHIMI: wcrte_ebrahimi,
-            EstimatorKind.MODIFIED_N: wcrte_modified_n,
-        }[kind]
-        return fn(x, spec.order, spec.window)
-    if kind is EstimatorKind.EMPIRICAL:
-        return wcre_empirical(x) if spec.order is None else wcrte_empirical(x, spec.order)
-    # L-statistic
-    if spec.order is None:
-        return wcre_lstat(x) if spec.plotting is None else wcre_lstat(x, spec.plotting)
-    if spec.plotting is None:
-        return wcrte_lstat(x, spec.order)
-    return wcrte_lstat(x, spec.order, spec.plotting)
+    if spec.kind.needs_window and spec.window is None:
+        raise DomainError(
+            f"estimator {spec.label()} needs a window; set m or resolve one first"
+        )
+    fn = globals()[f"{spec.measure}_{spec.kind.value}"]
+    return fn(x, *(v for v in (spec.order, spec.window, spec.plotting) if v is not None))

@@ -346,10 +346,10 @@ def _null_sorted_draws(n: int, replications: int, seed: int) -> np.ndarray:
     return draws
 
 
-def _entropy_null_stats(test: GofTest, sorted_null: np.ndarray) -> np.ndarray:
-    if test.name == "wcrte":
-        return est.wcrte_empirical(sorted_null, test.order)
-    return est.wcre_empirical(sorted_null)
+def _entropy_null_stats(test: GofTest, sorted_rows: np.ndarray) -> np.ndarray:
+    """Plug-in statistic of each row of sorted [0, 1] observations."""
+    spec = est.EstimatorSpec(est.EstimatorKind.EMPIRICAL, test.order)
+    return est.estimate(spec, est._prepare(sorted_rows, presorted=True))
 
 
 def critical_values(

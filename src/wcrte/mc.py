@@ -170,31 +170,9 @@ class McStudyResult:
         return best_window(self.cells)
 
 
-def _batch_estimate(kind: EstimatorKind, xs: np.ndarray, order, window) -> np.ndarray:
-    if kind is EstimatorKind.EMPIRICAL:
-        return est.wcre_empirical(xs) if order is None else est.wcrte_empirical(xs, order)
-    if kind is EstimatorKind.LSTAT:
-        return est.wcre_lstat(xs) if order is None else est.wcrte_lstat(xs, order)
-    if order is None:
-        fn = {
-            EstimatorKind.VASICEK: est.wcre_vasicek,
-            EstimatorKind.EBRAHIMI: est.wcre_ebrahimi,
-            EstimatorKind.MODIFIED_N: est.wcre_modified_n,
-        }[kind]
-        return fn(xs, window)
-    fn = {
-        EstimatorKind.VASICEK: est.wcrte_vasicek,
-        EstimatorKind.EBRAHIMI: est.wcrte_ebrahimi,
-        EstimatorKind.MODIFIED_N: est.wcrte_modified_n,
-    }[kind]
-    return fn(xs, order, window)
-
-
 @dataclass(frozen=True)
 class _CellSpec:
-    order: float | None
-    kind: EstimatorKind
-    window: int | None
+    estimator: est.EstimatorSpec
     truth: float
 
 
@@ -230,20 +208,23 @@ def _plan_blocks(config: McStudyConfig) -> tuple[list[_BlockPlan], list[str]]:
             if truth is None:
                 continue
             for window in config.windows_for(kind, n):
-                specs.append(_CellSpec(order, kind, window, truth))
+                specs.append(_CellSpec(est.EstimatorSpec(kind, order, window), truth))
         blocks.append(_BlockPlan(mi, model, n, tuple(specs)))
     return blocks, skipped
 
 
-def _run_block(block: _BlockPlan, replications: int, seed: int) -> list[McCell]:
+def _run_block(block: _BlockPlan, replications: int, seed: int, coefs: dict) -> list[McCell]:
     if not block.specs:
         return []
     stream = mc_stream(seed, block.model_index, block.n)
     xs = block.model.quantile(stream.random((replications, block.n)))
+    # One validation, sort and squaring for the whole block; each cell is
+    # then one contraction with its coefficient vector from ``coefs``.
+    squares = est._prepare(xs, coefs)
     cells: list[McCell] = []
-    for spec in block.specs:
-        values = _batch_estimate(spec.kind, xs, spec.order, spec.window)
-        err = values - spec.truth
+    for cell in block.specs:
+        spec = cell.estimator
+        err = est.estimate(spec, squares) - cell.truth
         sq = err * err
         cells.append(
             McCell(
@@ -252,7 +233,7 @@ def _run_block(block: _BlockPlan, replications: int, seed: int) -> list[McCell]:
                 order=spec.order,
                 kind=spec.kind,
                 window=spec.window,
-                truth=spec.truth,
+                truth=cell.truth,
                 bias=float(err.mean()),
                 mse=float(sq.mean()),
                 mse_se=float(sq.std() / math.sqrt(replications)),
@@ -272,11 +253,22 @@ def run_study(config: McStudyConfig, threads: int | None = None) -> McStudyResul
     if threads is not None and int(threads) < 1:
         raise DomainError(f"threads must be positive, got {threads!r}")
     workers = 1 if threads is None else int(threads)
+    # Each (spec, n) coefficient vector is built once, here, before any
+    # worker starts; the blocks then only read this dict.
+    coefs: dict = {}
+    for b in blocks:
+        for cell in b.specs:
+            spec = cell.estimator
+            est._coefficients(coefs, spec.kind, spec.order, spec.window, spec.plotting, b.n)
+
+    def run(b: _BlockPlan) -> list[McCell]:
+        return _run_block(b, config.replications, config.seed, coefs)
+
     if workers == 1:
-        parts = [_run_block(b, config.replications, config.seed) for b in blocks]
+        parts = [run(b) for b in blocks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _run_block(b, config.replications, config.seed), blocks))
+            parts = list(pool.map(run, blocks))
     cells = [cell for part in parts for cell in part]
     return McStudyResult(
         cells=tuple(cells),

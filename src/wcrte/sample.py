@@ -15,7 +15,8 @@ class Sample:
     """A batch of nonnegative observations, kept in draw order.
 
     The sorted copy is computed once up front because every estimator in this
-    package works on order statistics. Both arrays are marked read-only.
+    package works on order statistics; the estimators use it instead of
+    validating and sorting again. Both arrays are marked read-only.
     """
 
     __slots__ = ("values", "sorted_values")

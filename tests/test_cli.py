@@ -152,6 +152,17 @@ def test_numeric_failures_use_exit_code_four(five_points, capsys, monkeypatch):
     assert "synthetic numerical failure" in err
 
 
+def test_estimate_out_of_float_range_exits_four(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("1e160\n2e160\n3e160\n5e160\n")
+    code, out, err = run_cli(
+        ["estimate", "--data", str(path), "--estimator", "wcrte:e,alpha=2"], capsys
+    )
+    assert code == 4
+    assert out == ""
+    assert "not finite" in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     code, _, _ = run_cli(["frobnicate"], capsys)
     assert code == 2

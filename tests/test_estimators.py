@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import naive
 from wcrte import (
@@ -12,6 +14,7 @@ from wcrte import (
     EstimatorKind,
     EstimatorSpec,
     Exponential,
+    NumericError,
     ParseError,
     Sample,
     clamp_order_stat,
@@ -35,6 +38,7 @@ from wcrte import (
     wcrte_modified_n,
     wcrte_vasicek,
 )
+from wcrte.estimators import _coefficients
 
 
 # --- hand-computed values -----------------------------------------------------
@@ -139,6 +143,127 @@ def test_matches_naive_oracle():
                 assert wcre_lstat_variance(x) == pytest.approx(
                     naive.wcre_lstat_variance(x), abs=1e-12
                 )
+
+
+ORDERS = (0.5, 1.5, 2.0, 5.0, None)
+SPACING_KINDS = (
+    EstimatorKind.EMPIRICAL,
+    EstimatorKind.VASICEK,
+    EstimatorKind.EBRAHIMI,
+    EstimatorKind.MODIFIED_N,
+)
+
+
+def _naive_value(spec, x):
+    name = f"{spec.measure}_{spec.kind.value}"
+    args = [v for v in (spec.order, spec.window, spec.plotting) if v is not None]
+    return getattr(naive, name)(x, *args)
+
+
+def _every_spec(n):
+    """Every admissible estimator spec at sample size n over ORDERS."""
+    for order in ORDERS:
+        yield EstimatorSpec(EstimatorKind.EMPIRICAL, order)
+        for kind in SPACING_KINDS[1:]:
+            for m in range(1, max_window(n) + 1):
+                yield EstimatorSpec(kind, order, m)
+        if order is None or order > 1.0:
+            for plotting in ("n", "n+1"):
+                yield EstimatorSpec(EstimatorKind.LSTAT, order, plotting=plotting)
+
+
+@pytest.mark.parametrize("n", [3, 10, 20, 30, 50, 201])
+def test_every_kind_order_window_and_plotting_matches_naive(n):
+    rng = np.random.default_rng(n)
+    x = rng.exponential(scale=2.0, size=n)
+    tied = np.round(x, 0)
+    for spec in _every_spec(n):
+        for sample in (x, tied):
+            want = _naive_value(spec, sample)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # orders below 1, plotting="n"
+                got = estimate(spec, sample)
+                assert estimate(spec, Sample(sample)) == got
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (spec, got, want)
+
+
+def test_spacing_coefficients_are_nonnegative():
+    for n in (3, 10, 50, 201):
+        for spec in _every_spec(n):
+            if spec.kind is not EstimatorKind.LSTAT:
+                c = _coefficients({}, spec.kind, spec.order, spec.window, None, n)
+                assert (c >= 0.0).all(), spec
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 31])
+def test_constant_samples_give_exact_zero(n):
+    rows = np.array([np.full(n, v) for v in (0.0, 1e-300, 3.0, 1e200, 1.7e308)])
+    for spec in _every_spec(n):
+        if spec.kind is EstimatorKind.LSTAT or (spec.kind.needs_window and n < 3):
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert (estimate(spec, rows) == 0.0).all(), spec
+            for row in rows:
+                assert estimate(spec, row) == 0.0
+
+
+def test_huge_values_are_rescaled_instead_of_overflowing():
+    # The squares of 3e154 overflow; the estimate itself does not.
+    got = wcrte_empirical([1e154, 2e154, 3e154], 2.0)
+    assert got == pytest.approx(1e308 * wcrte_empirical([1.0, 2.0, 3.0], 2.0), rel=1e-14)
+    with pytest.raises(NumericError):
+        wcrte_empirical([1e160, 2e160, 3e160, 5e160], 2.0)
+
+
+_PROPERTY_SPECS = list(_every_spec(3))  # window m = 1 fits every n >= 3
+_VARIANCES = [lambda z: wcrte_lstat_variance(z, 2.0), wcre_lstat_variance]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    xs=st.lists(st.one_of(st.just(0.0), st.floats(0.01, 100.0)), min_size=3, max_size=12),
+    k=st.integers(-300, 505),
+    spec=st.sampled_from(_PROPERTY_SPECS),
+)
+def test_power_of_two_scaling_is_exact(xs, k, spec):
+    x = np.array(xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        base = estimate(spec, x)
+        with np.errstate(over="ignore"):
+            want = float(np.ldexp(base, 2 * k))
+        if math.isfinite(want):
+            assert estimate(spec, np.ldexp(x, k)) == want
+        else:
+            with pytest.raises(NumericError):
+                estimate(spec, np.ldexp(x, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    xs=st.lists(st.floats(0.0, 1.7976931348623157e308), min_size=2, max_size=12),
+    which=st.integers(0, len(_PROPERTY_SPECS) + len(_VARIANCES) - 1),
+)
+@example(xs=[1e100, 2e100, 3e100], which=len(_PROPERTY_SPECS))  # squares of spacings overflow
+@example(xs=[1e160, 2e160, 3e160, 5e160], which=0)  # the estimate overflows
+def test_huge_finite_inputs_give_a_finite_value_or_numeric_error(xs, which):
+    x = np.array(xs)
+    if which < len(_PROPERTY_SPECS):
+        spec = _PROPERTY_SPECS[which]
+        assume(x.size >= 3 or not spec.kind.needs_window)
+        fn = lambda z: estimate(spec, z)  # noqa: E731
+    else:
+        assume(x.size >= 3)
+        fn = _VARIANCES[which - len(_PROPERTY_SPECS)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow noise
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            got = fn(x)
+        except NumericError:
+            return
+    assert math.isfinite(got)
 
 
 # --- invariants -----------------------------------------------------------------

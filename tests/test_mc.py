@@ -172,6 +172,52 @@ def test_draws_are_shared_across_estimator_axes():
         assert got_big[key] == cell
 
 
+ALL_KINDS = tuple(EstimatorKind)
+
+
+def test_sweep_with_every_kind_is_stable_under_added_cells_and_threads():
+    """Each cell is its own contraction, so neither the other cells of a
+    block nor the thread count can move it by a single bit."""
+    small = McStudyConfig(
+        models=(UNIF1,),
+        sample_sizes=(10, 21),
+        orders=(2.0,),
+        kinds=(EstimatorKind.MODIFIED_N, EstimatorKind.LSTAT),
+        windows="sweep",
+        replications=301,
+    )
+    big = McStudyConfig(
+        models=(UNIF1, EXP1),
+        sample_sizes=(10, 21, 30),
+        orders=(5.0, 2.0, None),
+        kinds=ALL_KINDS,
+        windows="sweep",
+        replications=301,
+    )
+    got_small = _cells_by_key(run_study(small))
+    serial = run_study(big, threads=1)
+    got_big = _cells_by_key(serial)
+    assert {key[3] for key in got_big} == set(ALL_KINDS)
+    for key, cell in got_small.items():
+        assert got_big[key] == cell
+    for threads in (2, 5):
+        assert run_study(big, threads=threads) == serial
+
+
+def test_windowed_study_below_order_one_still_warns():
+    cfg = McStudyConfig(
+        models=(EXP1,),
+        sample_sizes=(10,),
+        orders=(0.5,),
+        kinds=(EstimatorKind.VASICEK,),
+        windows=(2,),
+        replications=50,
+    )
+    with pytest.warns(UserWarning, match="below 1"):
+        (cell,) = run_study(cfg).cells
+    assert cell.order == 0.5 and cell.window == 2
+
+
 def test_other_models_do_not_perturb_a_models_draws():
     kw = dict(
         sample_sizes=(15,),
