@@ -13,9 +13,18 @@ All randomness flows from ``--seed``; the default is the fixed constant
 0xC0FFEE rather than fresh entropy, so published runs are reproducible.
 ``--config FILE`` supplies defaults from a JSON object using the same keys
 as the long flags (list-valued flags use their plural: models, estimators,
-tests, alternatives); explicit flags win. Numeric list flags are comma
+tests, alternatives; ``--reps`` is ``replications``); explicit flags win.
+A config value goes through the converter of its flag, so ``"n": "10,20"``,
+``"n": [10, 20]`` and ``--n 10,20`` are the same, and a bad value exits 2
+with a message naming its key. ``mse-study`` builds its grid through
+:func:`wcrte.mc.study_config_from_json`. Numeric list flags are comma
 separated; model, estimator and test specifications are repeatable flags
 because model parameters themselves contain commas.
+
+Model, estimator and test specifications share one grammar: a
+case-insensitive head, then after a colon an optional positional token
+(the ``alt`` family or the estimator kind) and ``key=value`` pairs,
+comma separated; keys are case-insensitive and a repeated key is an error.
 """
 
 from __future__ import annotations
@@ -29,19 +38,26 @@ import os
 import sys
 from dataclasses import replace
 
-from .distributions import order_from_label, order_label, parse_model
+from .distributions import order_label
 from .errors import DomainError, NumericError, ParseError
 from .estimators import (
     EstimatorKind,
     estimate,
     parse_estimator,
-    parse_kind,
     read_sample,
     wcre_lstat_variance,
     wcrte_lstat_variance,
 )
 from .gof import critical_values, parse_test, power_study, uniformity_test
-from .mc import DEFAULT_SEED, McStudyConfig, heuristic_window, run_study
+from .mc import (
+    _STUDY_KEYS,
+    DEFAULT_SEED,
+    _convert,
+    _integer,
+    heuristic_window,
+    run_study,
+    study_config_from_json,
+)
 from .reference import REPORT_FIELDS, verify_table
 
 __all__ = ["main", "build_parser"]
@@ -72,55 +88,29 @@ _CONFIG_KEYS = {
 }
 
 
-def _parse_seed(text: str) -> int:
+def _real(value) -> float:
     try:
-        return int(str(text), 0)
-    except ValueError:
-        raise ParseError(f"--seed: not an integer: {text!r}") from None
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"not a number: {value!r}") from None
 
 
-def _int_list(value, flag: str) -> tuple[int, ...]:
-    items = value.split(",") if isinstance(value, str) else list(value)
-    out = []
-    for item in items:
-        s = str(item).strip()
-        if not s:
-            continue
-        try:
-            out.append(int(s))
-        except ValueError:
-            raise ParseError(f"{flag}: not an integer: {s!r}") from None
-    if not out:
-        raise ParseError(f"{flag}: empty list")
-    return tuple(out)
+def _format(value) -> str:
+    if value not in ("csv", "json"):
+        raise ParseError(f"expected csv or json, got {value!r}")
+    return value
 
 
-def _order_list(value, flag: str) -> tuple[float | None, ...]:
-    items = value.split(",") if isinstance(value, str) else list(value)
-    out = []
-    for item in items:
-        if item is None:
-            out.append(None)
-            continue
-        s = str(item).strip()
-        if not s:
-            continue
-        try:
-            out.append(order_from_label(float(s)))
-        except (ValueError, DomainError) as exc:
-            raise ParseError(f"{flag}: {exc}" if isinstance(exc, DomainError)
-                             else f"{flag}: not a number: {s!r}") from None
-    if not out:
-        raise ParseError(f"{flag}: empty list")
-    return tuple(out)
+#: Converters of the keys that mean the same in every subcommand; ``models``
+#: and ``estimators`` are converted by the subcommand that reads them.
+_CONVERTERS = {
+    **{key: _STUDY_KEYS[key] for key in ("n", "alpha", "m", "replications", "seed")},
+    "gamma": _real,
+    "threads": _integer,
+    "format": _format,
+}
 
-
-def _window_choice(value, flag: str):
-    if isinstance(value, str):
-        key = value.strip().lower()
-        if key in ("auto", "sweep"):
-            return key
-    return _int_list(value, flag)
+_ALL_KINDS = ("empirical", "vasicek", "ebrahimi", "modified_n", "lstat")
 
 
 def _str_items(value) -> list[str]:
@@ -132,22 +122,26 @@ def _str_items(value) -> list[str]:
 
 
 def _apply_config(args: argparse.Namespace) -> None:
+    """Fill unset flags from ``--config``, then convert every flag or config value."""
     path = getattr(args, "config", None)
-    if not path:
-        return
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ParseError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    for key, dest in _CONFIG_KEYS.items():
-        if key in doc and hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, doc[key])
+    if path:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ParseError(f"{path}: config must be a JSON object")
+        unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ParseError(f"{path}: unknown config keys: {', '.join(unknown)}")
+        for key, dest in _CONFIG_KEYS.items():
+            if key in doc and hasattr(args, dest) and getattr(args, dest) is None:
+                setattr(args, dest, doc[key])
+    for key in _CONVERTERS:
+        value = getattr(args, _CONFIG_KEYS[key], None)
+        if value is not None:
+            setattr(args, _CONFIG_KEYS[key], _convert(_CONVERTERS, key, value))
 
 
 def _csv_cell(value) -> str:
@@ -190,10 +184,9 @@ def _resolved(args, name, fallback):
 
 
 def _threads(args) -> int:
-    value = _resolved(args, "threads", os.cpu_count() or 1)
-    n = int(value)
+    n = _resolved(args, "threads", os.cpu_count() or 1)
     if n < 1:
-        raise DomainError(f"--threads must be positive, got {value!r}")
+        raise DomainError(f"--threads must be positive, got {n!r}")
     return n
 
 
@@ -234,19 +227,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_mse_study(args) -> int:
-    models = _str_items(args.model)
-    if not models:
+    if not args.model:
         raise ParseError("mse-study needs at least one --model")
-    kinds = _str_items(args.estimator) or ["empirical", "vasicek", "ebrahimi", "modified_n", "lstat"]
-    config = McStudyConfig(
-        models=tuple(parse_model(m) for m in models),
-        sample_sizes=_int_list(_resolved(args, "n", "10,20,30"), "--n"),
-        orders=_order_list(_resolved(args, "alpha", "2"), "--alpha"),
-        kinds=tuple(parse_kind(k) for k in kinds),
-        windows=_window_choice(_resolved(args, "m", "auto"), "--m"),
-        replications=int(_resolved(args, "reps", 10_000)),
-        seed=_resolved(args, "seed", DEFAULT_SEED),
-    )
+    doc = {key: getattr(args, _CONFIG_KEYS[key]) for key in _STUDY_KEYS}
+    doc["estimators"] = doc["estimators"] or _ALL_KINDS
+    config = study_config_from_json({k: v for k, v in doc.items() if v is not None})
     result = run_study(config, threads=_threads(args))
     for message in result.skipped:
         print(f"skipped: {message}", file=sys.stderr)
@@ -269,8 +254,8 @@ def cmd_mse_study(args) -> int:
 
 
 def cmd_critical_values(args) -> int:
-    gamma = float(_resolved(args, "gamma", 0.05))
-    reps = int(_resolved(args, "reps", 10_000))
+    gamma = _resolved(args, "gamma", 0.05)
+    reps = _resolved(args, "reps", 10_000)
     seed = _resolved(args, "seed", DEFAULT_SEED)
     fmt = _resolved(args, "format", "csv")
     data = _str_items(args.data)
@@ -286,7 +271,7 @@ def cmd_critical_values(args) -> int:
         x = read_sample(data[0])
         rows = []
         for text in tests:
-            result = uniformity_test(x.values, parse_test(text), gamma, reps, seed)
+            result = uniformity_test(x, parse_test(text), gamma, reps, seed)
             rows.append(
                 {
                     "test": result.test,
@@ -305,11 +290,9 @@ def cmd_critical_values(args) -> int:
 
     if args.n is None:
         raise ParseError("table mode needs --n (or use --data for single-test mode)")
-    sizes = _int_list(args.n, "--n")
-    orders = _order_list(_resolved(args, "alpha", "1,2,5,7,10"), "--alpha")
     rows = []
-    for n in sizes:
-        for order in orders:
+    for n in args.n:
+        for order in _resolved(args, "alpha", (None, 2.0, 5.0, 7.0, 10.0)):
             pair = critical_values(n, order, gamma, reps, seed)
             rows.append(
                 {
@@ -333,11 +316,11 @@ def cmd_power(args) -> int:
     tests = _str_items(args.test)
     if not tests:
         raise ParseError("power needs at least one --test")
-    gamma = float(_resolved(args, "gamma", 0.05))
-    reps = int(_resolved(args, "reps", 10_000))
+    gamma = _resolved(args, "gamma", 0.05)
+    reps = _resolved(args, "reps", 10_000)
     seed = _resolved(args, "seed", DEFAULT_SEED)
     rows = []
-    for n in _int_list(_resolved(args, "n", "10,20,30"), "--n"):
+    for n in _resolved(args, "n", (10, 20, 30)):
         for cell in power_study(alternatives, n, tests, gamma, reps, seed):
             rows.append(
                 {
@@ -370,22 +353,21 @@ def cmd_verify_tables(args) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, *extra: str) -> None:
-    sub.add_argument("--seed", type=_parse_seed, default=None,
-                     help="master seed (default 0xC0FFEE)")
+    sub.add_argument("--seed", default=None, help="master seed (default 0xC0FFEE)")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--config", default=None,
                      help="JSON file supplying defaults for unset flags")
     if "reps" in extra:
-        sub.add_argument("--reps", type=int, default=None,
+        sub.add_argument("--reps", default=None,
                          help="Monte Carlo replications (default 10000)")
     if "format" in extra:
-        sub.add_argument("--format", choices=("csv", "json"), default=None,
-                         help="output format (default csv)")
+        sub.add_argument("--format", default=None,
+                         help="output format: csv or json (default csv)")
     if "threads" in extra:
-        sub.add_argument("--threads", type=int, default=None,
+        sub.add_argument("--threads", default=None,
                          help="worker threads (default: all cores); never changes results")
     if "gamma" in extra:
-        sub.add_argument("--gamma", type=float, default=None,
+        sub.add_argument("--gamma", default=None,
                          help="significance level (default 0.05)")
 
 

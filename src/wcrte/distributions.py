@@ -99,7 +99,7 @@ def order_from_label(value) -> float | None:
 
 def order_label(order) -> str:
     """External label for an order: the WCRE limit prints as 1."""
-    return "1" if order is None else format(float(order), "g")
+    return "1" if order is None else _fmt(order)
 
 
 def _ret(out: np.ndarray):
@@ -453,7 +453,54 @@ class StephensAlternative(Model):
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), "g")
+    """Label of a number: ``%g`` when that reads back as the same float, else ``repr``."""
+    x = float(x)
+    text = format(x, "g")
+    return text if float(text) == x else repr(x)
+
+
+# --- spec grammar ------------------------------------------------------------
+
+
+def _split_spec(text: str, keys: dict, positional=()) -> tuple[str, str | None, dict[str, str]]:
+    """Split a spec ``head[:token][,key=value]...``: the grammar of every spec.
+
+    ``keys`` maps each accepted head to its keys. Heads and keys are
+    case-insensitive. For the heads in ``positional`` the first item is a
+    positional token (None when absent). Returns the lower-cased head, the
+    token and the stripped values by key; raises ParseError for an unknown
+    head, an item without ``=``, an unknown key or a repeated key.
+    """
+    spec = text.strip()
+    head, _, rest = spec.partition(":")
+    head = head.strip().lower()
+    if head not in keys:
+        raise ParseError(f"{spec!r}: unknown name {head!r} (known: {', '.join(sorted(keys))})")
+    items = [p.strip() for p in rest.split(",") if p.strip()]
+    token = items.pop(0) if head in positional and items else None
+    fields: dict[str, str] = {}
+    for item in items:
+        key, eq, value = item.partition("=")
+        key = key.strip().lower()
+        if not eq:
+            raise ParseError(f"{spec!r}: expected key=value, got {item!r}")
+        if key not in keys[head]:
+            raise ParseError(
+                f"{spec!r}: unknown key {key!r} for {head} (expected: {', '.join(keys[head])})"
+            )
+        if key in fields:
+            raise ParseError(f"{spec!r}: duplicate key {key!r}")
+        fields[key] = value.strip()
+    return head, token, fields
+
+
+def _parse_number(token: str, context: str, kind=float):
+    """``kind(token)`` for a spec value; ParseError names the spec and the value."""
+    try:
+        return kind(token)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ParseError(f"{context}: not {what}: {token!r}") from None
 
 
 # --- model spec parsing ------------------------------------------------------
@@ -465,69 +512,30 @@ _FAMILIES = {
     "rayleigh": (Rayleigh, {"sigma": "sigma"}),
     "pareto1": (ParetoOne, {"k": "scale", "delta": "shape"}),
     "weibull": (Weibull, {"lambda": "rate", "p": "shape"}),
+    "alt": (StephensAlternative, {"j": "j"}),
 }
-
-
-def _parse_float(token: str, context: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"{context}: not a number: {token!r}") from None
 
 
 def parse_model(text: str) -> Model:
     """Parse a model spec such as ``exp:lambda=2`` or ``alt:B,j=1.5``.
 
     Family names and parameter keys are case-insensitive; every parameter
-    must be given explicitly.
+    must be given explicitly, and ``alt`` takes its family as a positional
+    token.
     """
     spec = text.strip()
-    head, _, rest = spec.partition(":")
-    name = head.strip().lower()
-    if not name:
-        raise ParseError(f"empty model spec: {text!r}")
-
-    if name == "alt":
-        pieces = [p.strip() for p in rest.split(",") if p.strip()]
-        if not pieces:
-            raise ParseError(f"{spec!r}: expected alt:<family>,j=<value>")
-        family = pieces[0]
-        j = None
-        for piece in pieces[1:]:
-            key, eq, val = piece.partition("=")
-            if eq != "=" or key.strip().lower() != "j":
-                raise ParseError(f"{spec!r}: unexpected token {piece!r} (only j=<value>)")
-            j = _parse_float(val.strip(), spec)
-        if j is None:
-            raise ParseError(f"{spec!r}: missing j=<value>")
-        return StephensAlternative(family=family, j=j)
-
-    if name not in _FAMILIES:
-        known = ", ".join(sorted(_FAMILIES) + ["alt"])
-        raise ParseError(f"unknown model family {head!r} (known: {known})")
+    name, family, fields = _split_spec(
+        spec, {name: key_map for name, (_, key_map) in _FAMILIES.items()}, positional=("alt",)
+    )
     cls, key_map = _FAMILIES[name]
-
-    kwargs: dict[str, float] = {}
-    for piece in rest.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        key, eq, val = piece.partition("=")
-        key = key.strip().lower()
-        if eq != "=":
-            raise ParseError(f"{spec!r}: expected key=value, got {piece!r}")
-        if key not in key_map:
-            raise ParseError(
-                f"{spec!r}: unknown parameter {key!r} for {name} "
-                f"(expected: {', '.join(sorted(key_map))})"
-            )
-        if key_map[key] in kwargs:
-            raise ParseError(f"{spec!r}: duplicate parameter {key!r}")
-        kwargs[key_map[key]] = _parse_float(val.strip(), spec)
-
-    missing = [k for k, field in key_map.items() if field not in kwargs]
+    missing = sorted(set(key_map) - set(fields))
     if missing:
-        raise ParseError(f"{spec!r}: missing parameter(s): {', '.join(sorted(missing))}")
+        raise ParseError(f"{spec!r}: missing parameter(s): {', '.join(missing)}")
+    kwargs = {key_map[key]: _parse_number(value, spec) for key, value in fields.items()}
+    if name == "alt":
+        if family is None:
+            raise ParseError(f"{spec!r}: expected alt:<family>,j=<value>")
+        kwargs["family"] = family
     return cls(**kwargs)
 
 

@@ -46,9 +46,9 @@ from typing import Literal
 
 import numpy as np
 
-from .distributions import check_order
+from .distributions import _parse_number, _split_spec, check_order, order_label
 from .errors import DomainError, NumericError, ParseError
-from .sample import Sample, read_sample
+from .sample import Sample, _sorted_rows, read_sample
 
 __all__ = [
     "EstimatorKind",
@@ -108,7 +108,7 @@ class _SortedSquares:
 
     __slots__ = ("s2", "d", "shift", "squeeze", "coefs")
 
-    def __init__(self, srt: np.ndarray, squeeze: bool, coefs: dict | None) -> None:
+    def __init__(self, srt: np.ndarray, squeeze: bool, coefs: dict | None = None) -> None:
         top = float(srt[:, -1].max())
         self.shift = math.frexp(top)[1] if top >= _SQUARE_LIMIT else 0
         if self.shift:
@@ -128,31 +128,16 @@ class _SortedSquares:
         return float(out[0]) if self.squeeze else out
 
 
-def _prepare(x, coefs: dict | None = None, presorted: bool = False) -> _SortedSquares:
+def _prepare(x, coefs: dict | None = None) -> _SortedSquares:
     """Validate, sort and square once; every estimator starts here.
 
-    A :class:`Sample` contributes its validated sorted copy. With
-    ``presorted=True`` the caller vouches that the rows are sorted, finite
-    and nonnegative. An already prepared batch is returned as it is.
+    A :class:`Sample` contributes its validated sorted copy; an already
+    prepared batch is returned as it is. Callers holding rows that are
+    already validated and sorted build a :class:`_SortedSquares` directly.
     """
     if isinstance(x, _SortedSquares):
         return x
-    if isinstance(x, Sample):
-        return _SortedSquares(x.sorted_values[np.newaxis], True, coefs)
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim > 2:
-        raise DomainError(f"sample must be 1-D or 2-D, got shape {arr.shape}")
-    rows = np.atleast_2d(arr)
-    if rows.shape[1] < 2:
-        raise DomainError(f"need at least 2 observations per sample, got {rows.shape[1]}")
-    if not presorted:
-        rows = np.sort(rows, axis=1)
-        # Sorting moves NaN and +inf to the end of a row and -inf to its start.
-        if not (np.isfinite(rows[:, 0]).all() and np.isfinite(rows[:, -1]).all()):
-            raise DomainError("sample contains non-finite values")
-        if rows[:, 0].min() < 0.0:
-            raise DomainError("sample values must be nonnegative")
-    return _SortedSquares(rows, arr.ndim == 1, coefs)
+    return _SortedSquares(*_sorted_rows(x), coefs)
 
 
 def max_window(n: int) -> int:
@@ -492,7 +477,7 @@ class EstimatorSpec:
     def label(self) -> str:
         parts = [f"{self.measure}:{self.kind.value}"]
         if self.order is not None:
-            parts.append(f"alpha={self.order:g}")
+            parts.append(f"alpha={order_label(self.order)}")
         if self.window is not None:
             parts.append(f"m={self.window}")
         if self.plotting is not None:
@@ -500,58 +485,28 @@ class EstimatorSpec:
         return ",".join(parts)
 
 
+#: Estimator spec heads and their keys; the kind is the positional token.
+_SPEC_KEYS = {"wcrte": ("alpha", "m", "plotting"), "wcre": ("m", "plotting")}
+
+
 def parse_estimator(text: str) -> EstimatorSpec:
     """Parse an estimator spec such as ``wcrte:l,alpha=2`` or ``wcre:eb,m=3``.
 
-    The leading token picks the measure (``wcrte`` needs ``alpha=...``,
-    ``wcre`` forbids it), the second the kind (single-letter aliases are
+    The head picks the measure (``wcrte`` needs ``alpha=...``, ``wcre``
+    forbids it), the positional token the kind (single-letter aliases are
     accepted), and the remaining ``key=value`` pairs set ``m`` and
     ``plotting``.
     """
     spec = text.strip()
-    head, _, rest = spec.partition(":")
-    measure = head.strip().lower()
-    if measure not in ("wcrte", "wcre"):
-        raise ParseError(f"{spec!r}: estimator spec must start with wcrte: or wcre:")
-    pieces = [p.strip() for p in rest.split(",") if p.strip()]
-    if not pieces:
+    measure, token, fields = _split_spec(spec, _SPEC_KEYS, positional=tuple(_SPEC_KEYS))
+    if token is None:
         raise ParseError(f"{spec!r}: missing estimator kind")
-    kind_token = pieces[0].lower()
-    if kind_token not in _KIND_TOKENS:
-        raise ParseError(
-            f"{spec!r}: unknown estimator kind {pieces[0]!r} "
-            f"(known: {', '.join(sorted(set(_KIND_TOKENS)))})"
-        )
-    kind = _KIND_TOKENS[kind_token]
-
-    order: float | None = None
-    window: int | None = None
-    plotting: str | None = None
-    for piece in pieces[1:]:
-        key, eq, val = piece.partition("=")
-        key = key.strip().lower()
-        val = val.strip()
-        if eq != "=":
-            raise ParseError(f"{spec!r}: expected key=value, got {piece!r}")
-        if key == "alpha":
-            if measure == "wcre":
-                raise ParseError(f"{spec!r}: wcre takes no alpha (it is the order -> 1 limit)")
-            try:
-                order = float(val)
-            except ValueError:
-                raise ParseError(f"{spec!r}: not a number: {val!r}") from None
-        elif key == "m":
-            try:
-                window = int(val)
-            except ValueError:
-                raise ParseError(f"{spec!r}: window m must be an integer, got {val!r}") from None
-        elif key == "plotting":
-            plotting = val
-        else:
-            raise ParseError(f"{spec!r}: unknown key {key!r} (expected alpha, m, plotting)")
-
-    if measure == "wcrte" and order is None:
+    kind = parse_kind(token)
+    if measure == "wcrte" and "alpha" not in fields:
         raise ParseError(f"{spec!r}: wcrte requires alpha=<order>")
+    order = _parse_number(fields["alpha"], spec) if "alpha" in fields else None
+    window = _parse_number(fields["m"], spec, int) if "m" in fields else None
+    plotting = fields.get("plotting")
     try:
         return EstimatorSpec(kind=kind, order=order, window=window, plotting=plotting)
     except DomainError as exc:

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators as est
-from .distributions import Model, check_order, parse_model
+from .distributions import Model, _parse_number, _split_spec, check_order, order_label, parse_model
 from .errors import DomainError, ParseError
 from .mc import DEFAULT_SEED, gof_alternative_stream, gof_null_stream
+from .sample import _sorted_rows
 
 __all__ = [
     "WCRE_STATISTIC_BOUND",
@@ -87,36 +88,13 @@ def null_statistic_value(order=None) -> float:
     return (a + 4.0) / (6.0 * (a + 1.0) * (a + 2.0))
 
 
-def _check_unit_rows(x, min_n: int = 2) -> tuple[np.ndarray, bool]:
-    if isinstance(x, est.Sample):
-        x = x.values
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim > 2:
-        raise DomainError(f"sample must be 1-D or 2-D, got shape {arr.shape}")
-    squeeze = arr.ndim == 1
-    rows = np.atleast_2d(arr)
-    if rows.shape[1] < min_n:
-        raise DomainError(f"need at least {min_n} observations per sample")
-    if not np.all(np.isfinite(rows)):
-        raise DomainError("sample contains non-finite values")
-    if rows.min() < 0.0 or rows.max() > 1.0:
-        raise DomainError("uniformity tests need observations inside [0, 1]")
-    return rows, squeeze
-
-
-def _ret(out: np.ndarray, squeeze: bool):
-    return float(out[0]) if squeeze else out
-
-
 def test_statistic_wcrte(x, order):
     """Plug-in statistic of the given order for a [0, 1] sample."""
-    rows, squeeze = _check_unit_rows(x)
-    return _ret(np.atleast_1d(est.wcrte_empirical(rows, order)), squeeze)
+    return est.wcrte_empirical(est._SortedSquares(*_sorted_rows(x, upper=1.0)), order)
 
 
 def test_statistic_wcre(x):
-    rows, squeeze = _check_unit_rows(x)
-    return _ret(np.atleast_1d(est.wcre_empirical(rows)), squeeze)
+    return est.wcre_empirical(est._SortedSquares(*_sorted_rows(x, upper=1.0)))
 
 
 def default_spacing_window(n: int) -> int:
@@ -178,25 +156,18 @@ def competitor_statistic(name: str, x, m: int | None = None):
 
     ``m`` applies to ``ent`` only and defaults to floor(sqrt(n)) + 1.
     """
-    key = str(name).strip().lower()
-    if key not in ("ks", "cvm", "ad", "ent"):
+    test = GofTest(name=name, m=m)
+    if test.is_entropy_band:
         raise DomainError(f"unknown competitor {name!r} (known: ks, cvm, ad, ent)")
-    if key != "ent" and m is not None:
-        raise DomainError(f"competitor {key} takes no window")
-    rows, squeeze = _check_unit_rows(x, min_n=1)
-    sorted_rows = np.sort(rows, axis=1)
-    if key == "ks":
-        out = _ks_stat(sorted_rows)
-    elif key == "cvm":
-        out = _cvm_stat(sorted_rows)
-    elif key == "ad":
-        out = _ad_stat(sorted_rows)
-    else:
-        out = _ent_stat(sorted_rows, m if m is not None else default_spacing_window(rows.shape[1]))
-    return _ret(out, squeeze)
+    rows, single = _sorted_rows(x, min_n=1, upper=1.0)
+    out = _competitor_null_stats(test, rows, test.resolved_m(rows.shape[1]))
+    return float(out[0]) if single else out
 
 
 # --- test descriptors ----------------------------------------------------------
+
+#: Test names and the keys of their specs.
+_TEST_KEYS = {"wcrte": ("alpha",), "wcre": (), "ks": (), "cvm": (), "ad": (), "ent": ("m",)}
 
 
 @dataclass(frozen=True)
@@ -213,7 +184,7 @@ class GofTest:
 
     def __post_init__(self):
         key = str(self.name).strip().lower()
-        if key not in ("wcrte", "wcre", "ks", "cvm", "ad", "ent"):
+        if key not in _TEST_KEYS:
             raise DomainError(f"unknown test {self.name!r}")
         object.__setattr__(self, "name", key)
         if key == "wcrte":
@@ -250,7 +221,7 @@ class GofTest:
 
     def label(self) -> str:
         if self.name == "wcrte":
-            return f"wcrte:alpha={self.order:g}"
+            return f"wcrte:alpha={order_label(self.order)}"
         if self.name == "ent" and self.m is not None:
             return f"ent:m={self.m}"
         return self.name
@@ -259,31 +230,9 @@ class GofTest:
 def parse_test(text: str) -> GofTest:
     """Parse a test spec: ``wcrte:alpha=2``, ``wcre``, ``ks``, ``ent:m=5``, ..."""
     spec = text.strip()
-    head, _, rest = spec.partition(":")
-    name = head.strip().lower()
-    order: float | None = None
-    m: int | None = None
-    for piece in rest.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        key, eq, val = piece.partition("=")
-        key = key.strip().lower()
-        val = val.strip()
-        if eq != "=":
-            raise ParseError(f"{spec!r}: expected key=value, got {piece!r}")
-        if key == "alpha":
-            try:
-                order = float(val)
-            except ValueError:
-                raise ParseError(f"{spec!r}: not a number: {val!r}") from None
-        elif key == "m":
-            try:
-                m = int(val)
-            except ValueError:
-                raise ParseError(f"{spec!r}: window m must be an integer, got {val!r}") from None
-        else:
-            raise ParseError(f"{spec!r}: unknown key {key!r} (expected alpha or m)")
+    name, _, fields = _split_spec(spec, _TEST_KEYS)
+    order = _parse_number(fields["alpha"], spec) if "alpha" in fields else None
+    m = _parse_number(fields["m"], spec, int) if "m" in fields else None
     try:
         return GofTest(name=name, order=order, m=m)
     except DomainError as exc:
@@ -332,11 +281,20 @@ class CriticalValue:
     replications: int
 
 
-def _check_level(gamma) -> float:
+def _check_null_grid(n, gamma, replications, min_replications: int = 1000):
+    """Validated (n, level, replications) of a calibration run."""
+    n = int(n)
+    if n < 2:
+        raise DomainError(f"need n >= 2, got {n}")
     g = float(gamma)
     if not (0.0 < g < 1.0):
         raise DomainError(f"level gamma must lie in (0, 1), got {gamma!r}")
-    return g
+    reps = int(replications)
+    if reps < min_replications:
+        raise DomainError(
+            f"need at least {min_replications} replications, got {replications!r}"
+        )
+    return n, g, reps
 
 
 def _null_sorted_draws(n: int, replications: int, seed: int) -> np.ndarray:
@@ -346,10 +304,43 @@ def _null_sorted_draws(n: int, replications: int, seed: int) -> np.ndarray:
     return draws
 
 
-def _entropy_null_stats(test: GofTest, sorted_rows: np.ndarray) -> np.ndarray:
-    """Plug-in statistic of each row of sorted [0, 1] observations."""
-    spec = est.EstimatorSpec(est.EstimatorKind.EMPIRICAL, test.order)
-    return est.estimate(spec, est._prepare(sorted_rows, presorted=True))
+def _statistics(test: GofTest, sorted_rows: np.ndarray, m: int | None) -> np.ndarray:
+    """Statistic of ``test`` on each row of sorted [0, 1] observations."""
+    if test.is_entropy_band:
+        spec = est.EstimatorSpec(est.EstimatorKind.EMPIRICAL, test.order)
+        return est.estimate(spec, est._SortedSquares(sorted_rows, False))
+    return _competitor_null_stats(test, sorted_rows, m)
+
+
+def _competitor_null_stats(test: GofTest, sorted_null: np.ndarray, m: int | None) -> np.ndarray:
+    if test.name == "ks":
+        return _ks_stat(sorted_null)
+    if test.name == "cvm":
+        return _cvm_stat(sorted_null)
+    if test.name == "ad":
+        return _ad_stat(sorted_null)
+    return _ent_stat(sorted_null, m)
+
+
+def _calibrate(test: GofTest, sorted_null: np.ndarray, g: float, m: int | None):
+    """Critical values ``(lo, hi)`` of ``test`` at level ``g``.
+
+    Entropy-band tests split the level over both tails; ks, cvm and ad have
+    only an upper value, ent only a lower one. A side given as None never
+    rejects.
+    """
+    stats = _statistics(test, sorted_null, m)
+    if test.is_entropy_band:
+        lo, hi = np.quantile(stats, [g / 2.0, 1.0 - g / 2.0])
+        return float(lo), float(hi)
+    if test.rejects_low:
+        return float(np.quantile(stats, g)), None
+    return None, float(np.quantile(stats, 1.0 - g))
+
+
+def _reject(stats, lo, hi):
+    """Inclusive rejection: at or below ``lo``, or at or above ``hi``."""
+    return (False if lo is None else stats <= lo) | (False if hi is None else stats >= hi)
 
 
 def critical_values(
@@ -365,20 +356,11 @@ def critical_values(
     ``replications`` uniform samples of size ``n``. The draws depend only on
     (seed, n), so pairs for different orders share them.
     """
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    g = _check_level(gamma)
-    reps = int(replications)
-    if reps < 1000:
-        raise DomainError(f"need at least 1000 replications, got {replications!r}")
+    n, g, reps = _check_null_grid(n, gamma, replications)
     test = GofTest(name="wcre") if order is None else GofTest(name="wcrte", order=order)
-    sorted_null = _null_sorted_draws(n, reps, seed)
-    stats = _entropy_null_stats(test, sorted_null)
-    lower, upper = np.quantile(stats, [g / 2.0, 1.0 - g / 2.0])
+    lower, upper = _calibrate(test, _null_sorted_draws(n, reps, seed), g, None)
     return CriticalPair(
-        n=n, order=test.order, gamma=g, lower=float(lower), upper=float(upper),
-        replications=reps,
+        n=n, order=test.order, gamma=g, lower=lower, upper=upper, replications=reps,
     )
 
 
@@ -398,34 +380,13 @@ def competitor_critical_value(
     test = GofTest(name=name, m=m)
     if test.is_entropy_band:
         raise DomainError("use critical_values for the entropy-band tests")
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    g = _check_level(gamma)
-    reps = int(replications)
-    if reps < 1000:
-        raise DomainError(f"need at least 1000 replications, got {replications!r}")
-    sorted_null = _null_sorted_draws(n, reps, seed)
+    n, g, reps = _check_null_grid(n, gamma, replications)
     resolved_m = test.resolved_m(n)
-    stats = _competitor_null_stats(test, sorted_null, resolved_m)
-    if test.rejects_low:
-        value = float(np.quantile(stats, g))
-    else:
-        value = float(np.quantile(stats, 1.0 - g))
+    lo, hi = _calibrate(test, _null_sorted_draws(n, reps, seed), g, resolved_m)
     return CriticalValue(
-        test=test.name, n=n, gamma=g, value=value,
+        test=test.name, n=n, gamma=g, value=hi if lo is None else lo,
         rejects_low=test.rejects_low, m=resolved_m, replications=reps,
     )
-
-
-def _competitor_null_stats(test: GofTest, sorted_null: np.ndarray, m: int | None) -> np.ndarray:
-    if test.name == "ks":
-        return _ks_stat(sorted_null)
-    if test.name == "cvm":
-        return _cvm_stat(sorted_null)
-    if test.name == "ad":
-        return _ad_stat(sorted_null)
-    return _ent_stat(sorted_null, m)
 
 
 # --- running a test -------------------------------------------------------------
@@ -462,34 +423,17 @@ def uniformity_test(
     """
     if isinstance(test, str):
         test = parse_test(test)
-    rows, squeeze = _check_unit_rows(x)
-    if not squeeze:
+    rows, single = _sorted_rows(x, upper=1.0)
+    if not single:
         raise DomainError("uniformity_test takes a single 1-D sample")
-    n = rows.shape[1]
-    g = _check_level(gamma)
-
-    if test.is_entropy_band:
-        pair = critical_values(n, test.order, g, replications, seed)
-        stat = float(_entropy_null_stats(test, np.sort(rows, axis=1))[0])
-        reject = stat <= pair.lower or stat >= pair.upper
-        return GofResult(
-            test=test.name, n=n, order=test.order, m=None, gamma=g,
-            statistic=stat, lower=pair.lower, upper=pair.upper,
-            reject=bool(reject), replications=pair.replications,
-        )
-
-    crit = competitor_critical_value(test.name, n, g, replications, seed, m=test.m)
-    stat = float(_competitor_null_stats(test, np.sort(rows, axis=1), crit.m)[0])
-    if crit.rejects_low:
-        reject = stat <= crit.value
-        lower, upper = crit.value, None
-    else:
-        reject = stat >= crit.value
-        lower, upper = None, crit.value
+    n, g, reps = _check_null_grid(rows.shape[1], gamma, replications)
+    m = test.resolved_m(n)
+    lo, hi = _calibrate(test, _null_sorted_draws(n, reps, seed), g, m)
+    stat = float(_statistics(test, rows, m)[0])
     return GofResult(
-        test=test.name, n=n, order=None, m=crit.m, gamma=g,
-        statistic=stat, lower=lower, upper=upper,
-        reject=bool(reject), replications=crit.replications,
+        test=test.name, n=n, order=test.order, m=m, gamma=g,
+        statistic=stat, lower=lo, upper=hi,
+        reject=bool(_reject(stat, lo, hi)), replications=reps,
     )
 
 
@@ -524,34 +468,18 @@ def power_study(
     uniform model as an alternative estimates the empirical size, since its
     draws are independent of the null calibration draws.
     """
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    g = _check_level(gamma)
-    reps = int(replications)
-    if reps < 100:
-        raise DomainError(f"need at least 100 replications, got {replications!r}")
+    n, g, reps = _check_null_grid(n, gamma, replications, min_replications=100)
     tests = [parse_test(t) if isinstance(t, str) else t for t in tests]
     alternatives = [parse_model(a) if isinstance(a, str) else a for a in alternatives]
     if not tests or not alternatives:
         raise DomainError("need at least one test and one alternative")
 
+    # Calibrate every test once on the shared null draws.
     sorted_null = _null_sorted_draws(n, reps, seed)
-
-    # Calibrate every test once.
-    bands: list[tuple[GofTest, float | None, float | None, int | None]] = []
+    bands = []
     for test in tests:
-        if test.is_entropy_band:
-            stats = _entropy_null_stats(test, sorted_null)
-            lo, hi = np.quantile(stats, [g / 2.0, 1.0 - g / 2.0])
-            bands.append((test, float(lo), float(hi), None))
-        else:
-            resolved_m = test.resolved_m(n)
-            stats = _competitor_null_stats(test, sorted_null, resolved_m)
-            if test.rejects_low:
-                bands.append((test, float(np.quantile(stats, g)), None, resolved_m))
-            else:
-                bands.append((test, None, float(np.quantile(stats, 1.0 - g)), resolved_m))
+        m = test.resolved_m(n)
+        bands.append((test, m, *_calibrate(test, sorted_null, g, m)))
 
     cells: list[PowerCell] = []
     for ai, alt in enumerate(alternatives):
@@ -559,20 +487,15 @@ def power_study(
         stream = gof_alternative_stream(seed, n, ai)
         draws = model.quantile(stream.random((reps, n)))
         draws = np.sort(draws, axis=1)
-        for test, lo, hi, resolved_m in bands:
-            if test.is_entropy_band:
-                stats = _entropy_null_stats(test, draws)
-                reject = (stats <= lo) | (stats >= hi)
-            else:
-                stats = _competitor_null_stats(test, draws, resolved_m)
-                reject = stats <= lo if test.rejects_low else stats >= hi
+        for test, m, lo, hi in bands:
+            reject = _reject(_statistics(test, draws, m), lo, hi)
             cells.append(
                 PowerCell(
                     alternative=model.spec_string(),
                     n=n,
                     test=test.name,
                     order=test.order,
-                    m=resolved_m,
+                    m=m,
                     power=float(reject.mean()),
                     replications=reps,
                 )

@@ -55,6 +55,8 @@ def derive_stream(seed: int, *key: int) -> np.random.Generator:
     Built on a counter-based bit generator, so streams for different keys
     never overlap and creation order is irrelevant.
     """
+    if int(seed) < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed!r}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(seed=ss))
 
@@ -189,7 +191,8 @@ def _plan_blocks(config: McStudyConfig) -> tuple[list[_BlockPlan], list[str]]:
 
     Block streams are keyed by (model position, n) alone, so adding orders,
     kinds or windows to a study never changes any draw, and cells whose
-    target measure diverges are skipped without affecting the rest.
+    target measure diverges, or whose estimator does not admit the order
+    (the L-statistic below order 1), are skipped without affecting the rest.
     """
     blocks: list[_BlockPlan] = []
     skipped: list[str] = []
@@ -207,6 +210,12 @@ def _plan_blocks(config: McStudyConfig) -> tuple[list[_BlockPlan], list[str]]:
             truth = truth_cache[key]
             if truth is None:
                 continue
+            try:
+                est.EstimatorSpec(kind, order)
+            except DomainError as exc:
+                if str(exc) not in skipped:
+                    skipped.append(str(exc))
+                continue
             for window in config.windows_for(kind, n):
                 specs.append(_CellSpec(est.EstimatorSpec(kind, order, window), truth))
         blocks.append(_BlockPlan(mi, model, n, tuple(specs)))
@@ -221,6 +230,7 @@ def _run_block(block: _BlockPlan, replications: int, seed: int, coefs: dict) -> 
     # One validation, sort and squaring for the whole block; each cell is
     # then one contraction with its coefficient vector from ``coefs``.
     squares = est._prepare(xs, coefs)
+    model = block.model.spec_string()
     cells: list[McCell] = []
     for cell in block.specs:
         spec = cell.estimator
@@ -228,7 +238,7 @@ def _run_block(block: _BlockPlan, replications: int, seed: int, coefs: dict) -> 
         sq = err * err
         cells.append(
             McCell(
-                model=block.model.spec_string(),
+                model=model,
                 n=block.n,
                 order=spec.order,
                 kind=spec.kind,
@@ -278,14 +288,81 @@ def run_study(config: McStudyConfig, threads: int | None = None) -> McStudyResul
     )
 
 
+# --- study keys -------------------------------------------------------------------
+# One converter per key. A value is a command-line flag string ("10,20",
+# "0xff", "sweep") or a JSON value (a list, a scalar, or such a string);
+# already converted values pass through unchanged.
+
+
+def _integer(value, base: int = 10) -> int:
+    """An integer; a JSON float must be integral."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    try:
+        return int(str(value), base)
+    except ValueError:
+        raise ParseError(f"not an integer: {value!r}") from None
+
+
+def _order(value) -> float | None:
+    """An order label: 1 or null select the WCRE limit."""
+    try:
+        return order_from_label(value)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _items(value, split: bool = True) -> list:
+    """A JSON list, a comma-separated string (``split``), or one scalar, as a list."""
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+    elif isinstance(value, str) and split:
+        items = [s for s in value.split(",") if s.strip()]
+    else:
+        items = [value]
+    if not items:
+        raise ParseError("empty list")
+    return items
+
+
+def _windows(value):
+    """``auto``, ``sweep`` (any case) or a list of windows."""
+    if isinstance(value, str) and value.strip().lower() in ("auto", "sweep"):
+        return value.strip().lower()
+    return tuple(map(_integer, _items(value)))
+
+
+_STUDY_KEYS = {
+    "models": lambda v: tuple(
+        m if isinstance(m, Model) else parse_model(str(m)) for m in _items(v, split=False)
+    ),
+    "n": lambda v: tuple(map(_integer, _items(v))),
+    "alpha": lambda v: tuple(map(_order, _items(v))),
+    "estimators": lambda v: tuple(map(est.parse_kind, _items(v, split=False))),
+    "m": _windows,
+    "replications": _integer,
+    "seed": lambda v: _integer(v, 0),
+}
+
+
+def _convert(converters: dict, key: str, value):
+    """``converters[key](value)``; a ParseError names the key."""
+    try:
+        return converters[key](value)
+    except ParseError as exc:
+        raise ParseError(f"{key}: {exc}") from None
+
+
 def study_config_from_json(doc) -> McStudyConfig:
     """Build a study config from a JSON document (text, dict, or file object).
 
     Recognized keys (all optional except ``models``): ``models`` (model spec
     strings), ``n`` (sample sizes), ``alpha`` (orders; 1 or null select the
     WCRE limit), ``estimators`` (kind tokens), ``m`` ("auto", "sweep" or a
-    list of windows), ``replications``, ``seed``. Unknown keys are rejected
-    so that typos fail loudly.
+    list of windows), ``replications``, ``seed``. Values go through the
+    converters of the command-line flags, so ``"n": "10,20"``, ``"n": 10``
+    and ``"seed": "0xff"`` mean what ``--n 10,20``, ``--n 10`` and
+    ``--seed 0xff`` do. Unknown keys are rejected so that typos fail loudly.
     """
     if hasattr(doc, "read"):
         doc = doc.read()
@@ -296,36 +373,20 @@ def study_config_from_json(doc) -> McStudyConfig:
             raise ParseError(f"invalid JSON study config: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"study config must be a JSON object, got {type(doc).__name__}")
-    known = {"models", "n", "alpha", "estimators", "m", "replications", "seed"}
-    extra = sorted(set(doc) - known)
+    extra = sorted(set(doc) - set(_STUDY_KEYS))
     if extra:
         raise ParseError(f"unknown study config keys: {', '.join(extra)}")
     if "models" not in doc:
         raise ParseError("study config needs a 'models' list")
-
-    def as_list(key, fallback):
-        value = doc.get(key, fallback)
-        if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-            value = [value]
-        return list(value)
-
-    models = tuple(
-        parse_model(m) if isinstance(m, str) else m for m in as_list("models", ())
-    )
-    sizes = tuple(int(n) for n in as_list("n", (10, 20, 30)))
-    orders = tuple(order_from_label(a) for a in as_list("alpha", (2.0,)))
-    kinds = tuple(est.parse_kind(k) for k in as_list("estimators", ("empirical",)))
-    windows = doc.get("m", "auto")
-    if not isinstance(windows, str):
-        windows = tuple(int(m) for m in as_list("m", ()))
+    value = {key: _convert(_STUDY_KEYS, key, v) for key, v in doc.items()}
     return McStudyConfig(
-        models=models,
-        sample_sizes=sizes,
-        orders=orders,
-        kinds=kinds,
-        windows=windows,
-        replications=int(doc.get("replications", 10_000)),
-        seed=int(doc.get("seed", DEFAULT_SEED)),
+        models=value["models"],
+        sample_sizes=value.get("n", (10, 20, 30)),
+        orders=value.get("alpha", (2.0,)),
+        kinds=value.get("estimators", (EstimatorKind.EMPIRICAL,)),
+        windows=value.get("m", "auto"),
+        replications=value.get("replications", 10_000),
+        seed=value.get("seed", DEFAULT_SEED),
     )
 
 

@@ -169,7 +169,7 @@ def _verify_power(table_id: int, group: dict, replications, seed) -> list[dict]:
     computed: dict[tuple[int, str, str], object] = {}
     for n in sizes:
         for cell in power_study(alternatives, n, tests, gamma, reps, seed):
-            label = cell.test if cell.order is None else f"wcrte:alpha={cell.order:g}"
+            label = cell.test if cell.order is None else f"wcrte:alpha={order_label(cell.order)}"
             computed[(n, cell.alternative, label)] = cell
 
     report: list[dict] = []

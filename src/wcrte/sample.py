@@ -23,14 +23,8 @@ class Sample:
 
     def __init__(self, values) -> None:
         arr = np.asarray(values, dtype=float).reshape(-1).copy()
-        if arr.size < 2:
-            raise DomainError(f"a sample needs at least 2 observations, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("sample contains non-finite values")
-        if arr.min() < 0.0:
-            raise DomainError("sample values must be nonnegative")
+        srt = _sorted_rows(arr)[0][0]
         arr.setflags(write=False)
-        srt = np.sort(arr)
         srt.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "sorted_values", srt)
@@ -47,6 +41,36 @@ class Sample:
 
     def __repr__(self) -> str:
         return f"Sample(n={self.n}, min={self.values.min():g}, max={self.values.max():g})"
+
+
+def _sorted_rows(x, min_n: int = 2, upper: float | None = None) -> tuple[np.ndarray, bool]:
+    """Validate observations and sort them: the one input check of the package.
+
+    ``x`` is a :class:`Sample`, one sample (1-D) or a batch of samples (2-D,
+    one per row). Returns the rows sorted ascending, shape (B, n), and
+    whether ``x`` was a single sample. Raises DomainError unless every row
+    holds at least ``min_n`` finite, nonnegative values, none above ``upper``.
+    """
+    if isinstance(x, Sample):
+        rows, single = x.sorted_values[np.newaxis], True
+    else:
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim > 2:
+            raise DomainError(f"sample must be 1-D or 2-D, got shape {arr.shape}")
+        rows, single = np.atleast_2d(arr), arr.ndim == 1
+        if rows.shape[1] < min_n:
+            raise DomainError(
+                f"need at least {min_n} observations per sample, got {rows.shape[1]}"
+            )
+        rows = np.sort(rows, axis=1)
+        # Sorting moves NaN and +inf to the end of a row and -inf to its start.
+        if not (np.isfinite(rows[:, 0]).all() and np.isfinite(rows[:, -1]).all()):
+            raise DomainError("sample contains non-finite values")
+        if rows[:, 0].min() < 0.0:
+            raise DomainError("sample values must be nonnegative")
+    if upper is not None and rows[:, -1].max() > upper:
+        raise DomainError(f"sample values must not exceed {upper:g}")
+    return rows, single
 
 
 def read_sample(path: str | os.PathLike) -> Sample:

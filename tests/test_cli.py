@@ -230,6 +230,33 @@ def test_mse_study_reports_skipped_cells(capsys):
     rows = parse_csv(out)
     assert {r["model"] for r in rows} == {"exp:lambda=1"}
 
+    # The default kinds include the L-statistic, which needs order > 1.
+    argv = ["mse-study", "--model", "exp:lambda=1", "--alpha", "0.5", "--n", "10", "--reps", "100"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    skipped = [line for line in err.splitlines() if line.startswith("skipped:")]
+    assert len(skipped) == 1 and "L-statistic" in skipped[0]
+    rows = parse_csv(out)
+    assert "lstat" not in {r["estimator"] for r in rows}
+    argv += ["--estimator", "e", "--estimator", "v", "--estimator", "eb", "--estimator", "n"]
+    code, without, err = run_cli(argv, capsys)
+    assert code == 0 and "skipped" not in err
+    assert out == without
+
+
+def test_mse_study_labels_keep_their_digits(capsys):
+    code, out, _ = run_cli(
+        [
+            "mse-study", "--model", "exp:lambda=1.00000001", "--n", "10",
+            "--alpha", "2,2.0000001", "--estimator", "empirical", "--reps", "40",
+        ],
+        capsys,
+    )
+    assert code == 0
+    rows = parse_csv(out)
+    assert [r["alpha"] for r in rows] == ["2", "2.0000001"]
+    assert {r["model"] for r in rows} == {"exp:lambda=1.00000001"}
+
 
 def test_mse_study_json_format(capsys):
     code, out, _ = run_cli(
@@ -447,6 +474,47 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run_cli(["mse-study", "--config", str(config)], capsys)
     assert code == 2
     assert "bogus" in err
+    # Bad values exit 2 with a message naming the key, as bad flags do.
+    for key, value in (
+        ("replications", "abc"),
+        ("threads", "x"),
+        ("seed", "banana"),
+        ("n", ["x"]),
+        ("alpha", "abc"),
+        ("m", "everything"),
+        ("format", "xml"),
+    ):
+        config.write_text(json.dumps({"models": ["exp:lambda=1"], key: value}))
+        code, out, err = run_cli(["mse-study", "--config", str(config)], capsys)
+        assert code == 2, key
+        assert out == ""
+        assert err.startswith(f"error: {key}: "), err
+    for flag, value in (
+        ("--reps", "abc"),
+        ("--threads", "x"),
+        ("--seed", "banana"),
+        ("--format", "xml"),
+    ):
+        code, _, _ = run_cli(["mse-study", "--model", "exp:lambda=1", flag, value], capsys)
+        assert code == 2, flag
+
+
+def test_config_values_match_the_equivalent_flags(tmp_path, capsys):
+    base = ["mse-study", "--model", "exp:lambda=1", "--estimator", "vasicek", "--reps", "30"]
+    config = tmp_path / "study.json"
+    for doc, flags in (
+        ({"seed": "0xff", "n": [10]}, ["--seed", "0xff", "--n", "10"]),
+        ({"n": 10}, ["--n", "10"]),
+        ({"n": "10,20"}, ["--n", "10,20"]),
+        ({"m": "SWEEP", "n": [10]}, ["--m", "sweep", "--n", "10"]),
+        ({"alpha": [1, 2], "n": [10], "threads": "2"}, ["--alpha", "1,2", "--n", "10"]),
+    ):
+        config.write_text(json.dumps(doc))
+        code, from_config, _ = run_cli(base + ["--config", str(config)], capsys)
+        assert code == 0, doc
+        code, from_flags, _ = run_cli(base + flags, capsys)
+        assert code == 0, flags
+        assert from_config == from_flags, doc
 
 
 def test_seed_accepts_hex(capsys):
@@ -469,3 +537,6 @@ def test_seed_accepts_hex(capsys):
     assert ",255" in hex_out
     code, _, err = run_cli(argv + ["--seed", "banana"], capsys)
     assert code == 2
+    code, out, err = run_cli(argv + ["--seed", "-1"], capsys)
+    assert code == 3
+    assert out == "" and "nonnegative" in err

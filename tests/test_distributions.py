@@ -114,6 +114,9 @@ def test_order_label_round_trip():
     assert order_label(None) == "1"
     assert order_label(2.0) == "2"
     assert order_label(6.5) == "6.5"
+    # %g would print 2; labels keep every digit %g drops.
+    assert order_label(2.0000001) == "2.0000001"
+    assert order_from_label(order_label(2.0000001)) == 2.0000001
 
 
 # --- model mechanics ---------------------------------------------------------
@@ -180,6 +183,7 @@ def test_parse_model_families_and_round_trip():
         "rayleigh:sigma=1.5": Rayleigh(1.5),
         "pareto1:k=1,delta=3": ParetoOne(1.0, 3.0),
         "weibull:lambda=1,p=2": Weibull(1.0, 2.0),
+        "exp:lambda=1.00000001": Exponential(1.00000001),
     }
     for text, expected in cases.items():
         model = parse_model(text)
@@ -200,6 +204,10 @@ def test_parse_model_errors():
         "weibull:lambda=1",
         "exp:rate=2",
         "exp:lambda=abc",
+        "exp:lambda",
+        "exp:2",
+        "alt:B,j=1.5,j=2",
+        "alt:B,J=1.5,j=2",
     ):
         with pytest.raises(ParseError):
             parse_model(bad)

@@ -426,6 +426,9 @@ def test_parse_estimator_round_trip():
         kind=EstimatorKind.LSTAT, order=2.0, plotting="n+1"
     )
     assert parse_estimator(spec.label()) == spec
+    close = EstimatorSpec(kind=EstimatorKind.VASICEK, order=2.0000001, window=4)
+    assert close.label() == "wcrte:vasicek,alpha=2.0000001,m=4"
+    assert parse_estimator(close.label()) == close
 
 
 def test_parse_estimator_errors():
@@ -440,6 +443,8 @@ def test_parse_estimator_errors():
         "wcrte:v,alpha=2,foo=1",
         "wcrte:v alpha=2",
         "wcrte:l,alpha=1",  # lstat needs order above 1
+        "wcrte:l,alpha=2,alpha=3",
+        "wcrte:v,alpha=2,m=2,M=3",
     ):
         with pytest.raises(ParseError):
             parse_estimator(bad)

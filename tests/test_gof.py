@@ -130,6 +130,8 @@ def test_competitor_validation():
         competitor_statistic("watson", [0.1, 0.9])
     with pytest.raises(DomainError):
         competitor_statistic("ks", [0.1, 0.9], m=3)
+    with pytest.raises(DomainError):
+        competitor_statistic("wcre", [0.1, 0.9])
 
 
 def test_default_spacing_window():
@@ -174,7 +176,18 @@ def test_parse_test():
     assert parse_test("WCRE") == GofTest(name="wcre")
     assert parse_test("ent:m=5") == GofTest(name="ent", m=5)
     assert parse_test("ks") == GofTest(name="ks")
-    for bad in ("wcrte", "wcrte:alpha=1", "ks:m=2", "nope", "ent:m=x", "wcrte:alpha"):
+    close = GofTest(name="wcrte", order=2.0000001)
+    assert parse_test(close.label()) == close
+    for bad in (
+        "wcrte",
+        "wcrte:alpha=1",
+        "ks:m=2",
+        "nope",
+        "ent:m=x",
+        "wcrte:alpha",
+        "ent:m=2,m=3",
+        "wcrte:alpha=2,ALPHA=3",
+    ):
         with pytest.raises(ParseError):
             parse_test(bad)
 

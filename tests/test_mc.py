@@ -262,6 +262,27 @@ def test_divergent_cells_are_skipped_not_fatal():
     models_seen = {c.model for c in result.cells}
     assert models_seen == {"exp:lambda=1"}
 
+    # The L-statistic does not admit orders below 1: its cells are skipped too.
+    base = dict(models=(EXP1, UNIF1), sample_sizes=(10, 12), orders=(0.5,), replications=100)
+    with pytest.warns(UserWarning, match="below 1"):
+        with_lstat = run_study(
+            McStudyConfig(kinds=(EstimatorKind.LSTAT, EstimatorKind.VASICEK), **base)
+        )
+        without = run_study(McStudyConfig(kinds=(EstimatorKind.VASICEK,), **base))
+    # One message for the whole grid; every other cell is untouched.
+    assert len(with_lstat.skipped) == 1
+    assert "L-statistic" in with_lstat.skipped[0]
+    assert with_lstat.cells == without.cells
+    # The L-statistic still runs at the admissible orders of the same grid.
+    mixed = run_study(
+        McStudyConfig(
+            models=(EXP1,), sample_sizes=(10,), orders=(0.5, 2.0),
+            kinds=(EstimatorKind.LSTAT,), replications=100,
+        )
+    )
+    assert len(mixed.skipped) == 1
+    assert [(c.order, c.kind) for c in mixed.cells] == [(2.0, EstimatorKind.LSTAT)]
+
 
 # --- window selection ---------------------------------------------------------------
 
@@ -367,6 +388,39 @@ def test_study_config_errors():
         study_config_from_json("{not json")
     with pytest.raises(ParseError, match="JSON object"):
         study_config_from_json("[1, 2]")
+    # Bad values are ParseErrors that name their key, as the flags' are.
+    for key, value in (
+        ("n", ["x"]),
+        ("n", []),
+        ("alpha", "abc"),
+        ("alpha", [0]),
+        ("replications", "abc"),
+        ("replications", 10.5),
+        ("seed", "banana"),
+        ("m", "everything"),
+        ("estimators", ["zzz"]),
+        ("models", ["gamma:k=1"]),
+    ):
+        with pytest.raises(ParseError, match=f"^{key}: "):
+            study_config_from_json({"models": ["exp:lambda=1"], key: value})
+
+
+def test_study_config_values_take_the_flag_path():
+    def cfg(**doc):
+        return study_config_from_json({"models": ["exp:lambda=1"], **doc})
+
+    assert cfg(seed="0xff").seed == 255
+    assert cfg(seed=255.0).seed == 255
+    assert cfg(n=10).sample_sizes == (10,)
+    assert cfg(n="10,20").sample_sizes == (10, 20)
+    assert cfg(n=[10.0, 20]).sample_sizes == (10, 20)
+    assert cfg(m="SWEEP").windows == "sweep"
+    assert cfg(m="2,3", n=[10]).windows == (2, 3)
+    assert cfg(alpha="1,2").orders == (None, 2.0)
+    assert cfg(alpha=None).orders == (None,)
+    assert cfg(estimators="lstat").kinds == (EstimatorKind.LSTAT,)
+    assert cfg(models="pareto1:k=1,delta=3").models == (ParetoOne(1.0, 3.0),)
+    assert cfg(replications="500").replications == 500
 
 
 # --- agreement with published bias/MSE values -------------------------------------------
