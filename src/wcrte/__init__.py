@@ -4,160 +4,16 @@ Closed forms and quadrature for common lifetime models, five nonparametric
 estimators with asymptotic-variance companions, a seeded Monte Carlo
 bias/MSE harness, uniformity tests with simulated critical values and a
 power study, plus a comparison harness against bundled published tables.
+
+The package namespace is the union of the modules' ``__all__`` lists.
 """
 
-from .distributions import (
-    WCRE_LIMIT,
-    Exponential,
-    Model,
-    ParetoOne,
-    Rayleigh,
-    StephensAlternative,
-    Uniform,
-    Weibull,
-    check_order,
-    closed_wcre,
-    closed_wcrte,
-    entropy_bound_offset,
-    order_from_label,
-    order_label,
-    parse_model,
-    wcrte_by_quadrature,
-    wcrte_lower_bound,
-)
-from .errors import DivergenceError, DomainError, NumericError, ParseError
-from .estimators import (
-    EstimatorKind,
-    EstimatorSpec,
-    Sample,
-    clamp_order_stat,
-    ebrahimi_weights,
-    estimate,
-    max_window,
-    parse_estimator,
-    parse_kind,
-    read_sample,
-    wcre_ebrahimi,
-    wcre_empirical,
-    wcre_lstat,
-    wcre_lstat_variance,
-    wcre_modified_n,
-    wcre_vasicek,
-    wcrte_ebrahimi,
-    wcrte_empirical,
-    wcrte_lstat,
-    wcrte_lstat_variance,
-    wcrte_modified_n,
-    wcrte_vasicek,
-)
-from .gof import (
-    ORDER_CENTERED,
-    WCRE_STATISTIC_BOUND,
-    CriticalPair,
-    CriticalValue,
-    GofResult,
-    GofTest,
-    PowerCell,
-    competitor_critical_value,
-    competitor_statistic,
-    critical_values,
-    default_spacing_window,
-    null_statistic_value,
-    parse_test,
-    power_study,
-    statistic_bound,
-    test_statistic_wcre,
-    test_statistic_wcrte,
-    uniformity_test,
-)
-from .mc import (
-    DEFAULT_SEED,
-    McCell,
-    McStudyConfig,
-    McStudyResult,
-    best_window,
-    derive_stream,
-    heuristic_window,
-    run_study,
-    study_config_from_json,
-)
-from .reference import available_tables, load_reference_tables, verify_table
+from . import distributions, errors, estimators, gof, mc, reference, sample
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "WCRE_LIMIT",
-    "DEFAULT_SEED",
-    "WCRE_STATISTIC_BOUND",
-    "ORDER_CENTERED",
-    "Model",
-    "Uniform",
-    "Exponential",
-    "Rayleigh",
-    "ParetoOne",
-    "Weibull",
-    "StephensAlternative",
-    "check_order",
-    "order_from_label",
-    "order_label",
-    "parse_model",
-    "closed_wcrte",
-    "closed_wcre",
-    "wcrte_by_quadrature",
-    "wcrte_lower_bound",
-    "entropy_bound_offset",
-    "ParseError",
-    "DomainError",
-    "DivergenceError",
-    "NumericError",
-    "Sample",
-    "read_sample",
-    "EstimatorKind",
-    "EstimatorSpec",
-    "parse_estimator",
-    "parse_kind",
-    "estimate",
-    "clamp_order_stat",
-    "ebrahimi_weights",
-    "max_window",
-    "wcrte_empirical",
-    "wcrte_vasicek",
-    "wcrte_ebrahimi",
-    "wcrte_modified_n",
-    "wcrte_lstat",
-    "wcrte_lstat_variance",
-    "wcre_empirical",
-    "wcre_vasicek",
-    "wcre_ebrahimi",
-    "wcre_modified_n",
-    "wcre_lstat",
-    "wcre_lstat_variance",
-    "McStudyConfig",
-    "McCell",
-    "McStudyResult",
-    "run_study",
-    "best_window",
-    "heuristic_window",
-    "derive_stream",
-    "study_config_from_json",
-    "GofTest",
-    "parse_test",
-    "CriticalPair",
-    "CriticalValue",
-    "critical_values",
-    "competitor_critical_value",
-    "competitor_statistic",
-    "default_spacing_window",
-    "statistic_bound",
-    "null_statistic_value",
-    "test_statistic_wcrte",
-    "test_statistic_wcre",
-    "GofResult",
-    "uniformity_test",
-    "PowerCell",
-    "power_study",
-    "load_reference_tables",
-    "available_tables",
-    "verify_table",
-]
+_MODULES = (distributions, errors, sample, estimators, mc, gof, reference)
+
+globals().update({name: getattr(m, name) for m in _MODULES for name in m.__all__})
+
+__all__ = ["__version__", *(name for m in _MODULES for name in m.__all__)]

@@ -44,7 +44,6 @@ from .estimators import (
     EstimatorKind,
     estimate,
     parse_estimator,
-    read_sample,
     wcre_lstat_variance,
     wcrte_lstat_variance,
 )
@@ -59,6 +58,7 @@ from .mc import (
     study_config_from_json,
 )
 from .reference import REPORT_FIELDS, verify_table
+from .sample import read_sample
 
 __all__ = ["main", "build_parser"]
 

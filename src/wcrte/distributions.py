@@ -30,6 +30,7 @@ from scipy import integrate
 from scipy.special import gamma as _gamma_fn
 
 from .errors import DivergenceError, DomainError, NumericError, ParseError
+from .sample import _check_size
 
 __all__ = [
     "WCRE_LIMIT",
@@ -79,6 +80,14 @@ def check_order(order) -> float:
     return a
 
 
+def _check_order_above_one(order) -> float:
+    """The rule of the L-statistic and of the uniformity tests: order > 1."""
+    a = check_order(order)
+    if a < 1.0:
+        raise DomainError(f"the L-statistic and the uniformity tests need order > 1, got {a:g}")
+    return a
+
+
 def order_from_label(value) -> float | None:
     """Map an external order label to an internal order.
 
@@ -120,14 +129,21 @@ def _check_u(u) -> np.ndarray:
     return v
 
 
-def _require_positive(**params) -> None:
-    for name, value in params.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"parameter {name} must be positive, got {value!r}")
+def _require_positive(model: Model) -> None:
+    """Every parameter of ``model`` must be positive; an error names its spec key."""
+    for cls, key_map in _FAMILIES.values():
+        if cls is type(model):
+            for key, field in key_map.items():
+                value = getattr(model, field)
+                if not (math.isfinite(value) and value > 0.0):
+                    raise DomainError(f"parameter {key} must be positive, got {value!r}")
 
 
 class Model(ABC):
     """Common interface: cdf, survival, quantile, slope, inverse-cdf sampling."""
+
+    def __post_init__(self):
+        _require_positive(self)
 
     @abstractmethod
     def cdf(self, x):
@@ -150,10 +166,7 @@ class Model(ABC):
 
     def sample(self, n: int, stream: np.random.Generator):
         """Draw ``n`` observations by inverse-cdf transform of ``stream``."""
-        n = int(n)
-        if n < 1:
-            raise DomainError(f"sample size must be at least 1, got {n}")
-        return self.quantile(stream.random(n))
+        return self.quantile(stream.random(_check_size(n, 1)))
 
     # Hooks used by the measure evaluators; subclasses with restricted
     # parameter regimes override these.
@@ -172,9 +185,6 @@ class Uniform(Model):
     """Uniform distribution on (0, theta)."""
 
     theta: float = 1.0
-
-    def __post_init__(self):
-        _require_positive(theta=self.theta)
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -199,9 +209,6 @@ class Exponential(Model):
     """Exponential distribution with rate parameter (mean 1/rate)."""
 
     rate: float = 1.0
-
-    def __post_init__(self):
-        _require_positive(rate=self.rate)
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -234,9 +241,6 @@ class Rayleigh(Model):
     """Rayleigh distribution with scale sigma."""
 
     sigma: float = 1.0
-
-    def __post_init__(self):
-        _require_positive(sigma=self.sigma)
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -276,9 +280,6 @@ class ParetoOne(Model):
 
     scale: float
     shape: float
-
-    def __post_init__(self):
-        _require_positive(k=self.scale, delta=self.shape)
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -330,9 +331,6 @@ class Weibull(Model):
 
     rate: float = 1.0
     shape: float = 1.0
-
-    def __post_init__(self):
-        _require_positive(**{"lambda": self.rate, "p": self.shape})
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -397,8 +395,7 @@ class StephensAlternative(Model):
         if fam not in ("A", "B", "C"):
             raise DomainError(f"alternative family must be A, B or C, got {self.family!r}")
         object.__setattr__(self, "family", fam)
-        if not (math.isfinite(self.j) and self.j > 0.0):
-            raise DomainError(f"alternative exponent j must be positive, got {self.j!r}")
+        _require_positive(self)
         if (fam, float(self.j)) not in _STUDIED_ALTERNATIVES:
             warnings.warn(
                 f"alternative {fam} with j={self.j:g} is outside the standard "

@@ -6,6 +6,8 @@ domain errors with 3, and numeric failures with 4.
 
 from __future__ import annotations
 
+__all__ = ["ParseError", "DomainError", "DivergenceError", "NumericError"]
+
 
 class ParseError(ValueError):
     """Malformed textual input: model specs, estimator specs, sample files."""

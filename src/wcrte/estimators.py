@@ -42,19 +42,23 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
-from .distributions import _parse_number, _split_spec, check_order, order_label
+from .distributions import (
+    _check_order_above_one,
+    _parse_number,
+    _split_spec,
+    check_order,
+    order_label,
+)
 from .errors import DomainError, NumericError, ParseError
-from .sample import Sample, _sorted_rows, read_sample
+from .sample import _check_size, _sorted_rows
 
 __all__ = [
     "EstimatorKind",
     "EstimatorSpec",
-    "Sample",
-    "read_sample",
     "parse_estimator",
     "parse_kind",
     "estimate",
@@ -142,7 +146,27 @@ def _prepare(x, coefs: dict | None = None) -> _SortedSquares:
 
 def max_window(n: int) -> int:
     """Largest admissible spacing half-width for a sample of size n."""
-    return int(math.ceil(n / 2)) - 1
+    return (int(n) - 1) // 2
+
+
+def _check_window(m, n: int | None = None) -> int:
+    """The window rule: an integer m with 1 <= m < n/2, i.e. 2 * m < n.
+
+    Without ``n`` only 1 <= m is checked; the sample size is checked later.
+    """
+    try:
+        mi = int(m)
+    except (TypeError, ValueError, OverflowError):
+        mi = 0  # fails the rule below
+    if mi != m or mi < 1 or (n is not None and mi > max_window(n)):
+        where = "" if n is None else f" for n={n}"
+        raise DomainError(f"window m must be an integer with 1 <= m < n/2, got m={m!r}{where}")
+    return mi
+
+
+def _clamp_window(m: int, n: int) -> int:
+    """``m`` moved into [1, max_window(n)]; a window needs n >= 3."""
+    return max(1, min(m, max_window(_check_size(n, 3))))
 
 
 def clamp_order_stat(sample, i) -> float:
@@ -153,8 +177,8 @@ def clamp_order_stat(sample, i) -> float:
     sample minimum or maximum, which is the convention the windowed
     estimators use near the edges.
     """
-    values = np.sort(np.asarray(getattr(sample, "values", sample), dtype=float))
-    if values.ndim != 1 or values.size < 1:
+    rows, single = _sorted_rows(sample, min_n=1)
+    if not single:
         raise DomainError("need a nonempty 1-D sample")
     try:
         ii = int(i)
@@ -162,27 +186,8 @@ def clamp_order_stat(sample, i) -> float:
         raise DomainError(f"index must be an integer, got {i!r}") from None
     if ii != i:
         raise DomainError(f"index must be an integer, got {i!r}")
-    n = values.size
-    return float(values[max(1, min(n, ii)) - 1])
-
-
-def _check_window(n: int, m) -> int:
-    try:
-        mi = int(m)
-    except (TypeError, ValueError):
-        raise DomainError(f"window m must be an integer, got {m!r}") from None
-    if mi != m or mi < 1 or 2 * mi >= n:
-        raise DomainError(f"window m must satisfy 1 <= m < n/2, got m={m!r} for n={n}")
-    return mi
-
-
-def _warn_below_one(a: float) -> None:
-    if a < 1.0:
-        warnings.warn(
-            f"order {a:g} is below 1; the underlying measure may be infinite "
-            "and the spacing estimate need not stabilize",
-            stacklevel=3,
-        )
+    n = rows.shape[1]
+    return float(rows[0, max(1, min(n, ii)) - 1])
 
 
 def ebrahimi_weights(n: int, m) -> np.ndarray:
@@ -191,7 +196,7 @@ def ebrahimi_weights(n: int, m) -> np.ndarray:
     c_i ramps linearly from 1 + (i-1)/m near the lower edge up to 2 in the
     interior, and back down symmetrically near the upper edge.
     """
-    mi = _check_window(n, m)
+    mi = _check_window(m, n)
     i = np.arange(1, n + 1, dtype=float)
     c = np.full(n, 2.0)
     head = i <= mi
@@ -207,6 +212,8 @@ def ebrahimi_weights(n: int, m) -> np.ndarray:
 def _build_coefficients(kind: EstimatorKind, order, m, plotting, n: int) -> np.ndarray:
     """Coefficients over ``s2`` (L-statistic) or over ``d`` (other kinds)."""
     if kind is EstimatorKind.LSTAT:
+        # The plotting default: i/(n+1) for the WCRE, i/n for other orders.
+        plotting = plotting or ("n+1" if order is None else "n")
         p = np.arange(1, n + 1, dtype=float) / (n if plotting == "n" else n + 1)
         if order is not None:
             return (1.0 - order * (1.0 - p) ** (order - 1.0)) / (2.0 * (order - 1.0) * n)
@@ -224,12 +231,13 @@ def _build_coefficients(kind: EstimatorKind, order, m, plotting, n: int) -> np.n
         w = (tail - tail**order) / (order - 1.0)
     if kind is EstimatorKind.EMPIRICAL:
         return w / 2.0
+    m = _check_window(m, n)
     if kind is EstimatorKind.VASICEK:
         w /= 4.0 * m
     elif kind is EstimatorKind.EBRAHIMI:
         w /= ebrahimi_weights(n, m)[:-1] * (2.0 * m)
     else:
-        w /= ebrahimi_weights(n, m)[:-1] ** 2 * m
+        w /= m * ebrahimi_weights(n, m)[:-1] ** 2
     # Spacing j (0-based) lies inside the clamped window of every 1-based i
     # with j - m + 2 <= i <= j + m + 1. With C[k] = w_1 + ... + w_k = cum[k - 1]
     # and C[0] = 0, its coefficient is C[min(j + m + 1, n - 1)] - C[max(j - m + 1, 0)].
@@ -243,13 +251,8 @@ def _build_coefficients(kind: EstimatorKind, order, m, plotting, n: int) -> np.n
 def _coefficients(coefs: dict, kind, order, m, plotting, n: int) -> np.ndarray:
     """Coefficient vector of one estimator at sample size n, memoized in ``coefs``.
 
-    ``m`` must be an admissible window; ``plotting=None`` means the default.
+    A vector is built, and its window checked against n, on the first call.
     """
-    if kind is EstimatorKind.LSTAT:
-        if plotting is None:
-            plotting = "n+1" if order is None else "n"
-        elif plotting not in ("n", "n+1"):
-            raise DomainError(f"plotting position must be 'n' or 'n+1', got {plotting!r}")
     key = (kind, order, m, plotting, n)
     c = coefs.get(key)
     if c is None:
@@ -257,17 +260,28 @@ def _coefficients(coefs: dict, kind, order, m, plotting, n: int) -> np.ndarray:
     return c
 
 
-def _evaluate(kind: EstimatorKind, order, m, plotting, x):
+def _evaluate(spec: EstimatorSpec, x):
+    """``spec`` on ``x``; every public estimator ends here."""
+    if spec.kind.needs_window and spec.order is not None and spec.order < 1.0:
+        warnings.warn(
+            f"order {spec.order:g} is below 1; the underlying measure may be infinite "
+            "and the spacing estimate need not stabilize",
+            stacklevel=3,
+        )
+    if spec.order is None and spec.plotting == "n":
+        warnings.warn(
+            "plotting position i/n makes the last WCRE L-statistic term "
+            "log(0); dropping the i = n term",
+            stacklevel=3,
+        )
     sq = _prepare(x)
-    n = sq.s2.shape[1]
-    if kind.needs_window:
-        m = _check_window(n, m)
-    c = _coefficients(sq.coefs, kind, order, m, plotting, n)
-    rows = sq.s2 if kind is EstimatorKind.LSTAT else sq.d
+    c = _coefficients(sq.coefs, spec.kind, spec.order, spec.window, spec.plotting, sq.s2.shape[1])
+    rows = sq.s2 if spec.kind is EstimatorKind.LSTAT else sq.d
     return sq.finish(np.einsum("ij,j->i", rows, c))
 
 
 # --- WCRTE estimators --------------------------------------------------------
+# ``check_order`` keeps ``order=None``, which would select the WCRE, out.
 
 
 def wcrte_empirical(x, order):
@@ -276,48 +290,32 @@ def wcrte_empirical(x, order):
     Sum over i = 1..n-1 of (x2_(i+1) - x2_(i)) * ((1-i/n) - (1-i/n)**a),
     divided by 2(a - 1). Nonnegative for every order.
     """
-    return _evaluate(EstimatorKind.EMPIRICAL, check_order(order), None, None, x)
+    return _evaluate(EstimatorSpec(EstimatorKind.EMPIRICAL, check_order(order)), x)
 
 
 def wcrte_vasicek(x, order, m):
     """Spacing estimate with symmetric m-step differences, sum over i = 1..n."""
-    a = check_order(order)
-    _warn_below_one(a)
-    return _evaluate(EstimatorKind.VASICEK, a, m, None, x)
+    return _evaluate(EstimatorSpec(EstimatorKind.VASICEK, check_order(order), m), x)
 
 
 def wcrte_ebrahimi(x, order, m):
     """Spacing estimate with boundary-corrected denominators c_i."""
-    a = check_order(order)
-    _warn_below_one(a)
-    return _evaluate(EstimatorKind.EBRAHIMI, a, m, None, x)
+    return _evaluate(EstimatorSpec(EstimatorKind.EBRAHIMI, check_order(order), m), x)
 
 
 def wcrte_modified_n(x, order, m):
     """Spacing estimate with squared boundary-corrected denominators."""
-    a = check_order(order)
-    _warn_below_one(a)
-    return _evaluate(EstimatorKind.MODIFIED_N, a, m, None, x)
+    return _evaluate(EstimatorSpec(EstimatorKind.MODIFIED_N, check_order(order), m), x)
 
 
-def _check_order_above_one(order) -> float:
-    a = check_order(order)
-    if a < 1.0:
-        raise DomainError(
-            f"the L-statistic requires order > 1, got {a:g}; "
-            "orders in (0, 1) are not supported for this kind"
-        )
-    return a
-
-
-def wcrte_lstat(x, order, plotting: PlottingPosition = "n"):
+def wcrte_lstat(x, order, plotting: PlottingPosition | None = None):
     """L-statistic: sum of x2_(i) * (1 - a*(1 - p_i)**(a-1)) / (2 (a-1) n).
 
     Plotting positions p_i default to i/n; ``plotting="n+1"`` uses i/(n+1).
     Requires order > 1.
     """
-    a = _check_order_above_one(order)
-    return _evaluate(EstimatorKind.LSTAT, a, None, plotting, x)
+    spec = EstimatorSpec(EstimatorKind.LSTAT, check_order(order), plotting=plotting)
+    return _evaluate(spec, x)
 
 
 def _lstat_variance(x, coef_of_tail, denominator: float):
@@ -328,9 +326,7 @@ def _lstat_variance(x, coef_of_tail, denominator: float):
     oracle.
     """
     sq = _prepare(x)
-    n = sq.s2.shape[1]
-    if n < 3:
-        raise DomainError(f"variance estimation needs n >= 3, got {n}")
+    n = _check_size(sq.s2.shape[1], 3)
     i = np.arange(1, n, dtype=float)  # spacing index, 1..n-1
     tail = 1.0 - i / n
     coef = coef_of_tail(tail)
@@ -366,36 +362,30 @@ def wcrte_lstat_variance(x, order):
 
 def wcre_empirical(x):
     """Plug-in estimate of the WCRE; nonnegative by construction."""
-    return _evaluate(EstimatorKind.EMPIRICAL, None, None, None, x)
+    return _evaluate(EstimatorSpec(EstimatorKind.EMPIRICAL), x)
 
 
 def wcre_vasicek(x, m):
     """Symmetric-difference estimate of the WCRE, sum over i = 1..n-1."""
-    return _evaluate(EstimatorKind.VASICEK, None, m, None, x)
+    return _evaluate(EstimatorSpec(EstimatorKind.VASICEK, window=m), x)
 
 
 def wcre_ebrahimi(x, m):
-    return _evaluate(EstimatorKind.EBRAHIMI, None, m, None, x)
+    return _evaluate(EstimatorSpec(EstimatorKind.EBRAHIMI, window=m), x)
 
 
 def wcre_modified_n(x, m):
-    return _evaluate(EstimatorKind.MODIFIED_N, None, m, None, x)
+    return _evaluate(EstimatorSpec(EstimatorKind.MODIFIED_N, window=m), x)
 
 
-def wcre_lstat(x, plotting: PlottingPosition = "n+1"):
+def wcre_lstat(x, plotting: PlottingPosition | None = None):
     """L-statistic for the WCRE: -sum of x2_(i) * (1 + log(1 - p_i)) / (2n).
 
     Defaults to plotting positions i/(n+1), which keep every term finite.
     With ``plotting="n"`` the i = n term contains log(0) and is dropped,
     with a diagnostic warning.
     """
-    if plotting == "n":
-        warnings.warn(
-            "plotting position i/n makes the last WCRE L-statistic term "
-            "log(0); dropping the i = n term",
-            stacklevel=2,
-        )
-    return _evaluate(EstimatorKind.LSTAT, None, None, plotting, x)
+    return _evaluate(EstimatorSpec(EstimatorKind.LSTAT, plotting=plotting), x)
 
 
 def wcre_lstat_variance(x):
@@ -443,6 +433,10 @@ class EstimatorSpec:
     for the three spacing kinds (it may be left None and resolved against a
     concrete sample size by the caller). ``plotting`` applies to the
     L-statistic only; None means the kind's default.
+
+    Construction checks order, window and plotting position; every estimator
+    function builds one, so it is the single check of those parameters. The
+    window is checked against the sample size when the estimator runs.
     """
 
     kind: EstimatorKind
@@ -454,21 +448,18 @@ class EstimatorSpec:
         kind = EstimatorKind(self.kind)
         object.__setattr__(self, "kind", kind)
         if self.order is not None:
-            lstat = kind is EstimatorKind.LSTAT
-            a = _check_order_above_one(self.order) if lstat else check_order(self.order)
-            object.__setattr__(self, "order", a)
+            check = _check_order_above_one if kind is EstimatorKind.LSTAT else check_order
+            object.__setattr__(self, "order", check(self.order))
         if self.window is not None:
             if not kind.needs_window:
                 raise DomainError(f"estimator kind {kind.value} takes no window")
-            w = int(self.window)
-            if w != self.window or w < 1:
-                raise DomainError(f"window must be a positive integer, got {self.window!r}")
-            object.__setattr__(self, "window", w)
+            object.__setattr__(self, "window", _check_window(self.window))
         if self.plotting is not None:
             if kind is not EstimatorKind.LSTAT:
                 raise DomainError("plotting positions apply to the L-statistic only")
-            if self.plotting not in ("n", "n+1"):
-                raise DomainError(f"plotting must be 'n' or 'n+1', got {self.plotting!r}")
+            if self.plotting not in get_args(PlottingPosition):
+                known = " or ".join(map(repr, get_args(PlottingPosition)))
+                raise DomainError(f"plotting must be {known}, got {self.plotting!r}")
 
     @property
     def measure(self) -> str:

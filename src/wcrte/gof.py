@@ -25,10 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators as est
-from .distributions import Model, _parse_number, _split_spec, check_order, order_label, parse_model
+from .distributions import (
+    Model,
+    _check_order_above_one,
+    _parse_number,
+    _split_spec,
+    check_order,
+    order_label,
+    parse_model,
+)
 from .errors import DomainError, ParseError
 from .mc import DEFAULT_SEED, gof_alternative_stream, gof_null_stream
-from .sample import _sorted_rows
+from .sample import _check_size, _sorted_rows
 
 __all__ = [
     "WCRE_STATISTIC_BOUND",
@@ -71,9 +79,7 @@ def statistic_bound(order=None) -> float:
     """
     if order is None:
         return WCRE_STATISTIC_BOUND
-    a = check_order(order)
-    if a <= 1.0:
-        raise DomainError(f"the statistic bound requires order > 1, got {a:g}")
+    a = _check_order_above_one(order)
     return 0.5 * a ** (-a / (a - 1.0))
 
 
@@ -98,11 +104,12 @@ def test_statistic_wcre(x):
 
 
 def default_spacing_window(n: int) -> int:
-    """Default window of the spacing-entropy competitor: floor(sqrt(n)) + 1."""
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    return int(math.isqrt(n)) + 1
+    """Default window of the spacing-entropy competitor: floor(sqrt(n)) + 1.
+
+    Clamped into the admissible range, which changes it for n = 3..6 only.
+    """
+    n = _check_size(n)
+    return est._clamp_window(math.isqrt(n) + 1, n)
 
 
 def _ks_stat(sorted_rows: np.ndarray) -> np.ndarray:
@@ -134,7 +141,7 @@ def _ad_stat(sorted_rows: np.ndarray) -> np.ndarray:
 
 def _ent_stat(sorted_rows: np.ndarray, m: int) -> np.ndarray:
     n = sorted_rows.shape[1]
-    mi = est._check_window(n, m)
+    mi = est._check_window(m, n)
     idx = np.arange(1, n + 1)
     hi = np.minimum(idx + mi, n) - 1
     lo = np.maximum(idx - mi, 1) - 1
@@ -189,20 +196,14 @@ class GofTest:
         object.__setattr__(self, "name", key)
         if key == "wcrte":
             if self.order is None:
-                raise DomainError("test wcrte requires an order above 1")
-            a = check_order(self.order)
-            if a <= 1.0:
-                raise DomainError(f"test wcrte requires order > 1, got {a:g}")
-            object.__setattr__(self, "order", a)
+                raise DomainError("test wcrte requires an order")
+            object.__setattr__(self, "order", _check_order_above_one(self.order))
         elif self.order is not None:
             raise DomainError(f"test {key} takes no order")
         if self.m is not None:
             if key != "ent":
                 raise DomainError(f"test {key} takes no window")
-            mi = int(self.m)
-            if mi != self.m or mi < 1:
-                raise DomainError(f"window must be a positive integer, got {self.m!r}")
-            object.__setattr__(self, "m", mi)
+            object.__setattr__(self, "m", est._check_window(self.m))
 
     @property
     def is_entropy_band(self) -> bool:
@@ -283,9 +284,7 @@ class CriticalValue:
 
 def _check_null_grid(n, gamma, replications, min_replications: int = 1000):
     """Validated (n, level, replications) of a calibration run."""
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    n = _check_size(n)
     g = float(gamma)
     if not (0.0 < g < 1.0):
         raise DomainError(f"level gamma must lie in (0, 1), got {gamma!r}")

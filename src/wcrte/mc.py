@@ -26,6 +26,7 @@ from . import estimators as est
 from .distributions import Model, closed_wcrte, order_from_label, parse_model
 from .errors import DivergenceError, DomainError, ParseError
 from .estimators import EstimatorKind
+from .sample import _check_size
 
 __all__ = [
     "DEFAULT_SEED",
@@ -81,15 +82,13 @@ def heuristic_window(kind, n: int) -> int:
     """
     kind = EstimatorKind(kind)
     n = int(n)
-    if n < 3:
-        raise DomainError(f"windowed estimators need n >= 3, got {n}")
     if kind in (EstimatorKind.VASICEK, EstimatorKind.EBRAHIMI):
         m = n // 2 - 1 if n <= 20 else n // 3
     elif kind is EstimatorKind.MODIFIED_N:
         m = n // 4 + 1
     else:
         raise DomainError(f"estimator kind {kind.value} takes no window")
-    return max(1, min(m, est.max_window(n)))
+    return est._clamp_window(m, n)
 
 
 @dataclass(frozen=True)
@@ -112,13 +111,11 @@ class McStudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(self.models))
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        object.__setattr__(self, "sample_sizes", tuple(map(_check_size, self.sample_sizes)))
         object.__setattr__(self, "orders", tuple(self.orders))
         object.__setattr__(self, "kinds", tuple(EstimatorKind(k) for k in self.kinds))
         if not self.models or not self.sample_sizes or not self.orders or not self.kinds:
             raise DomainError("study grid must have at least one entry on every axis")
-        if any(n < 2 for n in self.sample_sizes):
-            raise DomainError("sample sizes must be at least 2")
         if int(self.replications) < 1:
             raise DomainError("replications must be positive")
         object.__setattr__(self, "replications", int(self.replications))
@@ -126,14 +123,10 @@ class McStudyConfig:
             if self.windows not in ("auto", "sweep"):
                 raise DomainError(f"windows must be 'auto', 'sweep' or a tuple, got {self.windows!r}")
         else:
-            ws = tuple(int(m) for m in self.windows)
+            # The smallest n admits the fewest windows.
+            n = min(self.sample_sizes)
+            ws = tuple(est._check_window(m, n) for m in self.windows)
             object.__setattr__(self, "windows", ws)
-            for n in self.sample_sizes:
-                for m in ws:
-                    if m < 1 or 2 * m >= n:
-                        raise DomainError(
-                            f"window m={m} is not admissible for n={n} (need 1 <= m < n/2)"
-                        )
 
     def windows_for(self, kind: EstimatorKind, n: int) -> tuple[int | None, ...]:
         if not kind.needs_window:

@@ -28,7 +28,6 @@ from .gof import critical_values, parse_test, power_study
 from .mc import DEFAULT_SEED, McStudyConfig, run_study
 
 __all__ = [
-    "REPORT_FIELDS",
     "load_reference_tables",
     "available_tables",
     "verify_table",

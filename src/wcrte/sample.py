@@ -43,6 +43,14 @@ class Sample:
         return f"Sample(n={self.n}, min={self.values.min():g}, max={self.values.max():g})"
 
 
+def _check_size(n, min_n: int = 2) -> int:
+    """The sample-size rule: n >= min_n observations; returns n as an int."""
+    n = int(n)
+    if n < min_n:
+        raise DomainError(f"need n >= {min_n}, got {n}")
+    return n
+
+
 def _sorted_rows(x, min_n: int = 2, upper: float | None = None) -> tuple[np.ndarray, bool]:
     """Validate observations and sort them: the one input check of the package.
 
@@ -58,10 +66,7 @@ def _sorted_rows(x, min_n: int = 2, upper: float | None = None) -> tuple[np.ndar
         if arr.ndim > 2:
             raise DomainError(f"sample must be 1-D or 2-D, got shape {arr.shape}")
         rows, single = np.atleast_2d(arr), arr.ndim == 1
-        if rows.shape[1] < min_n:
-            raise DomainError(
-                f"need at least {min_n} observations per sample, got {rows.shape[1]}"
-            )
+        _check_size(rows.shape[1], min_n)
         rows = np.sort(rows, axis=1)
         # Sorting moves NaN and +inf to the end of a row and -inf to its start.
         if not (np.isfinite(rows[:, 0]).all() and np.isfinite(rows[:, -1]).all()):
@@ -90,8 +95,10 @@ def read_sample(path: str | os.PathLike) -> Sample:
                 values.append(float(text))
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: not a number: {text!r}") from None
-    if len(values) < 2:
-        raise ParseError(f"{path}: need n >= 2, found {len(values)} value(s)")
+    try:
+        _check_size(len(values))
+    except DomainError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     # Negative or non-finite values parsed fine but are out of domain, so the
     # DomainError from the constructor is allowed through unchanged.
     return Sample(values)

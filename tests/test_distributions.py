@@ -173,6 +173,24 @@ def test_positive_parameter_validation():
             make()
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ("uniform:theta=-1", "theta"),
+        ("exp:lambda=-1", "lambda"),
+        ("rayleigh:sigma=-1", "sigma"),
+        ("pareto1:k=-1,delta=3", "k"),
+        ("pareto1:k=1,delta=-1", "delta"),
+        ("weibull:lambda=-1,p=1", "lambda"),
+        ("weibull:lambda=1,p=-1", "p"),
+        ("alt:A,j=-1", "j"),
+    ],
+)
+def test_positivity_errors_name_the_spec_key(spec, key):
+    with pytest.raises(DomainError, match=f"^parameter {key} must be positive, got -1.0$"):
+        parse_model(spec)
+
+
 # --- spec-string grammar ------------------------------------------------------
 
 

@@ -354,6 +354,18 @@ def test_max_window_and_clamp():
     assert clamp_order_stat(x, 99) == 3.0
 
 
+def test_clamp_order_stat_validates_like_the_estimators():
+    for bad in ([1.0, float("nan"), -3.0], [1.0, -3.0], [1.0, float("inf")]):
+        with pytest.raises(DomainError) as want:
+            wcre_empirical(bad)
+        for i in (1, 2, 3):
+            with pytest.raises(DomainError) as got:
+                clamp_order_stat(bad, i)
+            assert str(got.value) == str(want.value)
+    assert clamp_order_stat(Sample([2.0, 0.5]), 1) == 0.5
+    assert clamp_order_stat([4.0], 7) == 4.0
+
+
 def test_window_validation():
     x = [1.0, 2.0, 3.0, 4.0]
     for m in (0, -1, 2, 5):

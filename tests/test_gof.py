@@ -141,6 +141,16 @@ def test_default_spacing_window():
         default_spacing_window(1)
 
 
+def test_default_spacing_window_is_admissible_for_small_n():
+    assert [default_spacing_window(n) for n in range(3, 11)] == [1, 1, 2, 2, 3, 3, 4, 4]
+    for n in range(7, 200):
+        assert default_spacing_window(n) == math.isqrt(n) + 1
+    result = uniformity_test(np.linspace(0.1, 0.9, 5), "ent", replications=1000)
+    assert result.m == 2
+    cells = power_study(["alt:A,j=2"], 4, ["ent"], replications=100)
+    assert cells[0].m == 1
+
+
 # --- test descriptors ----------------------------------------------------------------
 
 

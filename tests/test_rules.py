@@ -1,0 +1,215 @@
+"""Each parameter rule raises one message from every entry point.
+
+A library entry raises the rule's DomainError, or a ParseError naming the
+spec at a parser; a command exits 3 or 2 with the same message.
+"""
+
+import numpy as np
+import pytest
+
+from test_cli import run_cli
+from wcrte import (
+    DomainError,
+    EstimatorKind,
+    EstimatorSpec,
+    Exponential,
+    GofTest,
+    McStudyConfig,
+    ParseError,
+    Sample,
+    competitor_critical_value,
+    competitor_statistic,
+    critical_values,
+    default_spacing_window,
+    ebrahimi_weights,
+    estimate,
+    heuristic_window,
+    parse_estimator,
+    parse_test,
+    power_study,
+    statistic_bound,
+    study_config_from_json,
+    uniformity_test,
+    wcre_ebrahimi,
+    wcre_empirical,
+    wcre_lstat,
+    wcre_modified_n,
+    wcre_vasicek,
+    wcrte_ebrahimi,
+    wcrte_empirical,
+    wcrte_lstat,
+    wcrte_lstat_variance,
+    wcrte_modified_n,
+    wcrte_vasicek,
+)
+
+X10 = np.arange(1.0, 11.0)
+U10 = np.linspace(0.05, 0.95, 10)
+EXP = (Exponential(1.0),)
+L = EstimatorKind.LSTAT
+V = EstimatorKind.VASICEK
+
+
+@pytest.fixture
+def files(tmp_path):
+    paths = {}
+    for name, values in (("one", [0.5]), ("x50", np.linspace(0.1, 5.0, 50)),
+                         ("u20", np.linspace(0.02, 0.98, 20))):
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(f"{float(v)!r}\n" for v in values))
+        paths[name] = str(path)
+    return paths
+
+
+def check_entry(entry, message, files, capsys):
+    """Run one entry: ``(exception class, callable)`` or ``(exit code, argv)``."""
+    expected, target = entry
+    if callable(target):
+        with pytest.raises(expected) as info:
+            target()
+        assert type(info.value) is expected
+        assert message in str(info.value)
+    else:
+        argv = [files.get(a, a) for a in target]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (expected, "")
+        assert err.startswith("error: ") and message in err
+
+
+ORDER = "the L-statistic and the uniformity tests need order > 1, got 0.5"
+
+ORDER_ENTRIES = {
+    "EstimatorSpec": (DomainError, lambda: EstimatorSpec(L, 0.5)),
+    "parse_estimator": (ParseError, lambda: parse_estimator("wcrte:l,alpha=0.5")),
+    "wcrte_lstat": (DomainError, lambda: wcrte_lstat(X10, 0.5)),
+    "wcrte_lstat_variance": (DomainError, lambda: wcrte_lstat_variance(X10, 0.5)),
+    "GofTest": (DomainError, lambda: GofTest("wcrte", 0.5)),
+    "parse_test": (ParseError, lambda: parse_test("wcrte:alpha=0.5")),
+    "statistic_bound": (DomainError, lambda: statistic_bound(0.5)),
+    "critical_values": (DomainError, lambda: critical_values(10, 0.5, replications=1000)),
+    "cli estimate": (2, ["estimate", "--data", "x50", "--estimator", "wcrte:l,alpha=0.5"]),
+    "cli critical-values table": (3, ["critical-values", "--n", "10", "--alpha", "0.5",
+                                      "--reps", "1000"]),
+    "cli critical-values test": (2, ["critical-values", "--data", "u20", "--test",
+                                     "wcrte:alpha=0.5", "--reps", "1000"]),
+    "cli power": (2, ["power", "--alternative", "alt:A,j=2", "--test", "wcrte:alpha=0.5",
+                      "--n", "10", "--reps", "100"]),
+}
+
+
+@pytest.mark.parametrize("entry", ORDER_ENTRIES.values(), ids=ORDER_ENTRIES)
+def test_order_above_one_rule(entry, files, capsys):
+    check_entry(entry, ORDER, files, capsys)
+
+
+WINDOW = "window m must be an integer with 1 <= m < n/2, got m="
+
+WINDOW_ENTRIES = {
+    "EstimatorSpec": (DomainError, lambda: EstimatorSpec(V, 2.0, 0)),
+    "parse_estimator": (ParseError, lambda: parse_estimator("wcrte:v,alpha=2,m=0")),
+    "wcrte_vasicek": (DomainError, lambda: wcrte_vasicek(X10, 2.0, 5)),
+    "wcrte_ebrahimi": (DomainError, lambda: wcrte_ebrahimi(X10, 2.0, 5)),
+    "wcrte_modified_n": (DomainError, lambda: wcrte_modified_n(X10, 2.0, 5)),
+    "wcre_vasicek": (DomainError, lambda: wcre_vasicek(X10, None)),
+    "wcre_ebrahimi": (DomainError, lambda: wcre_ebrahimi(X10, 2.5)),
+    "wcre_modified_n": (DomainError, lambda: wcre_modified_n(X10, 0)),
+    "estimate": (DomainError, lambda: estimate(EstimatorSpec(V, window=5), X10)),
+    "ebrahimi_weights": (DomainError, lambda: ebrahimi_weights(10, 5)),
+    "GofTest": (DomainError, lambda: GofTest("ent", m=0)),
+    "parse_test": (ParseError, lambda: parse_test("ent:m=0")),
+    "competitor_statistic": (DomainError, lambda: competitor_statistic("ent", U10, m=5)),
+    "competitor_critical_value": (
+        DomainError, lambda: competitor_critical_value("ent", 10, replications=1000, m=5)),
+    "uniformity_test": (DomainError, lambda: uniformity_test(U10, "ent:m=5", replications=1000)),
+    "McStudyConfig": (DomainError, lambda: McStudyConfig(EXP, (20, 10), (2.0,), (V,), (5,))),
+    "study_config_from_json": (
+        DomainError, lambda: study_config_from_json({"models": ["exp:lambda=1"], "n": [10],
+                                                     "estimators": ["v"], "m": [5]})),
+    "cli estimate spec": (2, ["estimate", "--data", "x50", "--estimator", "wcrte:v,alpha=2,m=0"]),
+    "cli estimate sample": (3, ["estimate", "--data", "x50", "--estimator", "wcre:v,m=25"]),
+    "cli critical-values spec": (2, ["critical-values", "--data", "u20", "--test", "ent:m=0",
+                                     "--reps", "1000"]),
+    "cli critical-values sample": (3, ["critical-values", "--data", "u20", "--test", "ent:m=10",
+                                       "--reps", "1000"]),
+    "cli mse-study": (3, ["mse-study", "--model", "exp:lambda=1", "--n", "10", "--m", "5",
+                          "--reps", "100"]),
+}
+
+
+@pytest.mark.parametrize("entry", WINDOW_ENTRIES.values(), ids=WINDOW_ENTRIES)
+def test_window_rule(entry, files, capsys):
+    check_entry(entry, WINDOW, files, capsys)
+
+
+PLOTTING = "plotting must be 'n' or 'n+1', got 'x'"
+
+PLOTTING_ENTRIES = {
+    "EstimatorSpec wcrte": (DomainError, lambda: EstimatorSpec(L, 2.0, plotting="x")),
+    "EstimatorSpec wcre": (DomainError, lambda: EstimatorSpec(L, plotting="x")),
+    "parse_estimator": (ParseError, lambda: parse_estimator("wcre:l,plotting=x")),
+    "wcrte_lstat": (DomainError, lambda: wcrte_lstat(X10, 2.0, "x")),
+    "wcre_lstat": (DomainError, lambda: wcre_lstat(X10, "x")),
+    "cli estimate": (2, ["estimate", "--data", "x50", "--estimator", "wcre:l,plotting=x"]),
+}
+
+
+@pytest.mark.parametrize("entry", PLOTTING_ENTRIES.values(), ids=PLOTTING_ENTRIES)
+def test_plotting_rule(entry, files, capsys):
+    check_entry(entry, PLOTTING, files, capsys)
+
+
+def test_default_windows_need_three_observations():
+    for call in (lambda: heuristic_window(V, 2), lambda: default_spacing_window(2),
+                 lambda: uniformity_test([0.2, 0.7], "ent", replications=1000)):
+        with pytest.raises(DomainError, match="^need n >= 3, got 2$"):
+            call()
+    assert heuristic_window(V, 3) == default_spacing_window(3) == 1
+
+
+def test_plotting_defaults():
+    assert wcrte_lstat(X10, 2.0) == wcrte_lstat(X10, 2.0, "n")
+    assert wcre_lstat(X10) == wcre_lstat(X10, "n+1")
+    assert estimate(EstimatorSpec(L), X10) == wcre_lstat(X10, "n+1")
+
+
+SIZE = "need n >= 2, got 1"
+
+SIZE_ENTRIES = {
+    "wcrte_empirical": (DomainError, lambda: wcrte_empirical([1.0], 2.0)),
+    "wcre_empirical": (DomainError, lambda: wcre_empirical([[1.0], [2.0]])),
+    "wcre_lstat": (DomainError, lambda: wcre_lstat([1.0])),
+    "estimate": (DomainError, lambda: estimate(EstimatorSpec(L, 2.0), [1.0])),
+    "Sample": (DomainError, lambda: Sample([1.0])),
+    "critical_values": (DomainError, lambda: critical_values(1, 2.0, replications=1000)),
+    "competitor_critical_value": (
+        DomainError, lambda: competitor_critical_value("ks", 1, replications=1000)),
+    "uniformity_test": (DomainError, lambda: uniformity_test([0.5], "ks", replications=1000)),
+    "power_study": (DomainError, lambda: power_study(["alt:A,j=2"], 1, ["ks"], replications=100)),
+    "default_spacing_window": (DomainError, lambda: default_spacing_window(1)),
+    "McStudyConfig": (DomainError, lambda: McStudyConfig(EXP, (10, 1), (2.0,), (L,))),
+    "study_config_from_json": (
+        DomainError, lambda: study_config_from_json({"models": ["exp:lambda=1"], "n": [1]})),
+    "cli estimate (read_sample)": (2, ["estimate", "--data", "one", "--estimator", "wcre:e"]),
+    "cli mse-study": (3, ["mse-study", "--model", "exp:lambda=1", "--n", "1", "--reps", "100"]),
+    "cli critical-values": (3, ["critical-values", "--n", "1", "--reps", "1000"]),
+    "cli power": (3, ["power", "--alternative", "alt:A,j=2", "--test", "ks", "--n", "1",
+                      "--reps", "100"]),
+}
+
+
+@pytest.mark.parametrize("entry", SIZE_ENTRIES.values(), ids=SIZE_ENTRIES)
+def test_sample_size_rule(entry, files, capsys):
+    check_entry(entry, SIZE, files, capsys)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wcrte_empirical(X10, None),
+    lambda: wcrte_vasicek(X10, None, 2),
+    lambda: wcrte_ebrahimi(X10, None, 2),
+    lambda: wcrte_modified_n(X10, None, 2),
+    lambda: wcrte_lstat(X10, None),
+    lambda: wcrte_lstat_variance(X10, None),
+], ids=["empirical", "vasicek", "ebrahimi", "modified_n", "lstat", "lstat_variance"])
+def test_wcrte_functions_never_take_the_wcre_limit(call):
+    with pytest.raises(DomainError, match="order must be a positive real, got None"):
+        call()
