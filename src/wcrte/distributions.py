@@ -11,11 +11,13 @@ The measure of order ``a`` for a nonnegative variable with survival function
 S is ``(1/(a-1)) * integral x * (S(x) - S(x)**a) dx`` over the support, and
 its limit as the order tends to 1 is ``- integral x * S(x) * log S(x) dx``
 (the weighted cumulative residual entropy, WCRE, selected everywhere in this
-package by passing ``None`` for the order). Closed forms follow the published
-reference table that the Monte Carlo harness treats as truth; for the
-exponential family that table value exceeds the defining integral by a factor
-of the order, and the defining integral remains available separately through
-:func:`wcrte_by_quadrature` as an intentionally independent route.
+package by passing ``None`` for the order). Each family has one closed form in
+the order, and the WCRE is its value at order 1. The closed forms follow the
+published reference table that the Monte Carlo harness treats as truth; for
+the exponential family that table value exceeds the defining integral by a
+factor of the order (so the two agree at the WCRE). The defining integral
+remains available through :func:`wcrte_by_quadrature` as an intentionally
+independent route; scipy is imported only when a quadrature route runs.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as _gamma_fn
 
 from .errors import DivergenceError, DomainError, NumericError, ParseError
 from .sample import _check_size
@@ -129,14 +129,18 @@ def _check_u(u) -> np.ndarray:
     return v
 
 
+def _family_of(model: Model) -> tuple[str, dict[str, str]]:
+    """The spec name of ``model``'s family and its {spec key -> field} map."""
+    return next(((name, key_map) for name, (cls, key_map) in _FAMILIES.items()
+                 if cls is type(model)), (type(model).__name__, {}))
+
+
 def _require_positive(model: Model) -> None:
     """Every parameter of ``model`` must be positive; an error names its spec key."""
-    for cls, key_map in _FAMILIES.values():
-        if cls is type(model):
-            for key, field in key_map.items():
-                value = getattr(model, field)
-                if not (math.isfinite(value) and value > 0.0):
-                    raise DomainError(f"parameter {key} must be positive, got {value!r}")
+    for key, field in _family_of(model)[1].items():
+        value = getattr(model, field)
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"parameter {key} must be positive, got {value!r}")
 
 
 class Model(ABC):
@@ -157,9 +161,13 @@ class Model(ABC):
     def quantile_slope(self, u):
         """Derivative of the quantile function, used by the quadrature routes."""
 
-    @abstractmethod
     def spec_string(self) -> str:
-        """Canonical parseable form, e.g. ``exp:lambda=2``."""
+        """Canonical parseable form, e.g. ``exp:lambda=2`` or ``alt:B,j=1.5``."""
+        name, key_map = _family_of(self)
+        items = [f"{key}={_fmt(getattr(self, field))}" for key, field in key_map.items()]
+        if name == "alt":
+            items.insert(0, self.family)
+        return f"{name}:{','.join(items)}"
 
     def survival(self, x):
         return 1.0 - self.cdf(x)
@@ -168,12 +176,13 @@ class Model(ABC):
         """Draw ``n`` observations by inverse-cdf transform of ``stream``."""
         return self.quantile(stream.random(_check_size(n, 1)))
 
-    # Hooks used by the measure evaluators; subclasses with restricted
-    # parameter regimes override these.
-    def _require_finite_wcrte(self, order: float) -> None:
-        pass
+    # Hooks of the measure evaluators, at order ``a`` (1.0 for the WCRE): the
+    # parametric families give their closed form, and a family whose measure
+    # diverges on part of its parameter space says where.
+    def _closed(self, a: float) -> float:
+        raise DomainError(f"no closed form for {self}")
 
-    def _require_finite_wcre(self) -> None:
+    def _require_finite(self, a: float) -> None:
         pass
 
     def __str__(self) -> str:
@@ -197,11 +206,8 @@ class Uniform(Model):
         v = _check_u(u)
         return _ret(np.full_like(v, self.theta))
 
-    def _closed_wcrte(self, a: float) -> float:
+    def _closed(self, a: float) -> float:
         return self.theta**2 * (a + 4.0) / (6.0 * (a + 1.0) * (a + 2.0))
-
-    def spec_string(self) -> str:
-        return f"uniform:theta={_fmt(self.theta)}"
 
 
 @dataclass(frozen=True)
@@ -227,13 +233,10 @@ class Exponential(Model):
         v = _check_u(u)
         return _ret(1.0 / (self.rate * (1.0 - v)))
 
-    def _closed_wcrte(self, a: float) -> float:
+    def _closed(self, a: float) -> float:
         # Reference-table convention; the defining integral is this divided
         # by the order (see the module docstring).
         return (a + 1.0) / (a * self.rate**2)
-
-    def spec_string(self) -> str:
-        return f"exp:lambda={_fmt(self.rate)}"
 
 
 @dataclass(frozen=True)
@@ -262,11 +265,8 @@ class Rayleigh(Model):
             out = self.sigma / ((1.0 - v) * np.sqrt(-2.0 * np.log1p(-v)))
         return _ret(out)
 
-    def _closed_wcrte(self, a: float) -> float:
+    def _closed(self, a: float) -> float:
         return self.sigma**2 / a
-
-    def spec_string(self) -> str:
-        return f"rayleigh:sigma={_fmt(self.sigma)}"
 
 
 @dataclass(frozen=True)
@@ -299,26 +299,15 @@ class ParetoOne(Model):
         v = _check_u(u)
         return _ret((self.scale / self.shape) * (1.0 - v) ** (-1.0 / self.shape - 1.0))
 
-    def _require_finite_wcrte(self, order: float) -> None:
-        if self.shape <= 2.0 or self.shape * order <= 2.0:
+    def _require_finite(self, a: float) -> None:
+        if self.shape <= 2.0 or self.shape * a <= 2.0:
             raise DivergenceError(
-                f"WCRTE of order {order:g} diverges for {self.spec_string()}: "
-                "needs delta > 2 and delta * alpha > 2"
+                f"WCRTE of order {a:g} diverges for {self}: needs delta > 2 and delta * alpha > 2"
             )
 
-    def _require_finite_wcre(self) -> None:
-        if self.shape <= 2.0:
-            raise DivergenceError(
-                f"WCRE diverges for {self.spec_string()}: needs delta > 2"
-            )
-
-    def _closed_wcrte(self, a: float) -> float:
-        self._require_finite_wcrte(a)
+    def _closed(self, a: float) -> float:
         d = self.shape
         return d * self.scale**2 / ((d - 2.0) * (d * a - 2.0))
-
-    def spec_string(self) -> str:
-        return f"pareto1:k={_fmt(self.scale)},delta={_fmt(self.shape)}"
 
 
 @dataclass(frozen=True)
@@ -354,16 +343,11 @@ class Weibull(Model):
             )
         return _ret(out)
 
-    def _closed_wcrte(self, a: float) -> float:
+    def _closed(self, a: float) -> float:
         p = self.shape
-        return (
-            _gamma_fn(2.0 / p)
-            * (1.0 - a ** (-2.0 / p))
-            / (p * self.rate**2 * (a - 1.0))
-        )
-
-    def spec_string(self) -> str:
-        return f"weibull:lambda={_fmt(self.rate)},p={_fmt(self.shape)}"
+        if a == 1.0:  # (1 - a**(-2/p)) / (a - 1) tends to 2/p
+            return math.gamma(2.0 / p) * (2.0 / p) / (p * self.rate**2)
+        return math.gamma(2.0 / p) * (1.0 - a ** (-2.0 / p)) / (p * self.rate**2 * (a - 1.0))
 
 
 #: The (family, j) pairs covered by the published power study.
@@ -444,9 +428,6 @@ class StephensAlternative(Model):
         raise DomainError(
             "alternatives are sampling-only models; no quantile derivative is exposed"
         )
-
-    def spec_string(self) -> str:
-        return f"alt:{self.family},j={_fmt(self.j)}"
 
 
 def _fmt(x: float) -> str:
@@ -543,7 +524,10 @@ def _unit_quad(fn, tol: float, what: str) -> float:
     """Adaptive quadrature over (0, 1) with an interior split point.
 
     Fails loudly (NumericError) if the error estimate does not reach ``tol``.
+    scipy is imported here, on first use, so that no other route loads it.
     """
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         try:
@@ -562,33 +546,19 @@ def _unit_quad(fn, tol: float, what: str) -> float:
 def closed_wcrte(model: Model, order) -> float:
     """Exact weighted cumulative residual Tsallis entropy of ``model``.
 
-    ``order=None`` selects the WCRE limit. Values follow the published
-    closed-form table that the Monte Carlo harness uses as truth; see the
-    module docstring for how that table relates to the defining integral.
+    ``order=None`` selects the WCRE limit, which is the family's closed form
+    at order 1. Values follow the published closed-form table that the Monte
+    Carlo harness uses as truth; see the module docstring for how that table
+    relates to the defining integral.
     """
-    if order is None:
-        return closed_wcre(model)
-    a = check_order(order)
-    closed = getattr(model, "_closed_wcrte", None)
-    if closed is None:
-        raise DomainError(f"no closed form for {model.spec_string()}")
-    model._require_finite_wcrte(a)
-    return float(closed(a))
+    a = 1.0 if order is None else check_order(order)
+    model._require_finite(a)
+    return float(model._closed(a))
 
 
 def closed_wcre(model: Model) -> float:
-    """Weighted cumulative residual entropy (the order -> 1 limit).
-
-    Evaluated by quadrature of the defining integral in quantile form, to
-    absolute tolerance 1e-10.
-    """
-    model._require_finite_wcre()
-
-    def integrand(u: float) -> float:
-        tail = 1.0 - u
-        return -model.quantile(u) * model.quantile_slope(u) * tail * math.log1p(-u)
-
-    return _unit_quad(integrand, 1e-10, f"WCRE of {model.spec_string()}")
+    """Weighted cumulative residual entropy (the order -> 1 limit), in closed form."""
+    return closed_wcrte(model, None)
 
 
 def wcrte_by_quadrature(model: Model, order) -> float:
@@ -596,19 +566,19 @@ def wcrte_by_quadrature(model: Model, order) -> float:
 
     This is the deliberately independent second route: it agrees with
     :func:`closed_wcrte` for every bundled family except the exponential,
-    whose reference-table value is larger by a factor of the order.
+    whose reference-table value is larger by a factor of the order (so the
+    two agree at the WCRE, ``order=None``). Absolute tolerance 1e-10.
     """
-    if order is None:
-        return closed_wcre(model)
-    a = check_order(order)
-    model._require_finite_wcrte(a)
+    a = 1.0 if order is None else check_order(order)
+    model._require_finite(a)
 
     def integrand(u: float) -> float:
         tail = 1.0 - u
-        return model.quantile(u) * model.quantile_slope(u) * (tail - tail**a)
+        weight = -tail * math.log1p(-u) if order is None else tail - tail**a
+        return model.quantile(u) * model.quantile_slope(u) * weight
 
-    value = _unit_quad(integrand, 1e-10, f"WCRTE integral of {model.spec_string()}")
-    return value / (a - 1.0)
+    value = _unit_quad(integrand, 1e-10, f"integral of order {order_label(order)} of {model}")
+    return value if order is None else value / (a - 1.0)
 
 
 def entropy_bound_offset(order) -> float:

@@ -288,12 +288,7 @@ def _check_null_grid(n, gamma, replications, min_replications: int = 1000):
     g = float(gamma)
     if not (0.0 < g < 1.0):
         raise DomainError(f"level gamma must lie in (0, 1), got {gamma!r}")
-    reps = int(replications)
-    if reps < min_replications:
-        raise DomainError(
-            f"need at least {min_replications} replications, got {replications!r}"
-        )
-    return n, g, reps
+    return n, g, _check_size(replications, min_replications, "replications")
 
 
 def _null_sorted_draws(n: int, replications: int, seed: int) -> np.ndarray:

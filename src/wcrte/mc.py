@@ -81,7 +81,7 @@ def heuristic_window(kind, n: int) -> int:
     beyond. Modified-N: floor(n/4) + 1.
     """
     kind = EstimatorKind(kind)
-    n = int(n)
+    n = _check_size(n, 3)
     if kind in (EstimatorKind.VASICEK, EstimatorKind.EBRAHIMI):
         m = n // 2 - 1 if n <= 20 else n // 3
     elif kind is EstimatorKind.MODIFIED_N:
@@ -116,9 +116,7 @@ class McStudyConfig:
         object.__setattr__(self, "kinds", tuple(EstimatorKind(k) for k in self.kinds))
         if not self.models or not self.sample_sizes or not self.orders or not self.kinds:
             raise DomainError("study grid must have at least one entry on every axis")
-        if int(self.replications) < 1:
-            raise DomainError("replications must be positive")
-        object.__setattr__(self, "replications", int(self.replications))
+        object.__setattr__(self, "replications", _check_size(self.replications, 1, "replications"))
         if isinstance(self.windows, str):
             if self.windows not in ("auto", "sweep"):
                 raise DomainError(f"windows must be 'auto', 'sweep' or a tuple, got {self.windows!r}")

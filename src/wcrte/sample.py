@@ -43,12 +43,21 @@ class Sample:
         return f"Sample(n={self.n}, min={self.values.min():g}, max={self.values.max():g})"
 
 
-def _check_size(n, min_n: int = 2) -> int:
-    """The sample-size rule: n >= min_n observations; returns n as an int."""
-    n = int(n)
-    if n < min_n:
-        raise DomainError(f"need n >= {min_n}, got {n}")
-    return n
+def _check_size(n, min_n: int = 2, name: str = "n") -> int:
+    """The rule of sizes and counts: an integral ``name`` >= min_n; returns it as an int.
+
+    Integral floats such as 10.0 and numpy integers are accepted; 10.7 is
+    rejected rather than truncated.
+    """
+    try:
+        k = int(n)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != n:
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if k < min_n:
+        raise DomainError(f"need {name} >= {min_n}, got {k}")
+    return k
 
 
 def _sorted_rows(x, min_n: int = 2, upper: float | None = None) -> tuple[np.ndarray, bool]:

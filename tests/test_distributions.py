@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from test_cli import run_cli
 from wcrte import (
     DivergenceError,
     DomainError,
@@ -73,16 +74,43 @@ def test_quadrature_route_agrees_except_for_the_exponential():
 
     For the exponential family the closed table is exactly order times the
     integral; that discrepancy is pinned here so it cannot be silently
-    reconciled in either direction later.
+    reconciled in either direction later. At the WCRE (order None, that is
+    order 1) all five families agree.
     """
     for model in (Uniform(2.0), Rayleigh(0.7), Weibull(1.5, 2.5), ParetoOne(1.0, 4.0)):
-        for a in (1.5, 2.0, 3.0):
+        for a in (1.5, 2.0, 3.0, None):
             assert math.isclose(
                 closed_wcrte(model, a), wcrte_by_quadrature(model, a), rel_tol=1e-9
             ), model.spec_string()
-    for a in (1.5, 2.0, 3.0):
+    for a in (1.5, 2.0, 3.0, None):
         q = wcrte_by_quadrature(Exponential(1.3), a)
-        assert math.isclose(closed_wcrte(Exponential(1.3), a), a * q, rel_tol=1e-9)
+        assert math.isclose(closed_wcrte(Exponential(1.3), a), (a or 1.0) * q, rel_tol=1e-9)
+
+
+#: WCRE formulas: 5 theta^2/36, 2/lambda^2, sigma^2, Gamma(2/p + 1)/(p lambda^2),
+#: delta k^2/(delta - 2)^2, at large or heavy-tailed truths where a 1e-10
+#: quadrature gives up.
+LARGE_WCRE = {
+    "pareto1:k=1,delta=2.05": 2.05 / 0.05**2,
+    "pareto1:k=1,delta=2.2": 2.2 / 0.2**2,
+    "pareto1:k=1,delta=2.5": 2.5 / 0.5**2,
+    "exp:lambda=0.001": 2.0 / 0.001**2,
+    "uniform:theta=1000": 5.0 * 1000.0**2 / 36.0,
+    "weibull:lambda=1,p=0.3": math.gamma(2.0 / 0.3 + 1.0) / 0.3,
+    "weibull:lambda=1,p=0.5": math.gamma(5.0) / 0.5,
+}
+
+
+@pytest.mark.parametrize("spec", LARGE_WCRE)
+def test_large_wcre_truths_are_their_formulas(spec):
+    assert math.isclose(closed_wcre(parse_model(spec)), LARGE_WCRE[spec], rel_tol=1e-13)
+
+
+def test_wcre_study_of_a_heavy_pareto_runs(capsys):
+    code, out, err = run_cli(["mse-study", "--model", "pareto1:k=1,delta=2.2", "--n", "10",
+                              "--alpha", "1", "--reps", "100", "--estimator", "e"], capsys)
+    assert (code, err) == (0, "")
+    assert "pareto1:k=1,delta=2.2" in out
 
 
 def test_pareto_divergence_regimes():

@@ -1,4 +1,8 @@
-"""The package namespace is the union of its modules' ``__all__`` lists."""
+"""The package namespace is the union of its modules' ``__all__`` lists, and what it loads."""
+
+import os
+import subprocess
+import sys
 
 import wcrte
 
@@ -31,3 +35,35 @@ def test_public_names_are_unchanged_and_resolve():
         assert namespace[name] is getattr(wcrte, name), name
     assert wcrte.read_sample is wcrte.sample.read_sample
     assert wcrte.DomainError is wcrte.errors.DomainError
+
+
+IMPORT_GUARD = """
+import sys
+import numpy as np
+import wcrte
+from wcrte import cli
+
+path = sys.argv[1]
+with open(path, "w") as fh:
+    fh.write("\\n".join(repr(float(v)) for v in np.linspace(0.1, 3.0, 40)))
+assert cli.main(["estimate", "--data", path, "--estimator", "wcrte:l,alpha=2",
+                 "--estimator", "wcre:e"]) in (0, None)
+models = [wcrte.parse_model(s) for s in ("uniform:theta=2", "exp:lambda=1", "rayleigh:sigma=1",
+                                         "pareto1:k=1,delta=3", "weibull:lambda=1,p=1.5")]
+config = wcrte.McStudyConfig(models, (10,), (2.0, None), ("empirical", "lstat"), replications=50)
+assert len(wcrte.run_study(config).cells) == 20
+wcrte.critical_values(10, 2.0, replications=1000)
+wcrte.power_study(["alt:A,j=2"], 10, ["wcrte:alpha=2", "ks"], replications=100)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+assert abs(wcrte.wcrte_by_quadrature(wcrte.Exponential(1.0), None) - 2.0) < 1e-9
+assert "scipy" in sys.modules
+"""
+
+
+def test_no_scipy_on_the_run_path(tmp_path):
+    """Every route but quadrature runs without loading scipy; quadrature then loads it."""
+    done = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "x.txt")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr

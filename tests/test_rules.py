@@ -202,6 +202,41 @@ def test_sample_size_rule(entry, files, capsys):
     check_entry(entry, SIZE, files, capsys)
 
 
+COUNT_ENTRIES = {
+    "critical_values n": (lambda: critical_values(10.7, 2.0, replications=1500), "n", 10.7),
+    "critical_values replications": (
+        lambda: critical_values(10, 2.0, replications=1500.9), "replications", 1500.9),
+    "competitor_critical_value n": (
+        lambda: competitor_critical_value("ks", 10.5, replications=1000), "n", 10.5),
+    "uniformity_test replications": (
+        lambda: uniformity_test(U10, "ks", replications=1000.5), "replications", 1000.5),
+    "power_study n": (
+        lambda: power_study(["alt:A,j=2"], 10.5, ["ks"], replications=100), "n", 10.5),
+    "power_study replications": (
+        lambda: power_study(["alt:A,j=2"], 10, ["ks"], replications=100.5),
+        "replications", 100.5),
+    "McStudyConfig n": (lambda: McStudyConfig(EXP, (10.9,), (2.0,), (L,)), "n", 10.9),
+    "McStudyConfig replications": (
+        lambda: McStudyConfig(EXP, (10,), (2.0,), (L,), replications=500.5),
+        "replications", 500.5),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES.values(), ids=COUNT_ENTRIES)
+def test_sizes_and_counts_must_be_integral(entry):
+    call, name, value = entry
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
+        call()
+
+
+def test_integral_floats_and_numpy_integers_are_sizes():
+    config = McStudyConfig(EXP, (10.0, np.int64(12)), (2.0,), (L,), replications=np.int32(500))
+    assert config.sample_sizes == (10, 12) and config.replications == 500
+    assert all(type(v) is int for v in (*config.sample_sizes, config.replications))
+    assert critical_values(10.0, 2.0, replications=1000.0) == critical_values(
+        np.int64(10), 2.0, replications=1000)
+
+
 @pytest.mark.parametrize("call", [
     lambda: wcrte_empirical(X10, None),
     lambda: wcrte_vasicek(X10, None, 2),
