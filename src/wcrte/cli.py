@@ -47,7 +47,7 @@ from .estimators import (
     wcre_lstat_variance,
     wcrte_lstat_variance,
 )
-from .gof import critical_values, parse_test, power_study, uniformity_test
+from .gof import _critical_pairs, _uniformity_results, power_study
 from .mc import (
     _STUDY_KEYS,
     DEFAULT_SEED,
@@ -270,8 +270,7 @@ def cmd_critical_values(args) -> int:
             raise ParseError("single-test mode needs at least one --test")
         x = read_sample(data[0])
         rows = []
-        for text in tests:
-            result = uniformity_test(x, parse_test(text), gamma, reps, seed)
+        for result in _uniformity_results(x, tests, gamma, reps, seed):
             rows.append(
                 {
                     "test": result.test,
@@ -291,9 +290,9 @@ def cmd_critical_values(args) -> int:
     if args.n is None:
         raise ParseError("table mode needs --n (or use --data for single-test mode)")
     rows = []
+    orders = _resolved(args, "alpha", (None, 2.0, 5.0, 7.0, 10.0))
     for n in args.n:
-        for order in _resolved(args, "alpha", (None, 2.0, 5.0, 7.0, 10.0)):
-            pair = critical_values(n, order, gamma, reps, seed)
+        for order, pair in zip(orders, _critical_pairs(n, orders, gamma, reps, seed)):
             rows.append(
                 {
                     "n": n,

@@ -523,8 +523,9 @@ def parse_model(text: str) -> Model:
 def _unit_quad(fn, tol: float, what: str) -> float:
     """Adaptive quadrature over (0, 1) with an interior split point.
 
-    Fails loudly (NumericError) if the error estimate does not reach ``tol``.
-    scipy is imported here, on first use, so that no other route loads it.
+    Fails loudly (NumericError) if scipy fails or the error estimate does not
+    reach ``tol``; a DomainError raised by the integrand passes through
+    unchanged. scipy is imported here, on first use, so that no other route loads it.
     """
     from scipy import integrate
 
@@ -534,6 +535,8 @@ def _unit_quad(fn, tol: float, what: str) -> float:
             value, err = integrate.quad(
                 fn, 0.0, 1.0, points=(0.5,), limit=200, epsabs=tol * 1e-2, epsrel=1e-11
             )
+        except DomainError:
+            raise
         except Exception as exc:  # pragma: no cover - defensive
             raise NumericError(f"quadrature failed for {what}: {exc}") from exc
     if not math.isfinite(value) or err > tol:

@@ -107,17 +107,21 @@ class _SortedSquares:
 
     A batch whose largest value reaches 2**511 is stored as the squares of
     ``x * 2**-shift``; :meth:`finish` scales results back exactly. ``coefs``
-    memoizes coefficient vectors and may be shared between batches.
+    memoizes coefficient vectors and may be shared between batches. With
+    ``overwrite`` the squares are taken in ``srt`` itself, which the caller
+    then no longer reads as sorted values.
     """
 
     __slots__ = ("s2", "d", "shift", "squeeze", "coefs")
 
-    def __init__(self, srt: np.ndarray, squeeze: bool, coefs: dict | None = None) -> None:
+    def __init__(
+        self, srt: np.ndarray, squeeze: bool, coefs: dict | None = None, overwrite: bool = False
+    ) -> None:
         top = float(srt[:, -1].max())
         self.shift = math.frexp(top)[1] if top >= _SQUARE_LIMIT else 0
         if self.shift:
             srt = np.ldexp(srt, -self.shift)
-        self.s2 = srt * srt
+        self.s2 = np.multiply(srt, srt, out=srt if overwrite else None)
         self.d = np.diff(self.s2, axis=1)
         self.squeeze = squeeze
         self.coefs = {} if coefs is None else coefs

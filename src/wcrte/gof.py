@@ -14,6 +14,12 @@ budget as the entropy tests, so the power columns are size-matched.
 
 Null draws are keyed by (seed, n) only: a critical pair computed standalone
 is identical to the one computed inside a sweep over orders or test kinds.
+Within one call, each (seed, n, replications) null batch is drawn, sorted
+and squared once and every test reads it: all orders of one n in
+``verify_table(7)`` and in ``wcrte critical-values`` table mode, all
+``--test`` flags of its single-test mode, and all tests of one
+:func:`power_study` call, which also sorts and squares each alternative's
+draws once. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -291,19 +297,42 @@ def _check_null_grid(n, gamma, replications, min_replications: int = 1000):
     return n, g, _check_size(replications, min_replications, "replications")
 
 
-def _null_sorted_draws(n: int, replications: int, seed: int) -> np.ndarray:
-    stream = gof_null_stream(seed, n)
-    draws = stream.random((replications, n))
+class _Batch:
+    """Sorted [0, 1] rows and their sorted squares, each built once.
+
+    The competitors read the rows and the entropy-band tests the squares, so
+    every test on one batch shares one sort and one squaring. The squares are
+    built on first use, or at once with ``keep_rows=False``: then the rows are
+    squared in place (for [0, 1] values the shift is 0 and ``x * x`` in place
+    gives the same bits), and the batch holds the squares and spacings only.
+    """
+
+    __slots__ = ("rows", "_squares")
+
+    def __init__(self, rows: np.ndarray, keep_rows: bool = True) -> None:
+        self.rows = rows if keep_rows else None
+        self._squares = None if keep_rows else est._SortedSquares(rows, False, overwrite=True)
+
+    @property
+    def squares(self) -> est._SortedSquares:
+        if self._squares is None:
+            self._squares = est._SortedSquares(self.rows, False)
+        return self._squares
+
+
+def _null_batch(n: int, replications: int, seed: int, keep_rows: bool = True) -> _Batch:
+    """The (seed, n, replications) null batch: uniform draws sorted in place."""
+    draws = gof_null_stream(seed, n).random((replications, n))
     draws.sort(axis=1)
-    return draws
+    return _Batch(draws, keep_rows)
 
 
-def _statistics(test: GofTest, sorted_rows: np.ndarray, m: int | None) -> np.ndarray:
-    """Statistic of ``test`` on each row of sorted [0, 1] observations."""
+def _statistics(test: GofTest, batch: _Batch, m: int | None) -> np.ndarray:
+    """Statistic of ``test`` on each row of a batch of sorted [0, 1] observations."""
     if test.is_entropy_band:
         spec = est.EstimatorSpec(est.EstimatorKind.EMPIRICAL, test.order)
-        return est.estimate(spec, est._SortedSquares(sorted_rows, False))
-    return _competitor_null_stats(test, sorted_rows, m)
+        return est.estimate(spec, batch.squares)
+    return _competitor_null_stats(test, batch.rows, m)
 
 
 def _competitor_null_stats(test: GofTest, sorted_null: np.ndarray, m: int | None) -> np.ndarray:
@@ -316,14 +345,14 @@ def _competitor_null_stats(test: GofTest, sorted_null: np.ndarray, m: int | None
     return _ent_stat(sorted_null, m)
 
 
-def _calibrate(test: GofTest, sorted_null: np.ndarray, g: float, m: int | None):
+def _calibrate(test: GofTest, null: _Batch, g: float, m: int | None):
     """Critical values ``(lo, hi)`` of ``test`` at level ``g``.
 
     Entropy-band tests split the level over both tails; ks, cvm and ad have
     only an upper value, ent only a lower one. A side given as None never
     rejects.
     """
-    stats = _statistics(test, sorted_null, m)
+    stats = _statistics(test, null, m)
     if test.is_entropy_band:
         lo, hi = np.quantile(stats, [g / 2.0, 1.0 - g / 2.0])
         return float(lo), float(hi)
@@ -350,12 +379,21 @@ def critical_values(
     ``replications`` uniform samples of size ``n``. The draws depend only on
     (seed, n), so pairs for different orders share them.
     """
+    return _critical_pairs(n, (order,), gamma, replications, seed)[0]
+
+
+def _critical_pairs(n, orders, gamma, replications, seed) -> list[CriticalPair]:
+    """:func:`critical_values` for each of ``orders``, all on one null batch."""
     n, g, reps = _check_null_grid(n, gamma, replications)
-    test = GofTest(name="wcre") if order is None else GofTest(name="wcrte", order=order)
-    lower, upper = _calibrate(test, _null_sorted_draws(n, reps, seed), g, None)
-    return CriticalPair(
-        n=n, order=test.order, gamma=g, lower=lower, upper=upper, replications=reps,
-    )
+    tests = [GofTest(name="wcre") if a is None else GofTest(name="wcrte", order=a) for a in orders]
+    null = _null_batch(n, reps, seed, keep_rows=False)
+    pairs = []
+    for test in tests:
+        lower, upper = _calibrate(test, null, g, None)
+        pairs.append(
+            CriticalPair(n=n, order=test.order, gamma=g, lower=lower, upper=upper, replications=reps)
+        )
+    return pairs
 
 
 def competitor_critical_value(
@@ -376,7 +414,7 @@ def competitor_critical_value(
         raise DomainError("use critical_values for the entropy-band tests")
     n, g, reps = _check_null_grid(n, gamma, replications)
     resolved_m = test.resolved_m(n)
-    lo, hi = _calibrate(test, _null_sorted_draws(n, reps, seed), g, resolved_m)
+    lo, hi = _calibrate(test, _null_batch(n, reps, seed), g, resolved_m)
     return CriticalValue(
         test=test.name, n=n, gamma=g, value=hi if lo is None else lo,
         rejects_low=test.rejects_low, m=resolved_m, replications=reps,
@@ -415,20 +453,34 @@ def uniformity_test(
     outside [lower, upper]; ks/cvm/ad reject at or above their value; ent
     rejects at or below its value.
     """
-    if isinstance(test, str):
-        test = parse_test(test)
-    rows, single = _sorted_rows(x, upper=1.0)
-    if not single:
-        raise DomainError("uniformity_test takes a single 1-D sample")
-    n, g, reps = _check_null_grid(rows.shape[1], gamma, replications)
-    m = test.resolved_m(n)
-    lo, hi = _calibrate(test, _null_sorted_draws(n, reps, seed), g, m)
-    stat = float(_statistics(test, rows, m)[0])
-    return GofResult(
-        test=test.name, n=n, order=test.order, m=m, gamma=g,
-        statistic=stat, lower=lo, upper=hi,
-        reject=bool(_reject(stat, lo, hi)), replications=reps,
-    )
+    return next(_uniformity_results(x, [test], gamma, replications, seed))
+
+
+def _uniformity_results(x, tests, gamma, replications, seed):
+    """:func:`uniformity_test` for each of ``tests`` in turn, all on one null batch.
+
+    A generator: each spec is parsed, and the sample checked and the batch
+    drawn, only when the first test needs them, so errors surface in the
+    order one call per test would raise them.
+    """
+    sample = null = None
+    for test in tests:
+        if isinstance(test, str):
+            test = parse_test(test)
+        if null is None:
+            rows, single = _sorted_rows(x, upper=1.0)
+            if not single:
+                raise DomainError("uniformity_test takes a single 1-D sample")
+            n, g, reps = _check_null_grid(rows.shape[1], gamma, replications)
+            sample, null = _Batch(rows), _null_batch(n, reps, seed)
+        m = test.resolved_m(n)
+        lo, hi = _calibrate(test, null, g, m)
+        stat = float(_statistics(test, sample, m)[0])
+        yield GofResult(
+            test=test.name, n=n, order=test.order, m=m, gamma=g,
+            statistic=stat, lower=lo, upper=hi,
+            reject=bool(_reject(stat, lo, hi)), replications=reps,
+        )
 
 
 # --- power study -----------------------------------------------------------------
@@ -457,8 +509,9 @@ def power_study(
 ) -> list[PowerCell]:
     """Rejection rates of every test against every alternative at size n.
 
-    Null draws are shared across tests (keyed by (seed, n)); each alternative
-    gets its own stream keyed by its position in the list. Passing the
+    One null batch (keyed by (seed, n)) calibrates every test; each
+    alternative gets its own stream keyed by its position in the list, and
+    its draws are sorted and squared once for all tests. Passing the
     uniform model as an alternative estimates the empirical size, since its
     draws are independent of the null calibration draws.
     """
@@ -468,21 +521,25 @@ def power_study(
     if not tests or not alternatives:
         raise DomainError("need at least one test and one alternative")
 
-    # Calibrate every test once on the shared null draws.
-    sorted_null = _null_sorted_draws(n, reps, seed)
+    # Calibrate every test on one null batch, then let it go. Only the
+    # competitors read sorted values; entropy-band tests need the squares.
+    keep_rows = not all(test.is_entropy_band for test in tests)
+    null = _null_batch(n, reps, seed, keep_rows)
     bands = []
     for test in tests:
         m = test.resolved_m(n)
-        bands.append((test, m, *_calibrate(test, sorted_null, g, m)))
+        bands.append((test, m, *_calibrate(test, null, g, m)))
+    del null
 
     cells: list[PowerCell] = []
     for ai, alt in enumerate(alternatives):
         model: Model = alt
         stream = gof_alternative_stream(seed, n, ai)
         draws = model.quantile(stream.random((reps, n)))
-        draws = np.sort(draws, axis=1)
+        draws.sort(axis=1)
+        batch = _Batch(draws, keep_rows)
         for test, m, lo, hi in bands:
-            reject = _reject(_statistics(test, draws, m), lo, hi)
+            reject = _reject(_statistics(test, batch, m), lo, hi)
             cells.append(
                 PowerCell(
                     alternative=model.spec_string(),

@@ -56,9 +56,8 @@ def derive_stream(seed: int, *key: int) -> np.random.Generator:
     Built on a counter-based bit generator, so streams for different keys
     never overlap and creation order is irrelevant.
     """
-    if int(seed) < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed!r}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    seed = _check_size(seed, 0, "seed")
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
@@ -125,6 +124,7 @@ class McStudyConfig:
             n = min(self.sample_sizes)
             ws = tuple(est._check_window(m, n) for m in self.windows)
             object.__setattr__(self, "windows", ws)
+        object.__setattr__(self, "seed", _check_size(self.seed, 0, "seed"))
 
     def windows_for(self, kind: EstimatorKind, n: int) -> tuple[int | None, ...]:
         if not kind.needs_window:

@@ -24,7 +24,7 @@ from importlib import resources
 
 from .distributions import order_from_label, order_label, parse_model
 from .errors import DomainError
-from .gof import critical_values, parse_test, power_study
+from .gof import _critical_pairs, parse_test, power_study
 from .mc import DEFAULT_SEED, McStudyConfig, run_study
 
 __all__ = [
@@ -140,11 +140,21 @@ def _verify_bias_mse(table_id: int, group: dict, replications, seed, threads) ->
 def _verify_critical_values(table_id: int, group: dict, replications, seed) -> list[dict]:
     reps = int(replications or group["replications"])
     gamma = float(group["gamma"])
+    # One null batch per n calibrates every order of that n.
+    orders_by_n: dict[int, list] = {}
+    for ref in group["rows"]:
+        orders_by_n.setdefault(int(ref["n"]), []).append(order_from_label(ref["alpha"]))
+    pairs = {
+        (n, pair.order): pair
+        for n, orders in orders_by_n.items()
+        for pair in _critical_pairs(n, orders, gamma, reps, seed)
+    }
+
     report: list[dict] = []
     for ref in group["rows"]:
         n = int(ref["n"])
         order = order_from_label(ref["alpha"])
-        pair = critical_values(n, order, gamma, reps, seed)
+        pair = pairs[(n, order)]
         for metric in ("lower", "upper"):
             out = _blank_row(table_id)
             out["n"] = n

@@ -47,7 +47,8 @@ def _check_size(n, min_n: int = 2, name: str = "n") -> int:
     """The rule of sizes and counts: an integral ``name`` >= min_n; returns it as an int.
 
     Integral floats such as 10.0 and numpy integers are accepted; 10.7 is
-    rejected rather than truncated.
+    rejected rather than truncated. It also holds for the master seed
+    (``min_n=0``).
     """
     try:
         k = int(n)
@@ -56,6 +57,8 @@ def _check_size(n, min_n: int = 2, name: str = "n") -> int:
     if k is None or k != n:
         raise DomainError(f"{name} must be an integer, got {n!r}")
     if k < min_n:
+        if min_n == 0:
+            raise DomainError(f"{name} must be nonnegative, got {k}")
         raise DomainError(f"need {name} >= {min_n}, got {k}")
     return k
 

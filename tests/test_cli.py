@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from wcrte import DEFAULT_SEED, Exponential, NumericError, critical_values, derive_stream
+from wcrte import DEFAULT_SEED, Exponential, NumericError, critical_values, derive_stream, gof
 from wcrte.cli import _Z_95, CRITICAL_FIELDS, GOF_FIELDS, MSE_FIELDS, POWER_FIELDS, main
 from wcrte.reference import REPORT_FIELDS
 
@@ -363,6 +363,26 @@ def test_critical_values_data_mode(exp30, tmp_path, capsys):
     ent = by_test["ent"]
     assert ent["m"] == "5"
     assert ent["lower"] and ent["upper"] == ""
+
+
+def test_critical_values_draw_one_null_batch_per_n(tmp_path, monkeypatch, capsys):
+    draws = []
+    stream = gof.gof_null_stream
+    monkeypatch.setattr(gof, "gof_null_stream", lambda seed, n: draws.append(n) or stream(seed, n))
+    code, _, _ = run_cli(["critical-values", "--n", "10,20", "--reps", "1000"], capsys)
+    assert code == 0 and draws == [10, 20]
+
+    # Single-test mode calibrates every --test on one batch, and prints what
+    # one run per test prints.
+    path = tmp_path / "unit.txt"
+    path.write_text("\n".join(repr(float(v)) for v in derive_stream(9000, 41).random(25)) + "\n")
+    base = ["critical-values", "--data", str(path), "--reps", "1000"]
+    tests = ["wcrte:alpha=2", "ks", "wcre", "ent", "ad"]
+    alone = [run_cli(base + ["--test", t], capsys)[1].splitlines()[1] for t in tests]
+    del draws[:]
+    code, out, _ = run_cli(base + [arg for t in tests for arg in ("--test", t)], capsys)
+    assert code == 0 and draws == [25]
+    assert out.splitlines()[1:] == alone
 
 
 def test_critical_values_mode_conflicts(exp30, capsys):

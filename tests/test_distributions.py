@@ -11,6 +11,7 @@ from wcrte import (
     DivergenceError,
     DomainError,
     Exponential,
+    NumericError,
     ParetoOne,
     ParseError,
     Rayleigh,
@@ -27,6 +28,7 @@ from wcrte import (
     wcrte_by_quadrature,
     wcrte_lower_bound,
 )
+from wcrte.distributions import _unit_quad
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -85,6 +87,19 @@ def test_quadrature_route_agrees_except_for_the_exponential():
     for a in (1.5, 2.0, 3.0, None):
         q = wcrte_by_quadrature(Exponential(1.3), a)
         assert math.isclose(closed_wcrte(Exponential(1.3), a), (a or 1.0) * q, rel_tol=1e-9)
+
+
+def test_quadrature_passes_domain_errors_through():
+    # A sampling-only alternative has no quantile slope: that is a domain
+    # fault (exit 3) on both routes, not a numerical failure (exit 4).
+    alt = parse_model("alt:A,j=2")
+    with pytest.raises(DomainError):
+        closed_wcrte(alt, 2.0)
+    with pytest.raises(DomainError, match="sampling-only"):
+        wcrte_by_quadrature(alt, 2.0)
+    # Any other failure inside the integration is still a numerical one.
+    with pytest.raises(NumericError, match="quadrature failed"):
+        _unit_quad(lambda u: 1.0 / 0.0, 1e-8, "a failing integrand")
 
 
 #: WCRE formulas: 5 theta^2/36, 2/lambda^2, sigma^2, Gamma(2/p + 1)/(p lambda^2),

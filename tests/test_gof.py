@@ -1,12 +1,14 @@
 """Uniformity tests: statistics, bands, critical values, and power."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import naive
+from wcrte import gof
 from wcrte import (
     ORDER_CENTERED,
     WCRE_STATISTIC_BOUND,
@@ -24,6 +26,7 @@ from wcrte import (
     power_study,
     statistic_bound,
     uniformity_test,
+    verify_table,
 )
 
 # Aliased so pytest does not collect the library functions as tests.
@@ -346,3 +349,60 @@ def test_power_cells_do_not_depend_on_later_alternatives():
     first = power_study(["alt:A,j=2"], 15, ["cvm"], replications=500, seed=8)
     both = power_study(["alt:A,j=2", "alt:C,j=2"], 15, ["cvm"], replications=500, seed=8)
     assert both[: len(first)] == first
+
+
+def test_power_of_entropy_tests_does_not_depend_on_competitors():
+    # Without competitors the draws are squared in place; the bits must not move.
+    alternatives = ["alt:A,j=2", "alt:C,j=1.5"]
+    alone = power_study(alternatives, 15, ["wcre", "wcrte:alpha=2"], replications=500, seed=8)
+    mixed = power_study(alternatives, 15, ["wcre", "ks", "wcrte:alpha=2"], replications=500, seed=8)
+    assert alone == [c for c in mixed if c.test != "ks"]
+
+
+# --- one null batch per call -------------------------------------------------------
+
+
+@pytest.fixture
+def null_draws(monkeypatch):
+    """The (seed, n) of every null batch drawn while the test runs."""
+    keys = []
+    draw = gof.gof_null_stream
+
+    def counting(seed, n):
+        keys.append((seed, n))
+        return draw(seed, n)
+
+    monkeypatch.setattr(gof, "gof_null_stream", counting)
+    return keys
+
+
+@pytest.mark.parametrize("n", [10, 37, 100])
+def test_critical_pairs_equal_one_order_calls(n):
+    orders = (None, 1.5, 2.0, 10.0)
+    pairs = gof._critical_pairs(n, orders, 0.05, 1000, 17)
+    assert pairs == [critical_values(n, a, 0.05, 1000, 17) for a in orders]
+
+
+def test_verify_tables_draw_each_null_batch_once(null_draws):
+    verify_table(7, replications=1000)
+    assert len(null_draws) == len(set(null_draws)) == 14
+    null_draws.clear()
+    # One power_study call per n = 10, 20, 30, each calibrating every test.
+    verify_table(8, replications=1000)
+    assert len(null_draws) == 3
+
+
+def test_critical_pairs_hold_two_batches_at_peak():
+    # The draws are squared in place, so the batch is its squares and their
+    # spacings: about two arrays of replications x n floats, where sorted
+    # rows, squares and spacings would be three.
+    n, reps = 100, 1000
+    orders = (None, 2.0, 5.0, 7.0, 10.0)
+    gof._critical_pairs(n, orders, 0.05, reps, 3)  # first-call allocations
+    tracemalloc.start()
+    try:
+        gof._critical_pairs(n, orders, 0.05, reps, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * reps * n * 8

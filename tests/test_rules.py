@@ -21,6 +21,7 @@ from wcrte import (
     competitor_statistic,
     critical_values,
     default_spacing_window,
+    derive_stream,
     ebrahimi_weights,
     estimate,
     heuristic_window,
@@ -219,6 +220,11 @@ COUNT_ENTRIES = {
     "McStudyConfig replications": (
         lambda: McStudyConfig(EXP, (10,), (2.0,), (L,), replications=500.5),
         "replications", 500.5),
+    "critical_values seed": (
+        lambda: critical_values(10, 2.0, replications=1000, seed=5.9), "seed", 5.9),
+    "McStudyConfig seed": (
+        lambda: McStudyConfig(EXP, (10,), (2.0,), (L,), seed=10.7), "seed", 10.7),
+    "derive_stream seed": (lambda: derive_stream(10.7, 1), "seed", 10.7),
 }
 
 
@@ -235,6 +241,14 @@ def test_integral_floats_and_numpy_integers_are_sizes():
     assert all(type(v) is int for v in (*config.sample_sizes, config.replications))
     assert critical_values(10.0, 2.0, replications=1000.0) == critical_values(
         np.int64(10), 2.0, replications=1000)
+
+
+def test_numpy_integer_seeds_are_seeds():
+    assert critical_values(10, 2.0, replications=1000, seed=np.int64(5)) == critical_values(
+        10, 2.0, replications=1000, seed=5)
+    assert McStudyConfig(EXP, (10,), (2.0,), (L,), seed=np.int64(5)).seed == 5
+    with pytest.raises(DomainError, match="^seed must be nonnegative, got -1$"):
+        critical_values(10, 2.0, replications=1000, seed=-1)
 
 
 @pytest.mark.parametrize("call", [
