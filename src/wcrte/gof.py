@@ -521,10 +521,8 @@ def power_study(
     if not tests or not alternatives:
         raise DomainError("need at least one test and one alternative")
 
-    # Calibrate every test on one null batch, then let it go. Only the
-    # competitors read sorted values; entropy-band tests need the squares.
-    keep_rows = not all(test.is_entropy_band for test in tests)
-    null = _null_batch(n, reps, seed, keep_rows)
+    # Calibrate every test on one null batch, then let it go.
+    null = _null_batch(n, reps, seed)
     bands = []
     for test in tests:
         m = test.resolved_m(n)
@@ -537,7 +535,7 @@ def power_study(
         stream = gof_alternative_stream(seed, n, ai)
         draws = model.quantile(stream.random((reps, n)))
         draws.sort(axis=1)
-        batch = _Batch(draws, keep_rows)
+        batch = _Batch(draws)
         for test, m, lo, hi in bands:
             reject = _reject(_statistics(test, batch, m), lo, hi)
             cells.append(

@@ -352,7 +352,7 @@ def test_power_cells_do_not_depend_on_later_alternatives():
 
 
 def test_power_of_entropy_tests_does_not_depend_on_competitors():
-    # Without competitors the draws are squared in place; the bits must not move.
+    # A test's power does not depend on which other tests share its batches.
     alternatives = ["alt:A,j=2", "alt:C,j=1.5"]
     alone = power_study(alternatives, 15, ["wcre", "wcrte:alpha=2"], replications=500, seed=8)
     mixed = power_study(alternatives, 15, ["wcre", "ks", "wcrte:alpha=2"], replications=500, seed=8)
