@@ -21,6 +21,9 @@ with a message naming its key. ``mse-study`` builds its grid through
 separated; model, estimator and test specifications are repeatable flags
 because model parameters themselves contain commas.
 
+``gof`` and ``reference`` are imported inside the commands that run them,
+so ``estimate`` starts without loading them.
+
 Model, estimator and test specifications share one grammar: a
 case-insensitive head, then after a colon an optional positional token
 (the ``alt`` family or the estimator kind) and ``key=value`` pairs,
@@ -47,7 +50,6 @@ from .estimators import (
     wcre_lstat_variance,
     wcrte_lstat_variance,
 )
-from .gof import _critical_pairs, _uniformity_results, power_study
 from .mc import (
     _STUDY_KEYS,
     DEFAULT_SEED,
@@ -57,7 +59,6 @@ from .mc import (
     run_study,
     study_config_from_json,
 )
-from .reference import REPORT_FIELDS, verify_table
 from .sample import read_sample
 
 __all__ = ["main", "build_parser"]
@@ -128,7 +129,7 @@ def _apply_config(args: argparse.Namespace) -> None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ParseError(f"{path}: config must be a JSON object")
@@ -254,6 +255,8 @@ def cmd_mse_study(args) -> int:
 
 
 def cmd_critical_values(args) -> int:
+    from .gof import _critical_pairs, _uniformity_results
+
     gamma = _resolved(args, "gamma", 0.05)
     reps = _resolved(args, "reps", 10_000)
     seed = _resolved(args, "seed", DEFAULT_SEED)
@@ -309,6 +312,8 @@ def cmd_critical_values(args) -> int:
 
 
 def cmd_power(args) -> int:
+    from .gof import power_study
+
     alternatives = _str_items(args.alternative)
     if not alternatives:
         raise ParseError("power needs at least one --alternative")
@@ -338,6 +343,8 @@ def cmd_power(args) -> int:
 
 
 def cmd_verify_tables(args) -> int:
+    from .reference import REPORT_FIELDS, verify_table
+
     rows = verify_table(
         args.table,
         replications=args.reps,
@@ -428,7 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-tables", help="compare against bundled published values")
     p.add_argument("--table", type=int, choices=range(2, 9), required=True,
                    help="published table id (2-8)")
-    _add_common(p, "reps", "format", "threads")
+    p.add_argument("--threads", default=None,
+                   help="worker threads for groups 2-6 (default: all cores); groups 7 "
+                        "and 8 run on one thread; never changes results")
+    _add_common(p, "reps", "format")
     p.set_defaults(func=cmd_verify_tables)
 
     return parser

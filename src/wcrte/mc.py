@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,6 +267,8 @@ def run_study(config: McStudyConfig, threads: int | None = None) -> McStudyResul
     if workers == 1:
         parts = [run(b) for b in blocks]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, blocks))
     cells = [cell for part in parts for cell in part]

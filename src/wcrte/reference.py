@@ -76,9 +76,8 @@ def _diff(published: float, computed: float, absolute: bool) -> float:
     return abs(published - computed)
 
 
-def _verify_bias_mse(table_id: int, group: dict, replications, seed, threads) -> list[dict]:
+def _verify_bias_mse(table_id: int, group: dict, reps, seed, threads) -> list[dict]:
     rows = group["rows"]
-    reps = int(replications or group["replications"])
     order = float(group["order"])
     sizes = tuple(dict.fromkeys(int(r["n"]) for r in rows))
     if group["kind"] == "bias_mse_plain":
@@ -137,8 +136,7 @@ def _verify_bias_mse(table_id: int, group: dict, replications, seed, threads) ->
     return report
 
 
-def _verify_critical_values(table_id: int, group: dict, replications, seed) -> list[dict]:
-    reps = int(replications or group["replications"])
+def _verify_critical_values(table_id: int, group: dict, reps, seed) -> list[dict]:
     gamma = float(group["gamma"])
     # One null batch per n calibrates every order of that n.
     orders_by_n: dict[int, list] = {}
@@ -167,8 +165,7 @@ def _verify_critical_values(table_id: int, group: dict, replications, seed) -> l
     return report
 
 
-def _verify_power(table_id: int, group: dict, replications, seed) -> list[dict]:
-    reps = int(replications or group["replications"])
+def _verify_power(table_id: int, group: dict, reps, seed) -> list[dict]:
     gamma = float(group["gamma"])
     rows = group["rows"]
     tests = tuple(dict.fromkeys(r["test"] for r in rows))
@@ -214,7 +211,10 @@ def verify_table(
 ) -> list[dict]:
     """Recompute one bundled reference group and compare cell by cell.
 
-    ``replications`` defaults to the group's published count. Rows follow
+    ``replications`` defaults to the group's published count (``None``);
+    any other value goes through the package's size rule, so 0 or 1000.7
+    raises DomainError. ``threads`` reaches the bias/MSE studies of groups
+    2-6 only; groups 7 and 8 run on one thread. Rows follow
     :data:`REPORT_FIELDS`; ``abs_diff`` compares absolute values when the
     published sign is flagged as suspect.
     """
@@ -226,8 +226,9 @@ def verify_table(
             f"{', '.join(str(t) for t in available_tables())})"
         )
     group = tables[key]
+    reps = group["replications"] if replications is None else replications
     if group["kind"] in ("bias_mse_plain", "bias_mse_windowed"):
-        return _verify_bias_mse(int(key), group, replications, seed, threads)
+        return _verify_bias_mse(int(key), group, reps, seed, threads)
     if group["kind"] == "critical_values":
-        return _verify_critical_values(int(key), group, replications, seed)
-    return _verify_power(int(key), group, replications, seed)
+        return _verify_critical_values(int(key), group, reps, seed)
+    return _verify_power(int(key), group, reps, seed)

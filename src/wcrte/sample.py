@@ -93,20 +93,22 @@ def _sorted_rows(x, min_n: int = 2, upper: float | None = None) -> tuple[np.ndar
 def read_sample(path: str | os.PathLike) -> Sample:
     """Read one observation per line; blank lines and ``#`` comments are skipped.
 
-    Raises ParseError naming the offending line for non-numeric content, and
-    also for files that end up with fewer than two observations (the command
-    line treats a too-short file as malformed input).
+    Raises ParseError naming the offending line for non-numeric content,
+    naming the file for content that is not UTF-8 text, and also for files
+    that end up with fewer than two observations (the command line treats a
+    too-short file as malformed input).
+
+    A file of plain numbers is parsed in one pass over its bytes. Any line
+    that pass cannot parse (a comment, a bad token, a lone-CR line ending,
+    non-ASCII text) sends the whole file through :func:`_read_lines`, which
+    defines the format and reports every error; a file the fast pass accepts
+    is ASCII, so it parses to the same values in either pass.
     """
-    values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: not a number: {text!r}") from None
+    try:
+        with open(path, "rb") as fh:
+            values = np.fromiter(map(float, filter(bytes.strip, fh)), dtype=float)
+    except ValueError:
+        values = _read_lines(path)
     try:
         _check_size(len(values))
     except DomainError as exc:
@@ -114,3 +116,21 @@ def read_sample(path: str | os.PathLike) -> Sample:
     # Negative or non-finite values parsed fine but are out of domain, so the
     # DomainError from the constructor is allowed through unchanged.
     return Sample(values)
+
+
+def _read_lines(path) -> list[float]:
+    """The observations of a text file, line by line: the definition of the format."""
+    values: list[float] = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                text = raw.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: not a number: {text!r}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return values

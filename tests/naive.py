@@ -197,3 +197,27 @@ def ent_statistic(xs, m):
         gap = s[min(k + m, n) - 1] - s[max(k - m, 1) - 1]
         total += math.log(n * gap / (2.0 * m))
     return total / n
+
+
+def read_sample(path):
+    """Observations of a data file, read line by line in text mode.
+
+    The format's literal definition: ``#`` starts a comment, blank lines are
+    skipped, and each other line is one ``float``. Raises ParseError with the
+    messages of ``wcrte.read_sample`` for a bad line or fewer than two values.
+    """
+    from wcrte.errors import ParseError
+
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if not text:
+                continue
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: not a number: {text!r}") from None
+    if len(values) < 2:
+        raise ParseError(f"{path}: need n >= 2, got {len(values)}")
+    return values

@@ -132,6 +132,19 @@ def test_estimate_argument_errors(five_points, tmp_path, capsys):
     assert "n >= 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "--estimator", "wcre:e"], ["critical-values", "--test", "ks"]],
+)
+def test_undecodable_data_file_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"1.5\n\xff\xfe2.0\n3.0\n")
+    code, out, err = run_cli([*argv, "--data", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "latin.txt: not UTF-8 text" in err
+
+
 def test_estimate_domain_error_exit_code(exp30, capsys):
     code, _, err = run_cli(
         ["estimate", "--data", exp30, "--estimator", "wcrte:v,alpha=2,m=40"], capsys
@@ -460,6 +473,13 @@ def test_verify_tables_rejects_unknown_ids(capsys):
     assert code == 2
 
 
+def test_verify_tables_rejects_zero_replications(capsys):
+    code, out, err = run_cli(["verify-tables", "--table", "7", "--reps", "0"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: need replications >= 1000, got 0\n"
+
+
 # --- config and seed handling ---------------------------------------------------------
 
 
@@ -494,6 +514,10 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run_cli(["mse-study", "--config", str(config)], capsys)
     assert code == 2
     assert "bogus" in err
+    config.write_bytes(b'{"models": ["exp:lambda=1"], "n": "\xff"}')
+    code, _, err = run_cli(["mse-study", "--config", str(config)], capsys)
+    assert code == 2
+    assert "bad.json: invalid JSON" in err
     # Bad values exit 2 with a message naming the key, as bad flags do.
     for key, value in (
         ("replications", "abc"),

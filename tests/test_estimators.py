@@ -555,3 +555,41 @@ def test_read_sample_reports_bad_lines(tmp_path):
     path.write_text("1.0\n-4.0\n")
     with pytest.raises(DomainError):
         read_sample(path)
+
+
+def test_read_sample_rejects_undecodable_files(tmp_path):
+    path = tmp_path / "obs.txt"
+    path.write_bytes(b"1.5\n\xff\xfe2.0\n3.0\n")
+    with pytest.raises(ParseError, match="obs.txt: not UTF-8 text"):
+        read_sample(path)
+
+
+_NUMBERS = st.floats(min_value=0.0, allow_infinity=False).map(repr)
+_LINES = st.one_of(
+    _NUMBERS,
+    st.tuples(st.sampled_from([" ", "\t", "  "]), _NUMBERS, st.sampled_from(["", " ", "\t"])).map("".join),
+    _NUMBERS.map(lambda v: v + "  # trailing note"),
+    st.sampled_from(["", "   ", "# comment", "  # indented comment"]),
+    st.sampled_from(["\x1c", "\u20031.5", "\ufeff2.5", "\u0661\u0662", "\u0663.\u0665",
+                     "1_0", "nan", "1 2", "banana", "-1.0"]),
+)
+
+
+def _outcome(read):
+    try:
+        return read().values.tobytes()
+    except (ParseError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_LINES, max_size=10),
+    ends=st.lists(st.sampled_from(["\n", "\r\n", "\r", ""]), min_size=10, max_size=10),
+)
+def test_read_sample_matches_the_line_by_line_reference(tmp_path_factory, lines, ends):
+    """Same values bit for bit, or the same exception and message, as the literal reader."""
+    path = tmp_path_factory.getbasetemp() / "differential.txt"
+    path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode("utf-8"))
+    want = _outcome(lambda: Sample(naive.read_sample(path)))
+    assert _outcome(lambda: read_sample(path)) == want

@@ -406,3 +406,14 @@ def test_critical_pairs_hold_two_batches_at_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * reps * n * 8
+
+
+@pytest.mark.parametrize("table", [2, 7, 8])
+@pytest.mark.parametrize(
+    "reps, message",
+    [(1000.7, "replications must be an integer, got 1000.7"), (0, "need replications >= .*, got 0")],
+)
+def test_verify_table_replication_count_goes_through_the_size_rule(table, reps, message):
+    """Only ``None`` selects the published count; nothing is truncated."""
+    with pytest.raises(DomainError, match=message):
+        verify_table(table, replications=reps)

@@ -67,3 +67,29 @@ def test_no_scipy_on_the_run_path(tmp_path):
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert done.returncode == 0, done.stderr
+
+
+ESTIMATE_GUARD = """
+import sys
+import wcrte
+from wcrte import cli
+
+path = sys.argv[1]
+with open(path, "w") as fh:
+    fh.write("".join(f"{0.1 * k!r}\\n" for k in range(1, 41)))
+assert cli.main(["estimate", "--data", path, "--estimator", "wcrte:l,alpha=2",
+                 "--estimator", "wcre:v"]) == 0
+unused = sorted({"wcrte.gof", "wcrte.reference", "concurrent.futures"} & set(sys.modules))
+assert not unused, unused
+assert wcrte.McStudyConfig is wcrte.mc.McStudyConfig
+missing = set(sys.argv[2:]) - set(dir(wcrte))
+assert not missing, missing
+"""
+
+
+def test_estimate_loads_only_what_it_runs(tmp_path):
+    """`estimate` loads neither gof, reference nor a thread pool; the namespace still builds."""
+    done = subprocess.run([sys.executable, "-c", ESTIMATE_GUARD, str(tmp_path / "x.txt"), *PUBLIC],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
