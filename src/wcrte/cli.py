@@ -11,12 +11,18 @@ out-of-range observations), 4 for numerical failures.
 
 All randomness flows from ``--seed``; the default is the fixed constant
 0xC0FFEE rather than fresh entropy, so published runs are reproducible.
-``--config FILE`` supplies defaults from a JSON object using the same keys
-as the long flags (list-valued flags use their plural: models, estimators,
-tests, alternatives; ``--reps`` is ``replications``); explicit flags win.
-A config value goes through the converter of its flag, so ``"n": "10,20"``,
-``"n": [10, 20]`` and ``--n 10,20`` are the same, and a bad value exits 2
-with a message naming its key. ``mse-study`` builds its grid through
+Every option a config can set has one name, the argparse destination of
+its flag, and that name is its config key: the long flag name, with the
+plural for the repeatable flags (models, estimators, tests, alternatives;
+``--data`` stays ``data``) and ``replications`` for ``--reps``.
+``--config FILE`` is read by the JSON reader behind
+:func:`wcrte.mc.study_config_from_json` and fills the options no flag set;
+``_DEFAULTS`` and a subcommand's own defaults fill the rest. Every flag and
+config value goes through the one converter of its key (``_CONVERTERS``),
+so ``"n": "10,20"``, ``"n": [10, 20]`` and ``--n 10,20`` are the same; the
+repeatable keys take a string or a list of strings and ``out`` a path
+string, and a value of the wrong type exits 2 with a message naming its
+key. ``mse-study`` builds its grid through
 :func:`wcrte.mc.study_config_from_json`. Numeric list flags are comma
 separated; model, estimator and test specifications are repeatable flags
 because model parameters themselves contain commas.
@@ -55,6 +61,7 @@ from .mc import (
     DEFAULT_SEED,
     _convert,
     _integer,
+    _json_object,
     heuristic_window,
     run_study,
     study_config_from_json,
@@ -70,24 +77,6 @@ CRITICAL_FIELDS = ("n", "alpha", "gamma", "lower", "upper", "R", "seed")
 GOF_FIELDS = ("test", "n", "alpha", "m", "gamma", "lower", "upper", "statistic", "reject")
 POWER_FIELDS = ("alternative", "n", "test", "alpha", "m", "power", "R", "seed")
 
-# config key -> argparse destination; config values fill flags left unset.
-_CONFIG_KEYS = {
-    "models": "model",
-    "estimators": "estimator",
-    "tests": "test",
-    "alternatives": "alternative",
-    "data": "data",
-    "n": "n",
-    "alpha": "alpha",
-    "m": "m",
-    "replications": "reps",
-    "seed": "seed",
-    "gamma": "gamma",
-    "threads": "threads",
-    "format": "format",
-    "out": "out",
-}
-
 
 def _real(value) -> float:
     try:
@@ -102,47 +91,59 @@ def _format(value) -> str:
     return value
 
 
-#: Converters of the keys that mean the same in every subcommand; ``models``
-#: and ``estimators`` are converted by the subcommand that reads them.
+def _strings(value) -> list[str]:
+    """A string or a list of strings, as a list."""
+    items = [value] if isinstance(value, str) else value
+    if not (isinstance(items, list) and all(isinstance(item, str) for item in items)):
+        raise ParseError(f"expected a string or a list of strings, got {value!r}")
+    return items
+
+
+def _path(value) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"expected a path string, got {value!r}")
+    return value
+
+
+#: The converter of every option a config can set, keyed by the option's
+#: argparse destination, which is also its config key.
 _CONVERTERS = {
     **{key: _STUDY_KEYS[key] for key in ("n", "alpha", "m", "replications", "seed")},
     "gamma": _real,
     "threads": _integer,
     "format": _format,
+    **dict.fromkeys(("models", "estimators", "tests", "alternatives", "data"), _strings),
+    "out": _path,
+}
+
+#: Values of the options that neither a flag nor the config sets; a
+#: subcommand overrides them with ``set_defaults(defaults=...)``.
+_DEFAULTS = {
+    "replications": 10_000,
+    "seed": DEFAULT_SEED,
+    "gamma": 0.05,
+    "format": "csv",
+    "threads": os.cpu_count() or 1,
 }
 
 _ALL_KINDS = ("empirical", "vasicek", "ebrahimi", "modified_n", "lstat")
 
 
-def _str_items(value) -> list[str]:
-    if value is None:
-        return []
-    if isinstance(value, (str, bytes)):
-        return [str(value)]
-    return [str(v) for v in value]
-
-
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from ``--config``, then convert every flag or config value."""
-    path = getattr(args, "config", None)
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ParseError(f"{path}: config must be a JSON object")
-        unknown = sorted(set(doc) - set(_CONFIG_KEYS))
-        if unknown:
-            raise ParseError(f"{path}: unknown config keys: {', '.join(unknown)}")
-        for key, dest in _CONFIG_KEYS.items():
-            if key in doc and hasattr(args, dest) and getattr(args, dest) is None:
-                setattr(args, dest, doc[key])
+    """Fill unset options from ``--config``, convert every value, then fill defaults."""
+    doc = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            doc = _json_object(fh, _CONVERTERS, "config", f"{args.config}: ")
+    defaults = {**_DEFAULTS, **getattr(args, "defaults", {})}
     for key in _CONVERTERS:
-        value = getattr(args, _CONFIG_KEYS[key], None)
-        if value is not None:
-            setattr(args, _CONFIG_KEYS[key], _convert(_CONVERTERS, key, value))
+        if not hasattr(args, key):
+            continue
+        value = getattr(args, key)
+        if value is None:
+            value = doc.get(key)
+        value = defaults.get(key) if value is None else _convert(_CONVERTERS, key, value)
+        setattr(args, key, value)
 
 
 def _csv_cell(value) -> str:
@@ -153,8 +154,11 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_rows(rows, fields, fmt: str, out_path) -> None:
-    if fmt == "json":
+def _write_rows(args, rows, fields=None) -> None:
+    """Write ``rows`` to ``--out`` or stdout: CSV or JSON, or lines of text without ``fields``."""
+    if fields is None:
+        text = "".join(f"{row}\n" for row in rows)
+    elif args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -163,47 +167,30 @@ def _write_rows(rows, fields, fmt: str, out_path) -> None:
         for row in rows:
             writer.writerow([_csv_cell(row[f]) for f in fields])
         text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _write_lines(lines, out_path) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _resolved(args, name, fallback):
-    value = getattr(args, name, None)
-    return fallback if value is None else value
 
 
 def _threads(args) -> int:
-    n = _resolved(args, "threads", os.cpu_count() or 1)
-    if n < 1:
-        raise DomainError(f"--threads must be positive, got {n!r}")
-    return n
+    if args.threads < 1:
+        raise DomainError(f"--threads must be positive, got {args.threads!r}")
+    return args.threads
 
 
 # --- subcommands ----------------------------------------------------------------
 
 
 def cmd_estimate(args) -> int:
-    data = _str_items(args.data)
-    if len(data) != 1:
+    if len(args.data or ()) != 1:
         raise ParseError("estimate needs exactly one --data file")
-    specs = _str_items(args.estimator)
-    if not specs:
+    if not args.estimators:
         raise ParseError("estimate needs at least one --estimator")
-    x = read_sample(data[0])
+    x = read_sample(args.data[0])
     lines = []
-    for text in specs:
+    for text in args.estimators:
         spec = parse_estimator(text)
         note = ""
         if spec.kind.needs_window and spec.window is None:
@@ -223,14 +210,14 @@ def cmd_estimate(args) -> int:
             else:
                 line += "  (variance estimate not positive; no interval)"
         lines.append(line)
-    _write_lines(lines, args.out)
+    _write_rows(args, lines)
     return 0
 
 
 def cmd_mse_study(args) -> int:
-    if not args.model:
+    if not args.models:
         raise ParseError("mse-study needs at least one --model")
-    doc = {key: getattr(args, _CONFIG_KEYS[key]) for key in _STUDY_KEYS}
+    doc = {key: getattr(args, key) for key in _STUDY_KEYS}
     doc["estimators"] = doc["estimators"] or _ALL_KINDS
     config = study_config_from_json({k: v for k, v in doc.items() if v is not None})
     result = run_study(config, threads=_threads(args))
@@ -250,82 +237,73 @@ def cmd_mse_study(args) -> int:
         }
         for cell in result.cells
     ]
-    _write_rows(rows, MSE_FIELDS, _resolved(args, "format", "csv"), args.out)
+    _write_rows(args, rows, MSE_FIELDS)
     return 0
 
 
 def cmd_critical_values(args) -> int:
     from .gof import _critical_pairs, _uniformity_results
 
-    gamma = _resolved(args, "gamma", 0.05)
-    reps = _resolved(args, "reps", 10_000)
-    seed = _resolved(args, "seed", DEFAULT_SEED)
-    fmt = _resolved(args, "format", "csv")
-    data = _str_items(args.data)
-    if data and args.n is not None:
+    if args.data and args.n is not None:
         raise ParseError("give either --n (table mode) or --data (single-test mode), not both")
 
-    if data:
-        if len(data) != 1:
+    if args.data:
+        if len(args.data) != 1:
             raise ParseError("single-test mode takes exactly one --data file")
-        tests = _str_items(args.test)
-        if not tests:
+        if not args.tests:
             raise ParseError("single-test mode needs at least one --test")
-        x = read_sample(data[0])
-        rows = []
-        for result in _uniformity_results(x, tests, gamma, reps, seed):
-            rows.append(
-                {
-                    "test": result.test,
-                    "n": result.n,
-                    "alpha": order_label(result.order) if result.test in ("wcrte", "wcre") else "",
-                    "m": "" if result.m is None else result.m,
-                    "gamma": result.gamma,
-                    "lower": "" if result.lower is None else result.lower,
-                    "upper": "" if result.upper is None else result.upper,
-                    "statistic": result.statistic,
-                    "reject": result.reject,
-                }
-            )
-        _write_rows(rows, GOF_FIELDS, fmt, args.out)
+        x = read_sample(args.data[0])
+        results = _uniformity_results(x, args.tests, args.gamma, args.replications, args.seed)
+        rows = [
+            {
+                "test": result.test,
+                "n": result.n,
+                "alpha": order_label(result.order) if result.test in ("wcrte", "wcre") else "",
+                "m": "" if result.m is None else result.m,
+                "gamma": result.gamma,
+                "lower": "" if result.lower is None else result.lower,
+                "upper": "" if result.upper is None else result.upper,
+                "statistic": result.statistic,
+                "reject": result.reject,
+            }
+            for result in results
+        ]
+        _write_rows(args, rows, GOF_FIELDS)
         return 0
 
     if args.n is None:
         raise ParseError("table mode needs --n (or use --data for single-test mode)")
     rows = []
-    orders = _resolved(args, "alpha", (None, 2.0, 5.0, 7.0, 10.0))
     for n in args.n:
-        for order, pair in zip(orders, _critical_pairs(n, orders, gamma, reps, seed)):
+        pairs = _critical_pairs(n, args.alpha, args.gamma, args.replications, args.seed)
+        for order, pair in zip(args.alpha, pairs):
             rows.append(
                 {
                     "n": n,
                     "alpha": order_label(order),
-                    "gamma": gamma,
+                    "gamma": args.gamma,
                     "lower": pair.lower,
                     "upper": pair.upper,
                     "R": pair.replications,
-                    "seed": seed,
+                    "seed": args.seed,
                 }
             )
-    _write_rows(rows, CRITICAL_FIELDS, fmt, args.out)
+    _write_rows(args, rows, CRITICAL_FIELDS)
     return 0
 
 
 def cmd_power(args) -> int:
     from .gof import power_study
 
-    alternatives = _str_items(args.alternative)
-    if not alternatives:
+    if not args.alternatives:
         raise ParseError("power needs at least one --alternative")
-    tests = _str_items(args.test)
-    if not tests:
+    if not args.tests:
         raise ParseError("power needs at least one --test")
-    gamma = _resolved(args, "gamma", 0.05)
-    reps = _resolved(args, "reps", 10_000)
-    seed = _resolved(args, "seed", DEFAULT_SEED)
     rows = []
-    for n in _resolved(args, "n", (10, 20, 30)):
-        for cell in power_study(alternatives, n, tests, gamma, reps, seed):
+    for n in args.n:
+        for cell in power_study(
+            args.alternatives, n, args.tests, args.gamma, args.replications, args.seed
+        ):
             rows.append(
                 {
                     "alternative": cell.alternative,
@@ -335,46 +313,43 @@ def cmd_power(args) -> int:
                     "m": "" if cell.m is None else cell.m,
                     "power": cell.power,
                     "R": cell.replications,
-                    "seed": seed,
+                    "seed": args.seed,
                 }
             )
-    _write_rows(rows, POWER_FIELDS, _resolved(args, "format", "csv"), args.out)
+    _write_rows(args, rows, POWER_FIELDS)
     return 0
 
 
 def cmd_verify_tables(args) -> int:
     from .reference import REPORT_FIELDS, verify_table
 
-    rows = verify_table(
-        args.table,
-        replications=args.reps,
-        seed=_resolved(args, "seed", DEFAULT_SEED),
-        threads=_threads(args),
-    )
-    _write_rows(rows, REPORT_FIELDS, _resolved(args, "format", "csv"), args.out)
+    rows = verify_table(args.table, replications=args.replications, seed=args.seed,
+                        threads=_threads(args))
+    _write_rows(args, rows, REPORT_FIELDS)
     return 0
 
 
 # --- parser ---------------------------------------------------------------------
 
 
+def _repeatable(sub: argparse.ArgumentParser, flag: str, dest: str, help: str) -> None:
+    sub.add_argument(flag, dest=dest, action="append", metavar=flag[2:].upper(), help=help)
+
+
 def _add_common(sub: argparse.ArgumentParser, *extra: str) -> None:
-    sub.add_argument("--seed", default=None, help="master seed (default 0xC0FFEE)")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--config", default=None,
-                     help="JSON file supplying defaults for unset flags")
-    if "reps" in extra:
-        sub.add_argument("--reps", default=None,
+    sub.add_argument("--seed", help="master seed (default 0xC0FFEE)")
+    sub.add_argument("--out", help="output path (default stdout)")
+    sub.add_argument("--config", help="JSON file supplying defaults for unset flags")
+    if "replications" in extra:
+        sub.add_argument("--reps", dest="replications", metavar="REPS",
                          help="Monte Carlo replications (default 10000)")
     if "format" in extra:
-        sub.add_argument("--format", default=None,
-                         help="output format: csv or json (default csv)")
+        sub.add_argument("--format", help="output format: csv or json (default csv)")
     if "threads" in extra:
-        sub.add_argument("--threads", default=None,
+        sub.add_argument("--threads",
                          help="worker threads (default: all cores); never changes results")
     if "gamma" in extra:
-        sub.add_argument("--gamma", default=None,
-                         help="significance level (default 0.05)")
+        sub.add_argument("--gamma", help="significance level (default 0.05)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,82 +361,74 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("estimate", help="estimate a measure on a data file")
-    p.add_argument("--data", action="append", default=None,
-                   help="data file, one value per line")
-    p.add_argument("--estimator", action="append", default=None,
-                   help="estimator spec, e.g. wcrte:l,alpha=2 or wcre:v,m=4 (repeatable)")
+    _repeatable(p, "--data", "data", "data file, one value per line")
+    _repeatable(p, "--estimator", "estimators",
+                "estimator spec, e.g. wcrte:l,alpha=2 or wcre:v,m=4 (repeatable)")
     _add_common(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("mse-study", help="bias/MSE study over a model grid")
-    p.add_argument("--model", action="append", default=None,
-                   help="model spec, e.g. exp:lambda=1 (repeatable)")
-    p.add_argument("--estimator", action="append", default=None,
-                   help="estimator kind: empirical, vasicek, ebrahimi, modified_n, lstat "
-                        "(repeatable; default all)")
-    p.add_argument("--n", default=None, help="sample sizes, comma separated (default 10,20,30)")
-    p.add_argument("--alpha", default=None,
+    _repeatable(p, "--model", "models", "model spec, e.g. exp:lambda=1 (repeatable)")
+    _repeatable(p, "--estimator", "estimators",
+                "estimator kind: empirical, vasicek, ebrahimi, modified_n, lstat "
+                "(repeatable; default all)")
+    p.add_argument("--n", help="sample sizes, comma separated (default 10,20,30)")
+    p.add_argument("--alpha",
                    help="orders, comma separated; 1 selects the WCRE limit (default 2)")
-    p.add_argument("--m", default=None,
+    p.add_argument("--m",
                    help="windows: auto, sweep, or a comma separated list (default auto)")
-    _add_common(p, "reps", "format", "threads")
+    _add_common(p, "replications", "format", "threads")
     p.set_defaults(func=cmd_mse_study)
 
     p = sub.add_parser(
         "critical-values",
         help="simulate two-sided critical values, or run tests on a data file",
     )
-    p.add_argument("--n", default=None, help="sample sizes for table mode, comma separated")
-    p.add_argument("--alpha", default=None,
+    p.add_argument("--n", help="sample sizes for table mode, comma separated")
+    p.add_argument("--alpha",
                    help="orders, comma separated; 1 selects the WCRE limit "
                         "(default 1,2,5,7,10)")
-    p.add_argument("--data", action="append", default=None,
-                   help="data file of [0,1] observations: run single tests instead")
-    p.add_argument("--test", action="append", default=None,
-                   help="test spec for --data mode: wcrte:alpha=2, wcre, ks, cvm, ad, "
-                        "ent, ent:m=5 (repeatable)")
-    _add_common(p, "reps", "format", "gamma")
-    p.set_defaults(func=cmd_critical_values)
+    _repeatable(p, "--data", "data",
+                "data file of [0,1] observations: run single tests instead")
+    _repeatable(p, "--test", "tests",
+                "test spec for --data mode: wcrte:alpha=2, wcre, ks, cvm, ad, "
+                "ent, ent:m=5 (repeatable)")
+    _add_common(p, "replications", "format", "gamma")
+    p.set_defaults(func=cmd_critical_values, defaults={"alpha": (None, 2.0, 5.0, 7.0, 10.0)})
 
     p = sub.add_parser("power", help="power study against alternatives")
-    p.add_argument("--alternative", action="append", default=None,
-                   help="alternative model spec, e.g. alt:A,j=2 (repeatable)")
-    p.add_argument("--test", action="append", default=None,
-                   help="test spec (repeatable)")
-    p.add_argument("--n", default=None, help="sample sizes, comma separated (default 10,20,30)")
-    _add_common(p, "reps", "format", "gamma")
-    p.set_defaults(func=cmd_power)
+    _repeatable(p, "--alternative", "alternatives",
+                "alternative model spec, e.g. alt:A,j=2 (repeatable)")
+    _repeatable(p, "--test", "tests", "test spec (repeatable)")
+    p.add_argument("--n", help="sample sizes, comma separated (default 10,20,30)")
+    _add_common(p, "replications", "format", "gamma")
+    p.set_defaults(func=cmd_power, defaults={"n": (10, 20, 30)})
 
     p = sub.add_parser("verify-tables", help="compare against bundled published values")
     p.add_argument("--table", type=int, choices=range(2, 9), required=True,
                    help="published table id (2-8)")
-    p.add_argument("--threads", default=None,
+    p.add_argument("--threads",
                    help="worker threads for groups 2-6 (default: all cores); groups 7 "
                         "and 8 run on one thread; never changes results")
-    _add_common(p, "reps", "format")
-    p.set_defaults(func=cmd_verify_tables)
+    _add_common(p, "replications", "format")
+    # No --reps recomputes each group at its published replication count.
+    p.set_defaults(func=cmd_verify_tables, defaults={"replications": None})
 
     return parser
 
 
+#: Exit code of each error class the commands raise.
+_EXIT_CODES = {ParseError: 2, OSError: 2, DomainError: 3, NumericError: 4}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _apply_config(args)
         return args.func(args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -345,8 +345,30 @@ def _convert(converters: dict, key: str, value):
         raise ParseError(f"{key}: {exc}") from None
 
 
+def _json_object(doc, keys, what: str, where: str = "") -> dict:
+    """The JSON object in ``doc`` (a dict, JSON text or bytes, or a file object).
+
+    Undecodable bytes and invalid JSON raise ParseError, as do a document
+    that is not an object and keys outside ``keys``; ``what`` names the
+    document and ``where`` (such as ``"path: "``) prefixes every message.
+    """
+    try:
+        if hasattr(doc, "read"):
+            doc = doc.read()
+        if isinstance(doc, (str, bytes)):
+            doc = json.loads(doc)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{where}invalid JSON {what}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ParseError(f"{where}unknown {what} keys: {', '.join(unknown)}")
+    return doc
+
+
 def study_config_from_json(doc) -> McStudyConfig:
-    """Build a study config from a JSON document (text, dict, or file object).
+    """Build a study config from a JSON document (text, bytes, dict, or file object).
 
     Recognized keys (all optional except ``models``): ``models`` (model spec
     strings), ``n`` (sample sizes), ``alpha`` (orders; 1 or null select the
@@ -354,20 +376,10 @@ def study_config_from_json(doc) -> McStudyConfig:
     list of windows), ``replications``, ``seed``. Values go through the
     converters of the command-line flags, so ``"n": "10,20"``, ``"n": 10``
     and ``"seed": "0xff"`` mean what ``--n 10,20``, ``--n 10`` and
-    ``--seed 0xff`` do. Unknown keys are rejected so that typos fail loudly.
+    ``--seed 0xff`` do. The document is read by the reader of the command
+    line's ``--config``; unknown keys are rejected so that typos fail loudly.
     """
-    if hasattr(doc, "read"):
-        doc = doc.read()
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON study config: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"study config must be a JSON object, got {type(doc).__name__}")
-    extra = sorted(set(doc) - set(_STUDY_KEYS))
-    if extra:
-        raise ParseError(f"unknown study config keys: {', '.join(extra)}")
+    doc = _json_object(doc, _STUDY_KEYS, "study config")
     if "models" not in doc:
         raise ParseError("study config needs a 'models' list")
     value = {key: _convert(_STUDY_KEYS, key, v) for key, v in doc.items()}

@@ -64,16 +64,18 @@ def available_tables() -> tuple[int, ...]:
     return tuple(sorted(int(k) for k in load_reference_tables()["tables"]))
 
 
-def _blank_row(table_id: int) -> dict:
-    row = dict.fromkeys(REPORT_FIELDS, "")
-    row["table"] = table_id
-    return row
+def _row(table_id: int, published, computed, absolute: bool = False, **fields) -> dict:
+    """One comparison row: ``fields`` filled in, every other column blank.
 
-
-def _diff(published: float, computed: float, absolute: bool) -> float:
+    ``abs_diff`` compares magnitudes when ``absolute`` is set.
+    """
     if absolute:
-        return abs(abs(published) - abs(computed))
-    return abs(published - computed)
+        diff = abs(abs(published) - abs(computed))
+    else:
+        diff = abs(published - computed)
+    row = dict.fromkeys(REPORT_FIELDS, "")
+    row.update(fields, table=table_id, published=published, computed=computed, abs_diff=diff)
+    return row
 
 
 def _verify_bias_mse(table_id: int, group: dict, reps, seed, threads) -> list[dict]:
@@ -114,25 +116,16 @@ def _verify_bias_mse(table_id: int, group: dict, reps, seed, threads) -> list[di
         if key[2] in ("empirical", "lstat"):
             key = key[:3] + (None,)
         cell = computed[key]
-        for metric, flag in (("bias", "sign_suspect"), ("mse", "min_mse")):
-            out = _blank_row(table_id)
-            out["model"] = key[0]
-            out["n"] = key[1]
-            out["alpha"] = order_label(order)
-            out["estimator"] = key[2]
-            out["m"] = "" if key[3] is None else key[3]
-            out["metric"] = metric
-            out["published"] = ref[metric]
-            out["computed"] = getattr(cell, metric)
+        model, n, kind, m = key
+        for metric in ("bias", "mse"):
             suspect = metric == "bias" and ref.get("sign_suspect", False)
-            out["abs_diff"] = _diff(ref[metric], getattr(cell, metric), suspect)
-            notes = []
-            if suspect:
-                notes.append("sign_suspect")
-            if metric == "mse" and ref.get("min_mse", False):
-                notes.append("min_mse")
-            out["note"] = ";".join(notes)
-            report.append(out)
+            best = metric == "mse" and ref.get("min_mse", False)
+            report.append(_row(
+                table_id, ref[metric], getattr(cell, metric), suspect,
+                model=model, n=n, alpha=order_label(order), estimator=kind,
+                m="" if m is None else m, metric=metric,
+                note="sign_suspect" if suspect else "min_mse" if best else "",
+            ))
     return report
 
 
@@ -154,14 +147,8 @@ def _verify_critical_values(table_id: int, group: dict, reps, seed) -> list[dict
         order = order_from_label(ref["alpha"])
         pair = pairs[(n, order)]
         for metric in ("lower", "upper"):
-            out = _blank_row(table_id)
-            out["n"] = n
-            out["alpha"] = order_label(order)
-            out["metric"] = metric
-            out["published"] = ref[metric]
-            out["computed"] = getattr(pair, metric)
-            out["abs_diff"] = _diff(ref[metric], getattr(pair, metric), False)
-            report.append(out)
+            report.append(_row(table_id, ref[metric], getattr(pair, metric),
+                               n=n, alpha=order_label(order), metric=metric))
     return report
 
 
@@ -183,23 +170,15 @@ def _verify_power(table_id: int, group: dict, reps, seed) -> list[dict]:
         test = parse_test(ref["test"])
         alt = parse_model(ref["alternative"]).spec_string()
         cell = computed[(int(ref["n"]), alt, test.label())]
-        out = _blank_row(table_id)
-        out["n"] = int(ref["n"])
-        out["alpha"] = order_label(test.order) if test.is_entropy_band else ""
-        out["test"] = test.name
-        out["alternative"] = alt
-        out["m"] = "" if cell.m is None else cell.m
-        out["metric"] = "power"
-        out["published"] = ref["power"]
-        out["computed"] = cell.power
-        out["abs_diff"] = _diff(ref["power"], cell.power, False)
-        notes = []
-        if ref.get("suspect", False):
-            notes.append("suspect")
+        notes = ["suspect"] if ref.get("suspect", False) else []
         if test.name == "ent":
             notes.append("published_window_unstated")
-        out["note"] = ";".join(notes)
-        report.append(out)
+        report.append(_row(
+            table_id, ref["power"], cell.power,
+            n=int(ref["n"]), alpha=order_label(test.order) if test.is_entropy_band else "",
+            test=test.name, alternative=alt, m="" if cell.m is None else cell.m,
+            metric="power", note=";".join(notes),
+        ))
     return report
 
 

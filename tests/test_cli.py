@@ -1,5 +1,6 @@
 """Command line behavior: output formats, config handling, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,15 @@ import warnings
 import pytest
 
 from wcrte import DEFAULT_SEED, Exponential, NumericError, critical_values, derive_stream, gof
-from wcrte.cli import _Z_95, CRITICAL_FIELDS, GOF_FIELDS, MSE_FIELDS, POWER_FIELDS, main
+from wcrte.cli import (
+    _Z_95,
+    CRITICAL_FIELDS,
+    GOF_FIELDS,
+    MSE_FIELDS,
+    POWER_FIELDS,
+    build_parser,
+    main,
+)
 from wcrte.reference import REPORT_FIELDS
 
 FROZEN_WCRTE_VAR_30 = 1.0922596389064871
@@ -543,22 +552,101 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         assert code == 2, flag
 
 
-def test_config_values_match_the_equivalent_flags(tmp_path, capsys):
-    base = ["mse-study", "--model", "exp:lambda=1", "--estimator", "vasicek", "--reps", "30"]
+def test_config_values_match_the_equivalent_flags(tmp_path, capsys, five_points):
+    unit = tmp_path / "unit.txt"
+    unit.write_text("".join(f"{(i * 0.6180339887) % 1!r}\n" for i in range(1, 26)))
+    mse = ["mse-study", "--model", "exp:lambda=1", "--estimator", "vasicek", "--reps", "30"]
     config = tmp_path / "study.json"
-    for doc, flags in (
-        ({"seed": "0xff", "n": [10]}, ["--seed", "0xff", "--n", "10"]),
-        ({"n": 10}, ["--n", "10"]),
-        ({"n": "10,20"}, ["--n", "10,20"]),
-        ({"m": "SWEEP", "n": [10]}, ["--m", "sweep", "--n", "10"]),
-        ({"alpha": [1, 2], "n": [10], "threads": "2"}, ["--alpha", "1,2", "--n", "10"]),
+    for base, doc, flags in (
+        (mse, {"seed": "0xff", "n": [10]}, ["--seed", "0xff", "--n", "10"]),
+        (mse, {"n": 10}, ["--n", "10"]),
+        (mse, {"n": "10,20"}, ["--n", "10,20"]),
+        (mse, {"m": "SWEEP", "n": [10]}, ["--m", "sweep", "--n", "10"]),
+        (mse, {"alpha": [1, 2], "n": [10], "threads": "2"}, ["--alpha", "1,2", "--n", "10"]),
+        (
+            ["power", "--reps", "1000"],
+            {"alternatives": "alt:A,j=2", "tests": ["ks", "wcrte:alpha=2"], "n": 10,
+             "gamma": "0.1", "seed": "0xff", "format": "json"},
+            ["--alternative", "alt:A,j=2", "--test", "ks", "--test", "wcrte:alpha=2",
+             "--n", "10", "--gamma", "0.1", "--seed", "0xff", "--format", "json"],
+        ),
+        (
+            ["critical-values"],
+            {"n": [10, 12], "alpha": "1,2", "replications": 1000, "gamma": 0.1, "seed": 7},
+            ["--n", "10,12", "--alpha", "1,2", "--reps", "1000", "--gamma", "0.1", "--seed", "7"],
+        ),
+        (
+            ["critical-values", "--reps", "1000"],
+            {"data": str(unit), "tests": ["wcre", "ks", "ent"], "format": "json"},
+            ["--data", str(unit), "--test", "wcre", "--test", "ks", "--test", "ent",
+             "--format", "json"],
+        ),
+        (
+            ["estimate"],
+            {"data": [five_points], "estimators": ["wcre:e", "wcrte:l,alpha=2"], "seed": 3},
+            ["--data", five_points, "--estimator", "wcre:e", "--estimator", "wcrte:l,alpha=2",
+             "--seed", "3"],
+        ),
+        (
+            ["verify-tables", "--table", "7"],
+            {"replications": 1000, "seed": "0xff", "format": "json", "threads": 1},
+            ["--reps", "1000", "--seed", "0xff", "--format", "json", "--threads", "1"],
+        ),
     ):
         config.write_text(json.dumps(doc))
-        code, from_config, _ = run_cli(base + ["--config", str(config)], capsys)
-        assert code == 0, doc
-        code, from_flags, _ = run_cli(base + flags, capsys)
-        assert code == 0, flags
-        assert from_config == from_flags, doc
+        from_config = run_cli(base + ["--config", str(config)], capsys)
+        assert from_config[0] == 0, (doc, from_config[2])
+        assert run_cli(base + flags, capsys) == from_config, doc
+
+
+_TYPED_KEYS = [
+    (["estimate"], "data"),
+    (["estimate"], "estimators"),
+    (["estimate"], "out"),
+    (["mse-study"], "models"),
+    (["mse-study"], "estimators"),
+    (["mse-study"], "out"),
+    (["critical-values"], "data"),
+    (["critical-values"], "tests"),
+    (["critical-values"], "out"),
+    (["power"], "alternatives"),
+    (["power"], "tests"),
+    (["power"], "out"),
+    (["verify-tables", "--table", "7"], "out"),
+]
+
+
+@pytest.mark.parametrize(
+    "value", [5, [1, 2], {"a": 1}, True], ids=["number", "numbers", "object", "true"]
+)
+@pytest.mark.parametrize("argv, key", _TYPED_KEYS, ids=[f"{a[0]}-{k}" for a, k in _TYPED_KEYS])
+def test_config_values_of_the_wrong_json_type_exit_two(tmp_path, capsys, argv, key, value):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(argv + ["--config", str(config)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {key}: "), err
+
+
+def test_option_strings_of_every_subcommand():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    common = ["-h", "--help", "--seed", "--out", "--config"]
+    expected = {
+        "estimate": ["--data", "--estimator"],
+        "mse-study": ["--model", "--estimator", "--n", "--alpha", "--m", "--reps", "--format",
+                      "--threads"],
+        "critical-values": ["--n", "--alpha", "--data", "--test", "--reps", "--format", "--gamma"],
+        "power": ["--alternative", "--test", "--n", "--reps", "--format", "--gamma"],
+        "verify-tables": ["--table", "--threads", "--reps", "--format"],
+    }
+    assert list(subparsers.choices) == list(expected)
+    for name, parser in subparsers.choices.items():
+        strings = [s for action in parser._actions for s in action.option_strings]
+        assert sorted(strings) == sorted(common + expected[name]), name
 
 
 def test_seed_accepts_hex(capsys):

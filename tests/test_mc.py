@@ -405,6 +405,13 @@ def test_study_config_errors():
             study_config_from_json({"models": ["exp:lambda=1"], key: value})
 
 
+def test_study_config_rejects_undecodable_bytes():
+    doc = b'{"models": ["exp:lambda=1"], "n": "\xff"}'
+    for source in (doc, io.BytesIO(doc)):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            study_config_from_json(source)
+
+
 def test_study_config_values_take_the_flag_path():
     def cfg(**doc):
         return study_config_from_json({"models": ["exp:lambda=1"], **doc})
