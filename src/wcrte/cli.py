@@ -218,7 +218,8 @@ def cmd_mse_study(args) -> int:
     if not args.models:
         raise ParseError("mse-study needs at least one --model")
     doc = {key: getattr(args, key) for key in _STUDY_KEYS}
-    doc["estimators"] = doc["estimators"] or _ALL_KINDS
+    if doc["estimators"] is None:
+        doc["estimators"] = _ALL_KINDS
     config = study_config_from_json({k: v for k, v in doc.items() if v is not None})
     result = run_study(config, threads=_threads(args))
     for message in result.skipped:

@@ -25,7 +25,7 @@ from . import estimators as est
 from .distributions import Model, closed_wcrte, order_from_label, parse_model
 from .errors import DivergenceError, DomainError, ParseError
 from .estimators import EstimatorKind
-from .sample import _check_size
+from .sample import _check_size, _check_sorted
 
 __all__ = [
     "DEFAULT_SEED",
@@ -135,7 +135,7 @@ class McStudyConfig:
         return self.windows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class McCell:
     """One grid cell's result."""
 
@@ -217,15 +217,24 @@ def _run_block(block: _BlockPlan, replications: int, seed: int, coefs: dict) -> 
         return []
     stream = mc_stream(seed, block.model_index, block.n)
     xs = block.model.quantile(stream.random((replications, block.n)))
-    # One validation, sort and squaring for the whole block; each cell is
-    # then one contraction with its coefficient vector from ``coefs``.
-    squares = est._prepare(xs, coefs)
+    # One validation, sort and squaring for the whole block, in the drawn
+    # array itself; the cells' coefficient vectors (from ``coefs``) are then
+    # contracted with it in chunks, each on the first read of one of its cells.
+    xs.sort(axis=1)
+    squares = est._SortedSquares(_check_sorted(xs), False, coefs, overwrite=True)
+    squares.plan(est._key(cell.estimator, block.n) for cell in block.specs)
     model = block.model.spec_string()
     cells: list[McCell] = []
     for cell in block.specs:
         spec = cell.estimator
+        # The steps of ndarray.mean and ndarray.std, without their wrappers
+        # (same bits), in one buffer: the error, its square, the deviation.
         err = est.estimate(spec, squares) - cell.truth
-        sq = err * err
+        bias = float(np.add.reduce(err) / replications)
+        sq = np.multiply(err, err, out=err)
+        mse = float(np.add.reduce(sq) / replications)
+        dev = np.subtract(sq, mse, out=sq)
+        var = float(np.add.reduce(np.multiply(dev, dev, out=dev)) / replications)
         cells.append(
             McCell(
                 model=model,
@@ -234,9 +243,9 @@ def _run_block(block: _BlockPlan, replications: int, seed: int, coefs: dict) -> 
                 kind=spec.kind,
                 window=spec.window,
                 truth=cell.truth,
-                bias=float(err.mean()),
-                mse=float(sq.mean()),
-                mse_se=float(sq.std() / math.sqrt(replications)),
+                bias=bias,
+                mse=mse,
+                mse_se=math.sqrt(var) / math.sqrt(replications),
                 replications=replications,
             )
         )
@@ -258,8 +267,7 @@ def run_study(config: McStudyConfig, threads: int | None = None) -> McStudyResul
     coefs: dict = {}
     for b in blocks:
         for cell in b.specs:
-            spec = cell.estimator
-            est._coefficients(coefs, spec.kind, spec.order, spec.window, spec.plotting, b.n)
+            est._coefficients(coefs, *est._key(cell.estimator, b.n))
 
     def run(b: _BlockPlan) -> list[McCell]:
         return _run_block(b, config.replications, config.seed, coefs)
@@ -348,16 +356,17 @@ def _convert(converters: dict, key: str, value):
 def _json_object(doc, keys, what: str, where: str = "") -> dict:
     """The JSON object in ``doc`` (a dict, JSON text or bytes, or a file object).
 
-    Undecodable bytes and invalid JSON raise ParseError, as do a document
-    that is not an object and keys outside ``keys``; ``what`` names the
-    document and ``where`` (such as ``"path: "``) prefixes every message.
+    Undecodable bytes and invalid JSON raise ParseError, as do an integer
+    literal beyond Python's digit limit, a document that is not an object
+    and keys outside ``keys``; ``what`` names the document and ``where``
+    (such as ``"path: "``) prefixes every message.
     """
     try:
         if hasattr(doc, "read"):
             doc = doc.read()
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, the digit limit
         raise ParseError(f"{where}invalid JSON {what}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{where}{what} must be a JSON object, got {type(doc).__name__}")

@@ -79,15 +79,23 @@ def _sorted_rows(x, min_n: int = 2, upper: float | None = None) -> tuple[np.ndar
             raise DomainError(f"sample must be 1-D or 2-D, got shape {arr.shape}")
         rows, single = np.atleast_2d(arr), arr.ndim == 1
         _check_size(rows.shape[1], min_n)
-        rows = np.sort(rows, axis=1)
-        # Sorting moves NaN and +inf to the end of a row and -inf to its start.
-        if not (np.isfinite(rows[:, 0]).all() and np.isfinite(rows[:, -1]).all()):
-            raise DomainError("sample contains non-finite values")
-        if rows[:, 0].min() < 0.0:
-            raise DomainError("sample values must be nonnegative")
+        rows = _check_sorted(np.sort(rows, axis=1))
     if upper is not None and rows[:, -1].max() > upper:
         raise DomainError(f"sample values must not exceed {upper:g}")
     return rows, single
+
+
+def _check_sorted(rows: np.ndarray) -> np.ndarray:
+    """The checks of :func:`_sorted_rows` on rows already sorted ascending; returns them.
+
+    Sorting moves NaN and +inf to the end of a row and -inf to its start, so
+    the row ends decide.
+    """
+    if not (np.isfinite(rows[:, 0]).all() and np.isfinite(rows[:, -1]).all()):
+        raise DomainError("sample contains non-finite values")
+    if rows[:, 0].min() < 0.0:
+        raise DomainError("sample values must be nonnegative")
+    return rows
 
 
 def read_sample(path: str | os.PathLike) -> Sample:

@@ -552,6 +552,22 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         assert code == 2, flag
 
 
+def test_config_integer_beyond_the_digit_limit_exits_two(tmp_path, capsys):
+    config = tmp_path / "big.json"
+    config.write_text('{"models": ["exp:lambda=1"], "n": 1' + "0" * 5000 + "}")
+    code, out, err = run_cli(["mse-study", "--config", str(config)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {config}: invalid JSON config: "), err
+
+
+def test_config_empty_estimator_list_exits_two(tmp_path, capsys):
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({"models": ["exp:lambda=1"], "estimators": [], "replications": 10}))
+    code, out, err = run_cli(["mse-study", "--config", str(config)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: estimators: empty list\n"
+
+
 def test_config_values_match_the_equivalent_flags(tmp_path, capsys, five_points):
     unit = tmp_path / "unit.txt"
     unit.write_text("".join(f"{(i * 0.6180339887) % 1!r}\n" for i in range(1, 26)))

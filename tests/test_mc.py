@@ -1,13 +1,22 @@
 """Monte Carlo study harness: windows, grids, shared draws, determinism."""
 
 import io
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import naive
+import wcrte
 from wcrte import (
     DEFAULT_SEED,
     DomainError,
     EstimatorKind,
+    EstimatorSpec,
     Exponential,
     McCell,
     McStudyConfig,
@@ -17,10 +26,13 @@ from wcrte import (
     best_window,
     closed_wcre,
     closed_wcrte,
+    derive_stream,
+    estimate,
     heuristic_window,
     run_study,
     study_config_from_json,
 )
+from wcrte import estimators as est
 
 EXP1 = Exponential(1.0)
 UNIF1 = Uniform(1.0)
@@ -202,6 +214,137 @@ def test_sweep_with_every_kind_is_stable_under_added_cells_and_threads():
         assert got_big[key] == cell
     for threads in (2, 5):
         assert run_study(big, threads=threads) == serial
+
+
+# --- chunked contraction: bit-identity guards -------------------------------------
+# A study contracts each block's coefficient vectors in chunks of W lanes; no
+# lane, neighbour, tile or thread count may move a cell by a single bit.
+
+W = est._CHUNK_WIDTH
+
+
+def _lane_keys(kind, n):
+    """W + 1 distinct coefficient keys of one row kind at sample size n."""
+    if kind is EstimatorKind.LSTAT:
+        specs = [EstimatorSpec(kind, 1.5 + 0.5 * i) for i in range(W)]
+        specs.append(EstimatorSpec(kind, plotting="n+1"))
+    else:
+        specs = [EstimatorSpec(kind, order, 1) for order in (None, *range(2, W + 2))]
+    return [est._key(spec, n) for spec in specs]
+
+
+@pytest.mark.parametrize("n, r", [(3, 5), (21, 301), (64, 1000)])
+@pytest.mark.parametrize("kind", [EstimatorKind.VASICEK, EstimatorKind.LSTAT])
+def test_a_spec_alone_in_its_chunk_equals_it_in_every_lane(kind, n, r):
+    rows = np.sort(Exponential(1.0).quantile(derive_stream(3, n).random((r, n))), axis=1)
+    target, *others = _lane_keys(kind, n)
+
+    def read(keys, key):
+        squares = est._SortedSquares(rows, False)
+        squares.plan(keys)
+        return estimate(EstimatorSpec(*key[:4]), squares)
+
+    alone = read([target], target)
+    # Standalone calls keep the per-spec contraction: equal up to rounding.
+    np.testing.assert_allclose(alone, estimate(EstimatorSpec(*target[:4]), rows), rtol=1e-13)
+    for lane in range(W):
+        keys = others[: W - 1]
+        keys.insert(lane, target)
+        assert np.array_equal(read(keys, target), alone), lane
+
+
+def _grid(n, r, orders=(2.0, 3.0, 5.0, None)):
+    windows = "sweep" if n <= 130 else (*range(1, 40), est.max_window(n))
+    return McStudyConfig(
+        models=(EXP1,), sample_sizes=(n,), orders=orders, kinds=ALL_KINDS,
+        windows=windows, replications=r, seed=17,
+    )
+
+
+@pytest.mark.parametrize(
+    "n, r", [(3, 5), (7, 1), (11, 2), (21, 301), (64, 1000), (130, 257), (3001, 1)]
+)
+def test_a_one_cell_study_equals_that_cell_in_a_full_grid(n, r):
+    cells = run_study(_grid(n, r)).cells
+    assert len(cells) > W
+    for cell in (*cells[::5], cells[-1]):
+        alone = McStudyConfig(
+            models=(EXP1,), sample_sizes=(n,), orders=(cell.order,), kinds=(cell.kind,),
+            windows=(cell.window,) if cell.window else "auto", replications=r, seed=17,
+        )
+        assert run_study(alone).cells == (cell,)
+
+
+def test_study_cells_match_the_naive_oracle():
+    n, r, seed = 12, 30, 23
+    cfg = McStudyConfig(models=(EXP1,), sample_sizes=(n,), orders=(2.0, None),
+                        kinds=ALL_KINDS, windows="sweep", replications=r, seed=seed)
+    cells = run_study(cfg).cells
+    assert len(cells) > 2 * W
+    rows = EXP1.quantile(wcrte.mc.mc_stream(seed, 0, n).random((r, n)))
+    for cell in cells:
+        spec = EstimatorSpec(cell.kind, cell.order, cell.window)
+        fn = getattr(naive, f"{spec.measure}_{cell.kind.value}")
+        args = [v for v in (cell.order, cell.window) if v is not None]
+        err = [fn(list(row), *args) - cell.truth for row in rows]
+        assert cell.bias == pytest.approx(sum(err) / r, rel=1e-12, abs=1e-12)
+        assert cell.mse == pytest.approx(sum(e * e for e in err) / r, rel=1e-12, abs=1e-12)
+
+
+def test_a_grid_listing_an_order_twice_gives_equal_duplicate_cells():
+    once = run_study(_grid(21, 301, orders=(2.0, None))).cells
+    twice = run_study(_grid(21, 301, orders=(2.0, None, 2.0))).cells
+    by_key = {}
+    for cell in twice:
+        by_key.setdefault((cell.order, cell.kind, cell.window), []).append(cell)
+    assert sorted(len(v) for v in by_key.values()) == [1] * (len(once) // 2) + [2] * (len(once) // 2)
+    for cell in once:
+        assert set(by_key[(cell.order, cell.kind, cell.window)]) == {cell}
+
+
+_THREADS_SCRIPT = """
+from wcrte import EstimatorKind, Exponential, McStudyConfig, Uniform, run_study
+config = McStudyConfig(
+    models=(Exponential(1.0), Uniform(1.0)), sample_sizes=(21, 50), orders=(2.0, None),
+    kinds=tuple(EstimatorKind), windows="sweep", replications=2000, seed=7,
+)
+for threads in (1, 2):
+    print([(c.bias.hex(), c.mse.hex(), c.mse_se.hex()) for c in run_study(config, threads).cells])
+"""
+
+
+def test_cells_do_not_depend_on_blas_or_study_threads():
+    src = str(Path(wcrte.__file__).resolve().parents[1])
+    outputs = []
+    for blas in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": blas,
+               "MKL_NUM_THREADS": blas}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        outputs += proc.stdout.splitlines()
+    assert len(outputs) == 4 and len(set(outputs)) == 1
+
+
+def test_a_block_holds_its_prepared_batch_and_one_chunk():
+    """Chunks are computed on first read and dropped after their last one,
+    and the block is sorted and squared in the drawn array itself."""
+    n, r = 50, 8000
+    spacing_kinds = (EstimatorKind.EMPIRICAL, EstimatorKind.VASICEK,
+                     EstimatorKind.EBRAHIMI, EstimatorKind.MODIFIED_N)
+    cfg = McStudyConfig(models=(UNIF1,), sample_sizes=(n,), orders=(2.0, None),
+                        kinds=spacing_kinds, windows="sweep", replications=r)
+    assert len(run_study(cfg).cells) > 8 * W
+    tracemalloc.start()
+    try:
+        run_study(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    prepared = 8 * r * n + 8 * r * (n - 1)  # the squares and their spacings
+    chunk = 8 * W * r
+    # Half a chunk more covers the coefficient memo, one tile and a cell's vectors.
+    assert peak <= prepared + chunk + chunk // 2
 
 
 def test_windowed_study_below_order_one_still_warns():
@@ -409,6 +552,15 @@ def test_study_config_rejects_undecodable_bytes():
     doc = b'{"models": ["exp:lambda=1"], "n": "\xff"}'
     for source in (doc, io.BytesIO(doc)):
         with pytest.raises(ParseError, match="invalid JSON"):
+            study_config_from_json(source)
+
+
+def test_study_config_rejects_an_empty_estimator_list_and_huge_integers():
+    with pytest.raises(ParseError, match="^estimators: empty list"):
+        study_config_from_json({"models": ["exp:lambda=1"], "estimators": []})
+    huge = '{"models": ["exp:lambda=1"], "n": 1' + "0" * 5000 + "}"
+    for source in (huge, huge.encode(), io.StringIO(huge)):
+        with pytest.raises(ParseError, match="^invalid JSON study config: "):
             study_config_from_json(source)
 
 
