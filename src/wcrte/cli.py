@@ -72,7 +72,7 @@ __all__ = ["main", "build_parser"]
 
 _Z_95 = 1.959963984540054
 
-MSE_FIELDS = ("model", "n", "alpha", "estimator", "m", "bias", "mse", "R", "seed")
+MSE_FIELDS = ("model", "n", "alpha", "estimator", "m", "bias", "mse", "mse_se", "R", "seed")
 CRITICAL_FIELDS = ("n", "alpha", "gamma", "lower", "upper", "R", "seed")
 GOF_FIELDS = ("test", "n", "alpha", "m", "gamma", "lower", "upper", "statistic", "reject")
 POWER_FIELDS = ("alternative", "n", "test", "alpha", "m", "power", "R", "seed")
@@ -233,6 +233,7 @@ def cmd_mse_study(args) -> int:
             "m": cell.window,
             "bias": cell.bias,
             "mse": cell.mse,
+            "mse_se": cell.mse_se,
             "R": cell.replications,
             "seed": result.seed,
         }
@@ -409,8 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", type=int, choices=range(2, 9), required=True,
                    help="published table id (2-8)")
     p.add_argument("--threads",
-                   help="worker threads for groups 2-6 (default: all cores); groups 7 "
-                        "and 8 run on one thread; never changes results")
+                   help="worker threads (default: all cores), sharing the (model, n) blocks "
+                        "of groups 2-6, the sample sizes of group 7 and the alternatives "
+                        "of group 8; never changes results")
     _add_common(p, "replications", "format")
     # No --reps recomputes each group at its published replication count.
     p.set_defaults(func=cmd_verify_tables, defaults={"replications": None})

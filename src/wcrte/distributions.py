@@ -124,7 +124,8 @@ def _check_u(u) -> np.ndarray:
     are unbounded.
     """
     v = np.asarray(u, dtype=float)
-    if np.any((v < 0.0) | (v >= 1.0)):
+    # NaN fails both comparisons, so it is rejected too.
+    if v.size and not (v.min() >= 0.0 and v.max() < 1.0):
         raise DomainError("quantile argument must lie in [0, 1)")
     return v
 
@@ -408,21 +409,24 @@ class StephensAlternative(Model):
         j = self.j
         c = 2.0 ** (j - 1.0)
         if self.family == "A":
-            out = 1.0 - (1.0 - v) ** (1.0 / j)
-        elif self.family == "B":
-            out = np.where(
-                v <= 0.5,
-                (v / c) ** (1.0 / j),
-                1.0 - np.maximum((1.0 - v) / c, 0.0) ** (1.0 / j),
-            )
+            return _ret(1.0 - (1.0 - v) ** (1.0 / j))
+        # Both halves in one pass: r = (w / c)**(1/j) with w the distance to
+        # the nearer end (B) or to the center (C), signed toward the half of v;
+        # B then gives r below one half and 1 - r above, C gives 0.5 +- r. One
+        # half itself takes the lower branch: its sign is +0 and r is 0. Arrays
+        # are updated in place; a 0-d argument becomes a numpy scalar at the
+        # first step, so its pow stays libm's, as in the two-branch form.
+        if self.family == "B":
+            sign = 0.5 - v
+            w = np.minimum(v, 1.0 - v)
         else:
-            # Ties at one half go to the lower branch in both families.
-            out = np.where(
-                v <= 0.5,
-                0.5 - (np.maximum(0.5 - v, 0.0) / c) ** (1.0 / j),
-                0.5 + (np.maximum(v - 0.5, 0.0) / c) ** (1.0 / j),
-            )
-        return _ret(out)
+            sign = v - 0.5
+            w = np.abs(sign)
+        w /= c
+        w **= 1.0 / j
+        w = np.copysign(w, sign)
+        w += (v > 0.5) if self.family == "B" else 0.5
+        return _ret(w)
 
     def quantile_slope(self, u):
         raise DomainError(

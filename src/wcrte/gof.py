@@ -20,6 +20,15 @@ and squared once and every test reads it: all orders of one n in
 ``--test`` flags of its single-test mode, and all tests of one
 :func:`power_study` call, which also sorts and squares each alternative's
 draws once. Nothing is kept between calls.
+
+A batch is drawn and scored in tiles of rows (``_score``): each tile is
+drawn, mapped through the alternative's quantile if any, sorted, squared
+if an entropy-band test reads it, and scored by every test, and only each
+test's vector of statistics spans the whole batch. Every step acts row by
+row, so a tiled batch gives the bits of the whole one. The competitor
+kernels reduce across replications where they can (the KS deviations and
+the spacing logs are laid out in column order) and keep each row's own
+contiguous sum where the summation order depends on it (CvM, AD).
 """
 
 from __future__ import annotations
@@ -32,7 +41,6 @@ import numpy as np
 
 from . import estimators as est
 from .distributions import (
-    Model,
     _check_order_above_one,
     _parse_number,
     _split_spec,
@@ -41,7 +49,7 @@ from .distributions import (
     parse_model,
 )
 from .errors import DomainError, ParseError
-from .mc import DEFAULT_SEED, gof_alternative_stream, gof_null_stream
+from .mc import DEFAULT_SEED, _pool_map, gof_alternative_stream, gof_null_stream
 from .sample import _check_size, _sorted_rows
 
 __all__ = [
@@ -121,9 +129,11 @@ def default_spacing_window(n: int) -> int:
 def _ks_stat(sorted_rows: np.ndarray) -> np.ndarray:
     n = sorted_rows.shape[1]
     i = np.arange(1, n + 1, dtype=float)
-    d_plus = (i / n - sorted_rows).max(axis=1)
-    d_minus = (sorted_rows - (i - 1.0) / n).max(axis=1)
-    return np.maximum(d_plus, d_minus)
+    # Deviations in column order, so each max runs across replications.
+    dev = np.subtract(i / n, sorted_rows, order="F")
+    out = dev.max(axis=1)
+    np.subtract(sorted_rows, (i - 1.0) / n, out=dev)
+    return np.maximum(out, dev.max(axis=1), out=out)
 
 
 def _cvm_stat(sorted_rows: np.ndarray) -> np.ndarray:
@@ -134,34 +144,45 @@ def _cvm_stat(sorted_rows: np.ndarray) -> np.ndarray:
 
 def _ad_stat(sorted_rows: np.ndarray) -> np.ndarray:
     n = sorted_rows.shape[1]
-    clamped = np.clip(sorted_rows, _AD_EPS, 1.0 - _AD_EPS)
-    if np.any(clamped != sorted_rows):
+    # Rows are sorted, so only a row's ends can fall outside the clamp.
+    if sorted_rows[:, 0].min() < _AD_EPS or sorted_rows[:, -1].max() > 1.0 - _AD_EPS:
         warnings.warn(
             "observations at 0 or 1 clamped for the Anderson-Darling logs",
             stacklevel=3,
         )
-    coef = 2.0 * np.arange(1, n + 1, dtype=float) - 1.0
-    inner = (coef * (np.log(clamped) + np.log1p(-clamped[:, ::-1]))).sum(axis=1)
-    return -n - inner / n
+        sorted_rows = np.clip(sorted_rows, _AD_EPS, 1.0 - _AD_EPS)
+    # Each row is summed over its own contiguous terms, as one row alone is.
+    terms = np.negative(sorted_rows[:, ::-1])
+    np.log1p(terms, out=terms)
+    terms += np.log(sorted_rows)
+    terms *= 2.0 * np.arange(1, n + 1, dtype=float) - 1.0
+    return -n - terms.sum(axis=1) / n
 
 
 def _ent_stat(sorted_rows: np.ndarray, m: int) -> np.ndarray:
+    """Spacing-entropy statistic of window m, already checked against n."""
     n = sorted_rows.shape[1]
-    mi = est._check_window(m, n)
     idx = np.arange(1, n + 1)
-    hi = np.minimum(idx + mi, n) - 1
-    lo = np.maximum(idx - mi, 1) - 1
-    gaps = sorted_rows[:, hi] - sorted_rows[:, lo]
-    scaled = gaps * (n / (2.0 * mi))
+    hi = np.minimum(idx + m, n) - 1
+    lo = np.maximum(idx - m, 1) - 1
+    # The gather lays the spacings out in column order, one spacing index per
+    # column, and the mean of a batch adds them in index order (a lone row is
+    # one contiguous run, summed pairwise); the log works in that buffer.
+    logs = sorted_rows[:, hi]
+    logs -= sorted_rows[:, lo]
+    logs *= n / (2.0 * m)
     with np.errstate(divide="ignore"):
-        logs = np.log(scaled)
-    if np.any(gaps <= 0.0):
+        np.log(logs, out=logs)
+    out = logs.mean(axis=1)
+    # Spacings are never negative, and only a zero one makes a mean -inf.
+    if np.isneginf(out).any():
         warnings.warn(
             "zero spacings in the spacing-entropy statistic; using a log floor",
             stacklevel=3,
         )
-        logs = np.where(gaps > 0.0, logs, _ENT_LOG_FLOOR)
-    return logs.mean(axis=1)
+        logs[np.isneginf(logs)] = _ENT_LOG_FLOOR
+        out = logs.mean(axis=1)
+    return out
 
 
 def competitor_statistic(name: str, x, m: int | None = None):
@@ -222,9 +243,10 @@ class GofTest:
         return self.name == "ent"
 
     def resolved_m(self, n: int) -> int | None:
+        """The window of ``ent`` at sample size n, checked against n; None elsewhere."""
         if self.name != "ent":
             return None
-        return self.m if self.m is not None else default_spacing_window(n)
+        return default_spacing_window(n) if self.m is None else est._check_window(self.m, n)
 
     def label(self) -> str:
         if self.name == "wcrte":
@@ -297,42 +319,62 @@ def _check_null_grid(n, gamma, replications, min_replications: int = 1000):
     return n, g, _check_size(replications, min_replications, "replications")
 
 
-class _Batch:
-    """Sorted [0, 1] rows and their sorted squares, each built once.
+#: Values (rows x n) in one tile of a batch. A batch is drawn, transformed,
+#: sorted and scored one tile of rows at a time, so its working set does not
+#: grow with the replication count; only the statistic vectors do.
+_TILE_VALUES = 65_536
 
-    The competitors read the rows and the entropy-band tests the squares, so
-    every test on one batch shares one sort and one squaring. The squares are
-    built on first use, or at once with ``keep_rows=False``: then the rows are
-    squared in place (for [0, 1] values the shift is 0 and ``x * x`` in place
-    gives the same bits), and the batch holds the squares and spacings only.
+
+def _tiles(replications: int, n: int):
+    """``(lo, hi)`` row bounds of the tiles of a (replications, n) batch.
+
+    A tile has max(2, _TILE_VALUES // n) rows and the last may have one more:
+    no tile of a batch is a single row, because the spacing-entropy mean adds
+    a lone row in another order than a row of a batch (see ``_ent_stat``).
     """
-
-    __slots__ = ("rows", "_squares")
-
-    def __init__(self, rows: np.ndarray, keep_rows: bool = True) -> None:
-        self.rows = rows if keep_rows else None
-        self._squares = None if keep_rows else est._SortedSquares(rows, False, overwrite=True)
-
-    @property
-    def squares(self) -> est._SortedSquares:
-        if self._squares is None:
-            self._squares = est._SortedSquares(self.rows, False)
-        return self._squares
+    step = max(2, _TILE_VALUES // n)
+    bounds = [*range(0, replications, step), replications]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
 
 
-def _null_batch(n: int, replications: int, seed: int, keep_rows: bool = True) -> _Batch:
-    """The (seed, n, replications) null batch: uniform draws sorted in place."""
-    draws = gof_null_stream(seed, n).random((replications, n))
-    draws.sort(axis=1)
-    return _Batch(draws, keep_rows)
+def _score_rows(rows: np.ndarray, scored, coefs: dict) -> list[np.ndarray]:
+    """Statistic of each ``(test, m)`` of ``scored`` on sorted [0, 1] ``rows``.
+
+    The rows are squared once, and only if an entropy-band test reads the
+    squares; ``coefs`` memoizes their coefficient vectors across calls.
+    """
+    squares = None
+    out = []
+    for test, m in scored:
+        if test.is_entropy_band:
+            if squares is None:
+                squares = est._SortedSquares(rows, False, coefs)
+            spec = est.EstimatorSpec(est.EstimatorKind.EMPIRICAL, test.order)
+            out.append(est.estimate(spec, squares))
+        else:
+            out.append(_competitor_null_stats(test, rows, m))
+    return out
 
 
-def _statistics(test: GofTest, batch: _Batch, m: int | None) -> np.ndarray:
-    """Statistic of ``test`` on each row of a batch of sorted [0, 1] observations."""
-    if test.is_entropy_band:
-        spec = est.EstimatorSpec(est.EstimatorKind.EMPIRICAL, test.order)
-        return est.estimate(spec, batch.squares)
-    return _competitor_null_stats(test, batch.rows, m)
+def _score(stream, n: int, replications: int, scored, quantile=None) -> np.ndarray:
+    """Statistics of a (replications, n) batch of ``stream``: row k for ``scored[k]``.
+
+    Each tile of draws is mapped through ``quantile`` (an alternative's; None
+    keeps the uniform null), sorted and scored. Draws, transforms, sorts and
+    row statistics act row by row, so tiles give the bits of one whole batch.
+    """
+    out = np.empty((len(scored), replications))
+    coefs: dict = {}
+    for lo, hi in _tiles(replications, n):
+        rows = stream.random((hi - lo, n))
+        if quantile is not None:
+            rows = quantile(rows)
+        rows.sort(axis=1)
+        for k, stats in enumerate(_score_rows(rows, scored, coefs)):
+            out[k, lo:hi] = stats
+    return out
 
 
 def _competitor_null_stats(test: GofTest, sorted_null: np.ndarray, m: int | None) -> np.ndarray:
@@ -345,20 +387,25 @@ def _competitor_null_stats(test: GofTest, sorted_null: np.ndarray, m: int | None
     return _ent_stat(sorted_null, m)
 
 
-def _calibrate(test: GofTest, null: _Batch, g: float, m: int | None):
-    """Critical values ``(lo, hi)`` of ``test`` at level ``g``.
+def _calibrate(test: GofTest, stats: np.ndarray, g: float):
+    """Critical values ``(lo, hi)`` of ``test`` at level ``g`` from its null ``stats``.
 
     Entropy-band tests split the level over both tails; ks, cvm and ad have
     only an upper value, ent only a lower one. A side given as None never
     rejects.
     """
-    stats = _statistics(test, null, m)
     if test.is_entropy_band:
         lo, hi = np.quantile(stats, [g / 2.0, 1.0 - g / 2.0])
         return float(lo), float(hi)
     if test.rejects_low:
         return float(np.quantile(stats, g)), None
     return None, float(np.quantile(stats, 1.0 - g))
+
+
+def _null_bands(n: int, scored, g: float, replications: int, seed: int) -> list[tuple]:
+    """``(lo, hi)`` of each ``(test, m)`` of ``scored``, all from the (seed, n) null batch."""
+    stats = _score(gof_null_stream(seed, n), n, replications, scored)
+    return [_calibrate(test, row, g) for (test, _), row in zip(scored, stats)]
 
 
 def _reject(stats, lo, hi):
@@ -386,14 +433,11 @@ def _critical_pairs(n, orders, gamma, replications, seed) -> list[CriticalPair]:
     """:func:`critical_values` for each of ``orders``, all on one null batch."""
     n, g, reps = _check_null_grid(n, gamma, replications)
     tests = [GofTest(name="wcre") if a is None else GofTest(name="wcrte", order=a) for a in orders]
-    null = _null_batch(n, reps, seed, keep_rows=False)
-    pairs = []
-    for test in tests:
-        lower, upper = _calibrate(test, null, g, None)
-        pairs.append(
-            CriticalPair(n=n, order=test.order, gamma=g, lower=lower, upper=upper, replications=reps)
-        )
-    return pairs
+    bands = _null_bands(n, [(test, None) for test in tests], g, reps, seed)
+    return [
+        CriticalPair(n=n, order=test.order, gamma=g, lower=lower, upper=upper, replications=reps)
+        for test, (lower, upper) in zip(tests, bands)
+    ]
 
 
 def competitor_critical_value(
@@ -414,7 +458,7 @@ def competitor_critical_value(
         raise DomainError("use critical_values for the entropy-band tests")
     n, g, reps = _check_null_grid(n, gamma, replications)
     resolved_m = test.resolved_m(n)
-    lo, hi = _calibrate(test, _null_batch(n, reps, seed), g, resolved_m)
+    [(lo, hi)] = _null_bands(n, [(test, resolved_m)], g, reps, seed)
     return CriticalValue(
         test=test.name, n=n, gamma=g, value=hi if lo is None else lo,
         rejects_low=test.rejects_low, m=resolved_m, replications=reps,
@@ -453,34 +497,36 @@ def uniformity_test(
     outside [lower, upper]; ks/cvm/ad reject at or above their value; ent
     rejects at or below its value.
     """
-    return next(_uniformity_results(x, [test], gamma, replications, seed))
+    return _uniformity_results(x, [test], gamma, replications, seed)[0]
 
 
-def _uniformity_results(x, tests, gamma, replications, seed):
-    """:func:`uniformity_test` for each of ``tests`` in turn, all on one null batch.
+def _uniformity_results(x, tests, gamma, replications, seed) -> list[GofResult]:
+    """:func:`uniformity_test` for each of ``tests``, all on one null batch.
 
-    A generator: each spec is parsed, and the sample checked and the batch
-    drawn, only when the first test needs them, so errors surface in the
-    order one call per test would raise them.
+    Each spec is parsed and its window resolved in turn, and the sample
+    checked with the first, so errors surface in the order one call per test
+    would raise them; the null batch is then scored once for every test.
     """
-    sample = null = None
+    scored = []
     for test in tests:
         if isinstance(test, str):
             test = parse_test(test)
-        if null is None:
+        if not scored:
             rows, single = _sorted_rows(x, upper=1.0)
             if not single:
                 raise DomainError("uniformity_test takes a single 1-D sample")
             n, g, reps = _check_null_grid(rows.shape[1], gamma, replications)
-            sample, null = _Batch(rows), _null_batch(n, reps, seed)
-        m = test.resolved_m(n)
-        lo, hi = _calibrate(test, null, g, m)
-        stat = float(_statistics(test, sample, m)[0])
-        yield GofResult(
+        scored.append((test, test.resolved_m(n)))
+    bands = _null_bands(n, scored, g, reps, seed)
+    stats = _score_rows(rows, scored, {})
+    return [
+        GofResult(
             test=test.name, n=n, order=test.order, m=m, gamma=g,
-            statistic=stat, lower=lo, upper=hi,
-            reject=bool(_reject(stat, lo, hi)), replications=reps,
+            statistic=float(stat[0]), lower=lo, upper=hi,
+            reject=bool(_reject(stat[0], lo, hi)), replications=reps,
         )
+        for (test, m), (lo, hi), stat in zip(scored, bands, stats)
+    ]
 
 
 # --- power study -----------------------------------------------------------------
@@ -515,38 +561,39 @@ def power_study(
     uniform model as an alternative estimates the empirical size, since its
     draws are independent of the null calibration draws.
     """
+    return _power_study(alternatives, n, tests, gamma, replications, seed)
+
+
+def _power_study(alternatives, n, tests, gamma, replications, seed, threads=None):
+    """:func:`power_study`, its alternatives scored on ``threads`` worker threads.
+
+    The null batch calibrates every test first; each alternative is then one
+    task, and the cells come back in alternative order whatever the thread
+    count.
+    """
     n, g, reps = _check_null_grid(n, gamma, replications, min_replications=100)
     tests = [parse_test(t) if isinstance(t, str) else t for t in tests]
     alternatives = [parse_model(a) if isinstance(a, str) else a for a in alternatives]
     if not tests or not alternatives:
         raise DomainError("need at least one test and one alternative")
+    scored = [(test, test.resolved_m(n)) for test in tests]
+    bands = _null_bands(n, scored, g, reps, seed)
 
-    # Calibrate every test on one null batch, then let it go.
-    null = _null_batch(n, reps, seed)
-    bands = []
-    for test in tests:
-        m = test.resolved_m(n)
-        bands.append((test, m, *_calibrate(test, null, g, m)))
-    del null
-
-    cells: list[PowerCell] = []
-    for ai, alt in enumerate(alternatives):
-        model: Model = alt
+    def cells(item) -> list[PowerCell]:
+        ai, model = item
         stream = gof_alternative_stream(seed, n, ai)
-        draws = model.quantile(stream.random((reps, n)))
-        draws.sort(axis=1)
-        batch = _Batch(draws)
-        for test, m, lo, hi in bands:
-            reject = _reject(_statistics(test, batch, m), lo, hi)
-            cells.append(
-                PowerCell(
-                    alternative=model.spec_string(),
-                    n=n,
-                    test=test.name,
-                    order=test.order,
-                    m=m,
-                    power=float(reject.mean()),
-                    replications=reps,
-                )
+        stats = _score(stream, n, reps, scored, model.quantile)
+        return [
+            PowerCell(
+                alternative=model.spec_string(),
+                n=n,
+                test=test.name,
+                order=test.order,
+                m=m,
+                power=float(_reject(row, lo, hi).mean()),
+                replications=reps,
             )
-    return cells
+            for (test, m), (lo, hi), row in zip(scored, bands, stats)
+        ]
+
+    return [cell for part in _pool_map(cells, enumerate(alternatives), threads) for cell in part]

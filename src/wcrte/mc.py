@@ -252,6 +252,22 @@ def _run_block(block: _BlockPlan, replications: int, seed: int, coefs: dict) -> 
     return cells
 
 
+def _pool_map(fn, items, threads: int | None = None) -> list:
+    """``[fn(item) for item in items]``, on ``threads`` worker threads when more than one.
+
+    Results come back in item order, so no output depends on the thread
+    count; ``threads=None`` or 1 runs in the calling thread.
+    """
+    if threads is not None and int(threads) < 1:
+        raise DomainError(f"threads must be positive, got {threads!r}")
+    if threads is None or int(threads) == 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_study(config: McStudyConfig, threads: int | None = None) -> McStudyResult:
     """Run every cell of the grid; deterministic for a fixed config and seed.
 
@@ -259,9 +275,6 @@ def run_study(config: McStudyConfig, threads: int | None = None) -> McStudyResul
     (model, n) blocks without changing any output bit.
     """
     blocks, skipped = _plan_blocks(config)
-    if threads is not None and int(threads) < 1:
-        raise DomainError(f"threads must be positive, got {threads!r}")
-    workers = 1 if threads is None else int(threads)
     # Each (spec, n) coefficient vector is built once, here, before any
     # worker starts; the blocks then only read this dict.
     coefs: dict = {}
@@ -272,14 +285,7 @@ def run_study(config: McStudyConfig, threads: int | None = None) -> McStudyResul
     def run(b: _BlockPlan) -> list[McCell]:
         return _run_block(b, config.replications, config.seed, coefs)
 
-    if workers == 1:
-        parts = [run(b) for b in blocks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, blocks))
-    cells = [cell for part in parts for cell in part]
+    cells = [cell for part in _pool_map(run, blocks, threads) for cell in part]
     return McStudyResult(
         cells=tuple(cells),
         skipped=tuple(skipped),

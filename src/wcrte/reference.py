@@ -24,8 +24,8 @@ from importlib import resources
 
 from .distributions import order_from_label, order_label, parse_model
 from .errors import DomainError
-from .gof import _critical_pairs, parse_test, power_study
-from .mc import DEFAULT_SEED, McStudyConfig, run_study
+from .gof import _critical_pairs, _power_study, parse_test
+from .mc import DEFAULT_SEED, McStudyConfig, _pool_map, run_study
 
 __all__ = [
     "load_reference_tables",
@@ -129,16 +129,20 @@ def _verify_bias_mse(table_id: int, group: dict, reps, seed, threads) -> list[di
     return report
 
 
-def _verify_critical_values(table_id: int, group: dict, reps, seed) -> list[dict]:
+def _verify_critical_values(table_id: int, group: dict, reps, seed, threads) -> list[dict]:
     gamma = float(group["gamma"])
-    # One null batch per n calibrates every order of that n.
+    # One null batch per n calibrates every order of that n; each n is a task.
     orders_by_n: dict[int, list] = {}
     for ref in group["rows"]:
         orders_by_n.setdefault(int(ref["n"]), []).append(order_from_label(ref["alpha"]))
+
+    def calibrate(item):
+        return _critical_pairs(*item, gamma, reps, seed)
+
     pairs = {
-        (n, pair.order): pair
-        for n, orders in orders_by_n.items()
-        for pair in _critical_pairs(n, orders, gamma, reps, seed)
+        (pair.n, pair.order): pair
+        for part in _pool_map(calibrate, orders_by_n.items(), threads)
+        for pair in part
     }
 
     report: list[dict] = []
@@ -152,7 +156,7 @@ def _verify_critical_values(table_id: int, group: dict, reps, seed) -> list[dict
     return report
 
 
-def _verify_power(table_id: int, group: dict, reps, seed) -> list[dict]:
+def _verify_power(table_id: int, group: dict, reps, seed, threads) -> list[dict]:
     gamma = float(group["gamma"])
     rows = group["rows"]
     tests = tuple(dict.fromkeys(r["test"] for r in rows))
@@ -161,7 +165,7 @@ def _verify_power(table_id: int, group: dict, reps, seed) -> list[dict]:
 
     computed: dict[tuple[int, str, str], object] = {}
     for n in sizes:
-        for cell in power_study(alternatives, n, tests, gamma, reps, seed):
+        for cell in _power_study(alternatives, n, tests, gamma, reps, seed, threads):
             label = cell.test if cell.order is None else f"wcrte:alpha={order_label(cell.order)}"
             computed[(n, cell.alternative, label)] = cell
 
@@ -192,8 +196,10 @@ def verify_table(
 
     ``replications`` defaults to the group's published count (``None``);
     any other value goes through the package's size rule, so 0 or 1000.7
-    raises DomainError. ``threads`` reaches the bias/MSE studies of groups
-    2-6 only; groups 7 and 8 run on one thread. Rows follow
+    raises DomainError. ``threads`` worker threads share each group: the
+    (model, n) blocks of groups 2-6, the sample sizes of group 7, and the
+    alternatives of each sample size of group 8, after that size's null
+    calibration. No value depends on the thread count. Rows follow
     :data:`REPORT_FIELDS`; ``abs_diff`` compares absolute values when the
     published sign is flagged as suspect.
     """
@@ -209,5 +215,5 @@ def verify_table(
     if group["kind"] in ("bias_mse_plain", "bias_mse_windowed"):
         return _verify_bias_mse(int(key), group, reps, seed, threads)
     if group["kind"] == "critical_values":
-        return _verify_critical_values(int(key), group, reps, seed)
-    return _verify_power(int(key), group, reps, seed)
+        return _verify_critical_values(int(key), group, reps, seed, threads)
+    return _verify_power(int(key), group, reps, seed, threads)

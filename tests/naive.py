@@ -4,9 +4,15 @@ Every function here transcribes a summation formula literally with plain
 Python loops and lists, with none of the vectorization or algebraic
 factoring the package uses, so agreement is meaningful evidence that the
 fast implementations compute the right quantity.
+
+The last section is different: it keeps the earlier whole-batch numpy forms
+of the four competitor statistics and of the two-branch alternative quantile
+verbatim, so that the leaner kernels can be held to their exact bits.
 """
 
 import math
+
+import numpy as np
 
 
 def _sorted_squares(xs):
@@ -221,3 +227,61 @@ def read_sample(path):
     if len(values) < 2:
         raise ParseError(f"{path}: need n >= 2, got {len(values)}")
     return values
+
+
+# --- bitwise references: the earlier whole-batch kernels, verbatim ------------
+
+
+def ks_rows(sorted_rows):
+    n = sorted_rows.shape[1]
+    i = np.arange(1, n + 1, dtype=float)
+    d_plus = (i / n - sorted_rows).max(axis=1)
+    d_minus = (sorted_rows - (i - 1.0) / n).max(axis=1)
+    return np.maximum(d_plus, d_minus)
+
+
+def cvm_rows(sorted_rows):
+    n = sorted_rows.shape[1]
+    grid = (2.0 * np.arange(1, n + 1, dtype=float) - 1.0) / (2.0 * n)
+    return ((sorted_rows - grid) ** 2).sum(axis=1) + 1.0 / (12.0 * n)
+
+
+def ad_rows(sorted_rows, eps=1e-12):
+    n = sorted_rows.shape[1]
+    clamped = np.clip(sorted_rows, eps, 1.0 - eps)
+    coef = 2.0 * np.arange(1, n + 1, dtype=float) - 1.0
+    inner = (coef * (np.log(clamped) + np.log1p(-clamped[:, ::-1]))).sum(axis=1)
+    return -n - inner / n
+
+
+def ent_rows(sorted_rows, m, floor=-745.0):
+    n = sorted_rows.shape[1]
+    idx = np.arange(1, n + 1)
+    hi = np.minimum(idx + m, n) - 1
+    lo = np.maximum(idx - m, 1) - 1
+    gaps = sorted_rows[:, hi] - sorted_rows[:, lo]
+    scaled = gaps * (n / (2.0 * m))
+    with np.errstate(divide="ignore"):
+        logs = np.log(scaled)
+    if np.any(gaps <= 0.0):
+        logs = np.where(gaps > 0.0, logs, floor)
+    return logs.mean(axis=1)
+
+
+def stephens_quantile(family, j, u):
+    """Families B and C of the power-study alternatives, one branch per half."""
+    v = np.asarray(u, dtype=float)
+    c = 2.0 ** (j - 1.0)
+    if family == "B":
+        out = np.where(
+            v <= 0.5,
+            (v / c) ** (1.0 / j),
+            1.0 - np.maximum((1.0 - v) / c, 0.0) ** (1.0 / j),
+        )
+    else:
+        out = np.where(
+            v <= 0.5,
+            0.5 - (np.maximum(0.5 - v, 0.0) / c) ** (1.0 / j),
+            0.5 + (np.maximum(v - 0.5, 0.0) / c) ** (1.0 / j),
+        )
+    return out.item() if out.ndim == 0 else out

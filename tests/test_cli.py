@@ -9,7 +9,16 @@ import warnings
 
 import pytest
 
-from wcrte import DEFAULT_SEED, Exponential, NumericError, critical_values, derive_stream, gof
+from wcrte import (
+    DEFAULT_SEED,
+    Exponential,
+    NumericError,
+    critical_values,
+    derive_stream,
+    gof,
+    run_study,
+    study_config_from_json,
+)
 from wcrte.cli import (
     _Z_95,
     CRITICAL_FIELDS,
@@ -224,7 +233,21 @@ def test_mse_study_csv_schema_and_sweep(capsys):
         assert r["alpha"] == "2"
         assert r["R"] == "50"
         assert r["seed"] == str(DEFAULT_SEED)
-        float(r["bias"]), float(r["mse"])  # numeric columns parse
+        float(r["bias"]), float(r["mse"]), float(r["mse_se"])  # numeric columns parse
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mse_study_prints_the_cells_mse_se(capsys, fmt):
+    args = ["--model", "exp:lambda=1", "--n", "10,20", "--estimator", "lstat", "--reps", "200"]
+    code, out, _ = run_cli(["mse-study", *args, "--format", fmt], capsys)
+    assert code == 0
+    rows = parse_csv(out) if fmt == "csv" else json.loads(out)
+    config = study_config_from_json(
+        {"models": ["exp:lambda=1"], "n": [10, 20], "estimators": ["lstat"], "replications": 200}
+    )
+    cells = run_study(config).cells
+    assert [float(r["mse_se"]) for r in rows] == [cell.mse_se for cell in cells]
+    assert all(cell.mse_se > 0.0 for cell in cells)
 
 
 def test_mse_study_reports_skipped_cells(capsys):

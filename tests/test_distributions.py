@@ -197,6 +197,19 @@ def test_quantile_domain():
             m.quantile(bad)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["uniform:theta=2", "exp:lambda=1", "rayleigh:sigma=1", "pareto1:k=1,delta=3",
+     "weibull:lambda=1,p=1.5", "alt:A,j=2", "alt:B,j=2", "alt:C,j=1.5"],
+)
+def test_quantile_rejects_nan(spec):
+    model = parse_model(spec)
+    for bad in (float("nan"), [0.2, float("nan")], np.array([[0.5], [np.nan]])):
+        with pytest.raises(DomainError, match=r"\[0, 1\)"):
+            model.quantile(bad)
+    assert model.quantile(np.empty(0)).shape == (0,)
+
+
 def test_sample_shape_and_support():
     stream = np.random.default_rng(4)
     x = ParetoOne(2.0, 3.0).sample(64, stream)

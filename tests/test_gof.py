@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from wcrte import (
     DomainError,
     GofTest,
     ParseError,
+    StephensAlternative,
     competitor_critical_value,
     competitor_statistic,
     critical_values,
     default_spacing_window,
     derive_stream,
+    max_window,
     null_statistic_value,
     parse_test,
     power_study,
@@ -417,3 +420,100 @@ def test_verify_table_replication_count_goes_through_the_size_rule(table, reps, 
     """Only ``None`` selects the published count; nothing is truncated."""
     with pytest.raises(DomainError, match=message):
         verify_table(table, replications=reps)
+
+
+# --- kernels and tiles: the bits of the whole-batch forms ---------------------------
+
+
+def _kernel_inputs(n, rng):
+    """Sorted [0, 1) batches of size n: plain, one row, tied, and touching 0 and 1 - eps."""
+    top = np.nextafter(1.0, 0.0)
+    plain = np.sort(rng.random((7, n)), axis=1)
+    tied = np.sort(rng.integers(0, 3, (5, n)) / 4.0, axis=1)
+    ends = plain.copy()
+    ends[0, 0], ends[1, -1], ends[2, :] = 0.0, top, np.linspace(0.0, top, n)
+    ends.sort(axis=1)
+    return [plain, plain[:1], plain[:2], tied, tied[:1], ends, ends[:1]]
+
+
+def test_competitor_kernels_match_the_reference_bits():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 201):
+        windows = sorted({1, max_window(n), default_spacing_window(n)}) if n >= 3 else []
+        for rows in _kernel_inputs(n, rng):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                pairs = [
+                    (gof._ks_stat(rows), naive.ks_rows(rows)),
+                    (gof._cvm_stat(rows), naive.cvm_rows(rows)),
+                    (gof._ad_stat(rows), naive.ad_rows(rows)),
+                    *((gof._ent_stat(rows, m), naive.ent_rows(rows, m)) for m in windows),
+                ]
+            for k, (got, want) in enumerate(pairs):
+                assert np.array_equal(got, want), (n, rows.shape, k)
+
+
+def test_stephens_quantile_matches_the_two_branch_bits():
+    half = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0), 5e-324]
+    u = np.concatenate([np.random.default_rng(5).random(20_000), half])
+    for family, j in (("B", 1.5), ("B", 2.0), ("B", 3.0), ("C", 1.5), ("C", 2.0)):
+        model = StephensAlternative(family, j)
+        assert np.array_equal(model.quantile(u), naive.stephens_quantile(family, j, u))
+        grid = u[:200].reshape(20, 10)
+        assert np.array_equal(model.quantile(grid), naive.stephens_quantile(family, j, grid))
+        for v in half + [0.3, 0.9]:
+            got = model.quantile(v)
+            assert isinstance(got, float)
+            assert got == naive.stephens_quantile(family, j, v), (family, j, v)
+
+
+def test_tiles_never_leave_a_single_row():
+    for n in (1, 7, 50, 70_000):
+        for reps in (100, 1001, 1310 * 3 + 1, 65_537):
+            tiles = list(gof._tiles(reps, n))
+            assert tiles[0][0] == 0 and tiles[-1][1] == reps
+            assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+            assert all(hi - lo >= 2 for lo, hi in tiles)
+
+
+@pytest.mark.parametrize("n, reps", [(13, 4 * 25 + 1), (13, 103), (7, 100)])
+def test_tiled_scoring_equals_one_tile(monkeypatch, n, reps):
+    tests = [parse_test(t) for t in ("wcre", "wcrte:alpha=2", "ks", "cvm", "ad", "ent", "ent:m=1")]
+    scored = [(t, t.resolved_m(n)) for t in tests]
+    alt = StephensAlternative("C", 1.5)
+
+    def score(quantile):
+        stream = derive_stream(6, 2, n)
+        return gof._score(stream, n, reps, scored, quantile)
+
+    whole = [score(None), score(alt.quantile)]
+    monkeypatch.setattr(gof, "_TILE_VALUES", 4 * n)  # four rows a tile
+    assert len(list(gof._tiles(reps, n))) > 20
+    tiled = [score(None), score(alt.quantile)]
+    for got, want in zip(tiled, whole):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("table", [7, 8])
+def test_verify_groups_do_not_depend_on_threads(table):
+    assert verify_table(table, replications=1000, threads=2) == verify_table(
+        table, replications=1000, threads=1
+    )
+
+
+def test_power_study_peak_grows_only_by_its_statistic_vectors():
+    """Batches are scored in tiles: only the R-long statistic vectors grow with R."""
+    tests = ["wcre", "wcrte:alpha=2", "ks", "cvm", "ad", "ent"]
+    peaks = {}
+    for reps in (2_000, 20_000):
+        power_study(["alt:B,j=2"], 50, tests, replications=reps, seed=3)  # first-call allocations
+        tracemalloc.start()
+        try:
+            power_study(["alt:B,j=2", "alt:A,j=2"], 50, tests, replications=reps, seed=3)
+            peaks[reps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    vectors = len(tests) * (20_000 - 2_000) * 8
+    assert peaks[20_000] - peaks[2_000] <= 1.25 * vectors
+    # One whole (R, n) batch alone would be 8 MB at R = 20 000.
+    assert peaks[20_000] <= 0.6 * 20_000 * 50 * 8

@@ -93,3 +93,14 @@ def test_estimate_loads_only_what_it_runs(tmp_path):
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert done.returncode == 0, done.stderr
+
+
+def test_gof_and_reference_load_no_thread_pool():
+    """The pool is imported when a call first uses more than one thread, not at import."""
+    guard = (
+        "import sys, wcrte.gof, wcrte.reference; "
+        "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures'"
+    )
+    done = subprocess.run([sys.executable, "-c", guard], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
