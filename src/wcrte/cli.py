@@ -27,8 +27,12 @@ key. ``mse-study`` builds its grid through
 separated; model, estimator and test specifications are repeatable flags
 because model parameters themselves contain commas.
 
-``gof`` and ``reference`` are imported inside the commands that run them,
-so ``estimate`` starts without loading them.
+Each table command runs the library, then writes one row per result
+through the columns stated next to the result type: ``mc.STUDY_COLUMNS``,
+``gof.CRITICAL_COLUMNS``, ``gof.GOF_COLUMNS``, ``gof.POWER_COLUMNS`` and
+``reference.REPORT_FIELDS``; the master seed is the one column no result
+holds. ``gof`` and ``reference`` are imported inside the commands that run
+them, so ``estimate`` starts without loading them.
 
 Model, estimator and test specifications share one grammar: a
 case-insensitive head, then after a colon an optional positional token
@@ -47,7 +51,6 @@ import os
 import sys
 from dataclasses import replace
 
-from .distributions import order_label
 from .errors import DomainError, NumericError, ParseError
 from .estimators import (
     EstimatorKind,
@@ -59,6 +62,7 @@ from .estimators import (
 from .mc import (
     _STUDY_KEYS,
     DEFAULT_SEED,
+    STUDY_COLUMNS,
     _convert,
     _integer,
     _json_object,
@@ -71,11 +75,6 @@ from .sample import read_sample
 __all__ = ["main", "build_parser"]
 
 _Z_95 = 1.959963984540054
-
-MSE_FIELDS = ("model", "n", "alpha", "estimator", "m", "bias", "mse", "mse_se", "R", "seed")
-CRITICAL_FIELDS = ("n", "alpha", "gamma", "lower", "upper", "R", "seed")
-GOF_FIELDS = ("test", "n", "alpha", "m", "gamma", "lower", "upper", "statistic", "reject")
-POWER_FIELDS = ("alternative", "n", "test", "alpha", "m", "power", "R", "seed")
 
 
 def _real(value) -> float:
@@ -154,6 +153,11 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _table(columns: dict, results, seed=None) -> list[dict]:
+    """One row per result: each column of ``columns`` read from it and the master ``seed``."""
+    return [{name: read(result, seed) for name, read in columns.items()} for result in results]
+
+
 def _write_rows(args, rows, fields=None) -> None:
     """Write ``rows`` to ``--out`` or stdout: CSV or JSON, or lines of text without ``fields``."""
     if fields is None:
@@ -224,27 +228,12 @@ def cmd_mse_study(args) -> int:
     result = run_study(config, threads=_threads(args))
     for message in result.skipped:
         print(f"skipped: {message}", file=sys.stderr)
-    rows = [
-        {
-            "model": cell.model,
-            "n": cell.n,
-            "alpha": order_label(cell.order),
-            "estimator": cell.kind.value,
-            "m": cell.window,
-            "bias": cell.bias,
-            "mse": cell.mse,
-            "mse_se": cell.mse_se,
-            "R": cell.replications,
-            "seed": result.seed,
-        }
-        for cell in result.cells
-    ]
-    _write_rows(args, rows, MSE_FIELDS)
+    _write_rows(args, _table(STUDY_COLUMNS, result.cells, result.seed), STUDY_COLUMNS)
     return 0
 
 
 def cmd_critical_values(args) -> int:
-    from .gof import _critical_pairs, _uniformity_results
+    from .gof import CRITICAL_COLUMNS, GOF_COLUMNS, _critical_pairs, _uniformity_results
 
     if args.data and args.n is not None:
         raise ParseError("give either --n (table mode) or --data (single-test mode), not both")
@@ -256,69 +245,35 @@ def cmd_critical_values(args) -> int:
             raise ParseError("single-test mode needs at least one --test")
         x = read_sample(args.data[0])
         results = _uniformity_results(x, args.tests, args.gamma, args.replications, args.seed)
-        rows = [
-            {
-                "test": result.test,
-                "n": result.n,
-                "alpha": order_label(result.order) if result.test in ("wcrte", "wcre") else "",
-                "m": "" if result.m is None else result.m,
-                "gamma": result.gamma,
-                "lower": "" if result.lower is None else result.lower,
-                "upper": "" if result.upper is None else result.upper,
-                "statistic": result.statistic,
-                "reject": result.reject,
-            }
-            for result in results
-        ]
-        _write_rows(args, rows, GOF_FIELDS)
+        _write_rows(args, _table(GOF_COLUMNS, results), GOF_COLUMNS)
         return 0
 
     if args.n is None:
         raise ParseError("table mode needs --n (or use --data for single-test mode)")
-    rows = []
-    for n in args.n:
-        pairs = _critical_pairs(n, args.alpha, args.gamma, args.replications, args.seed)
-        for order, pair in zip(args.alpha, pairs):
-            rows.append(
-                {
-                    "n": n,
-                    "alpha": order_label(order),
-                    "gamma": args.gamma,
-                    "lower": pair.lower,
-                    "upper": pair.upper,
-                    "R": pair.replications,
-                    "seed": args.seed,
-                }
-            )
-    _write_rows(args, rows, CRITICAL_FIELDS)
+    pairs = [
+        pair
+        for n in args.n
+        for pair in _critical_pairs(n, args.alpha, args.gamma, args.replications, args.seed)
+    ]
+    _write_rows(args, _table(CRITICAL_COLUMNS, pairs, args.seed), CRITICAL_COLUMNS)
     return 0
 
 
 def cmd_power(args) -> int:
-    from .gof import power_study
+    from .gof import POWER_COLUMNS, power_study
 
     if not args.alternatives:
         raise ParseError("power needs at least one --alternative")
     if not args.tests:
         raise ParseError("power needs at least one --test")
-    rows = []
-    for n in args.n:
+    cells = [
+        cell
+        for n in args.n
         for cell in power_study(
             args.alternatives, n, args.tests, args.gamma, args.replications, args.seed
-        ):
-            rows.append(
-                {
-                    "alternative": cell.alternative,
-                    "n": cell.n,
-                    "test": cell.test,
-                    "alpha": order_label(cell.order) if cell.test in ("wcrte", "wcre") else "",
-                    "m": "" if cell.m is None else cell.m,
-                    "power": cell.power,
-                    "R": cell.replications,
-                    "seed": args.seed,
-                }
-            )
-    _write_rows(args, rows, POWER_FIELDS)
+        )
+    ]
+    _write_rows(args, _table(POWER_COLUMNS, cells, args.seed), POWER_COLUMNS)
     return 0
 
 

@@ -25,10 +25,10 @@ A batch is drawn and scored in tiles of rows (``_score``): each tile is
 drawn, mapped through the alternative's quantile if any, sorted, squared
 if an entropy-band test reads it, and scored by every test, and only each
 test's vector of statistics spans the whole batch. Every step acts row by
-row, so a tiled batch gives the bits of the whole one. The competitor
-kernels reduce across replications where they can (the KS deviations and
-the spacing logs are laid out in column order) and keep each row's own
-contiguous sum where the summation order depends on it (CvM, AD).
+row, so a tiled batch, down to tiles of one row, gives the bits of the
+whole one. The KS kernel reduces across replications (its deviations are
+laid out in column order), the spacing-entropy kernel sums each row in
+index order, and CvM and AD keep each row's own contiguous sum.
 """
 
 from __future__ import annotations
@@ -49,7 +49,9 @@ from .distributions import (
     parse_model,
 )
 from .errors import DomainError, ParseError
-from .mc import DEFAULT_SEED, _pool_map, gof_alternative_stream, gof_null_stream
+from .mc import (
+    _RUN_COLUMNS, DEFAULT_SEED, _columns, _pool_map, gof_alternative_stream, gof_null_stream,
+)
 from .sample import _check_size, _sorted_rows
 
 __all__ = [
@@ -165,15 +167,16 @@ def _ent_stat(sorted_rows: np.ndarray, m: int) -> np.ndarray:
     idx = np.arange(1, n + 1)
     hi = np.minimum(idx + m, n) - 1
     lo = np.maximum(idx - m, 1) - 1
-    # The gather lays the spacings out in column order, one spacing index per
-    # column, and the mean of a batch adds them in index order (a lone row is
-    # one contiguous run, summed pairwise); the log works in that buffer.
+    # The gather lays the spacings out one spacing index per column; the log
+    # works in that buffer. Each row is summed in index order, as the last
+    # column of its running sum, so a row alone gives the bits it gives in a
+    # batch (numpy's mean would sum a lone row pairwise).
     logs = sorted_rows[:, hi]
     logs -= sorted_rows[:, lo]
     logs *= n / (2.0 * m)
     with np.errstate(divide="ignore"):
         np.log(logs, out=logs)
-    out = logs.mean(axis=1)
+    out = np.cumsum(logs, axis=1)[:, -1] / n
     # Spacings are never negative, and only a zero one makes a mean -inf.
     if np.isneginf(out).any():
         warnings.warn(
@@ -181,7 +184,7 @@ def _ent_stat(sorted_rows: np.ndarray, m: int) -> np.ndarray:
             stacklevel=3,
         )
         logs[np.isneginf(logs)] = _ENT_LOG_FLOOR
-        out = logs.mean(axis=1)
+        out = np.cumsum(logs, axis=1)[:, -1] / n
     return out
 
 
@@ -297,6 +300,13 @@ class CriticalPair:
             )
 
 
+#: The ``critical-values`` table: one row per :class:`CriticalPair`.
+CRITICAL_COLUMNS = _columns(
+    "n", ("alpha", lambda pair, _: order_label(pair.order)), "gamma", "lower", "upper",
+    *_RUN_COLUMNS,
+)
+
+
 @dataclass(frozen=True)
 class CriticalValue:
     """One-sided simulated critical value for a competitor test."""
@@ -328,14 +338,9 @@ _TILE_VALUES = 65_536
 def _tiles(replications: int, n: int):
     """``(lo, hi)`` row bounds of the tiles of a (replications, n) batch.
 
-    A tile has max(2, _TILE_VALUES // n) rows and the last may have one more:
-    no tile of a batch is a single row, because the spacing-entropy mean adds
-    a lone row in another order than a row of a batch (see ``_ent_stat``).
+    A tile has max(1, _TILE_VALUES // n) rows, the last one fewer.
     """
-    step = max(2, _TILE_VALUES // n)
-    bounds = [*range(0, replications, step), replications]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
+    bounds = [*range(0, replications, max(1, _TILE_VALUES // n)), replications]
     return zip(bounds[:-1], bounds[1:])
 
 
@@ -484,6 +489,24 @@ class GofResult:
     replications: int
 
 
+#: The ``alpha`` and ``m`` columns of a test's row, each blank unless the test
+#: reads it: the entropy-band tests read the order (the WCRE's prints as 1),
+#: ``ent`` its window.
+_TEST_PARAM_COLUMNS = (
+    ("alpha", lambda row, _: order_label(row.order) if row.test in ("wcrte", "wcre") else ""),
+    ("m", lambda row, _: "" if row.m is None else row.m),
+)
+
+#: The ``critical-values --data`` table: one row per :class:`GofResult`, a
+#: side without a critical value blank.
+GOF_COLUMNS = _columns(
+    "test", "n", *_TEST_PARAM_COLUMNS, "gamma",
+    ("lower", lambda result, _: "" if result.lower is None else result.lower),
+    ("upper", lambda result, _: "" if result.upper is None else result.upper),
+    "statistic", "reject",
+)
+
+
 def uniformity_test(
     x,
     test: GofTest | str,
@@ -545,6 +568,10 @@ class PowerCell:
     replications: int
 
 
+#: The ``power`` table: one row per :class:`PowerCell`.
+POWER_COLUMNS = _columns("alternative", "n", "test", *_TEST_PARAM_COLUMNS, "power", *_RUN_COLUMNS)
+
+
 def power_study(
     alternatives,
     n: int,
@@ -552,6 +579,7 @@ def power_study(
     gamma: float = 0.05,
     replications: int = 10_000,
     seed: int = DEFAULT_SEED,
+    threads: int | None = None,
 ) -> list[PowerCell]:
     """Rejection rates of every test against every alternative at size n.
 
@@ -560,16 +588,11 @@ def power_study(
     its draws are sorted and squared once for all tests. Passing the
     uniform model as an alternative estimates the empirical size, since its
     draws are independent of the null calibration draws.
-    """
-    return _power_study(alternatives, n, tests, gamma, replications, seed)
 
-
-def _power_study(alternatives, n, tests, gamma, replications, seed, threads=None):
-    """:func:`power_study`, its alternatives scored on ``threads`` worker threads.
-
-    The null batch calibrates every test first; each alternative is then one
-    task, and the cells come back in alternative order whatever the thread
-    count.
+    After the calibration each alternative is one task on ``threads`` worker
+    threads (``None`` or 1 runs in the calling thread). The cells come back
+    one per (alternative, test), alternatives outermost, and no value
+    depends on the thread count.
     """
     n, g, reps = _check_null_grid(n, gamma, replications, min_replications=100)
     tests = [parse_test(t) if isinstance(t, str) else t for t in tests]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators as est
-from .distributions import Model, closed_wcrte, order_from_label, parse_model
+from .distributions import Model, closed_wcrte, order_from_label, order_label, parse_model
 from .errors import DivergenceError, DomainError, ParseError
 from .estimators import EstimatorKind
 from .sample import _check_size, _check_sorted
@@ -149,6 +149,27 @@ class McCell:
     mse: float
     mse_se: float
     replications: int
+
+
+def _columns(*columns) -> dict:
+    """A printed table's columns, each name mapped to ``read(result, seed)``.
+
+    ``seed`` is the run's master seed, which no result holds. A bare name
+    reads the result's attribute of that name; a ``(name, read)`` pair brings
+    its own reader.
+    """
+    return dict((c, lambda r, _, a=c: getattr(r, a)) if isinstance(c, str) else c for c in columns)
+
+
+#: The closing columns of a Monte Carlo table: replications and master seed.
+_RUN_COLUMNS = (("R", lambda result, _: result.replications), ("seed", lambda _, seed: seed))
+
+#: The ``mse-study`` table: one row per :class:`McCell`.
+STUDY_COLUMNS = _columns(
+    "model", "n", ("alpha", lambda cell, _: order_label(cell.order)),
+    ("estimator", lambda cell, _: cell.kind.value), ("m", lambda cell, _: cell.window),
+    "bias", "mse", "mse_se", *_RUN_COLUMNS,
+)
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,14 @@ used.
 
 from __future__ import annotations
 
+import itertools
 import json
 from functools import lru_cache
 from importlib import resources
 
 from .distributions import order_from_label, order_label, parse_model
 from .errors import DomainError
-from .gof import _critical_pairs, _power_study, parse_test
+from .gof import _TEST_PARAM_COLUMNS, _critical_pairs, power_study
 from .mc import DEFAULT_SEED, McStudyConfig, _pool_map, run_study
 
 __all__ = [
@@ -163,25 +164,23 @@ def _verify_power(table_id: int, group: dict, reps, seed, threads) -> list[dict]
     alternatives = tuple(dict.fromkeys(r["alternative"] for r in rows))
     sizes = tuple(dict.fromkeys(int(r["n"]) for r in rows))
 
-    computed: dict[tuple[int, str, str], object] = {}
+    # Cells come back one per (alternative, test), alternatives outermost, and
+    # are keyed by the group's own (n, alternative, test) strings.
+    computed = {}
     for n in sizes:
-        for cell in _power_study(alternatives, n, tests, gamma, reps, seed, threads):
-            label = cell.test if cell.order is None else f"wcrte:alpha={order_label(cell.order)}"
-            computed[(n, cell.alternative, label)] = cell
+        cells = power_study(alternatives, n, tests, gamma, reps, seed, threads)
+        computed.update(zip(itertools.product([n], alternatives, tests), cells, strict=True))
 
     report: list[dict] = []
     for ref in rows:
-        test = parse_test(ref["test"])
-        alt = parse_model(ref["alternative"]).spec_string()
-        cell = computed[(int(ref["n"]), alt, test.label())]
+        cell = computed[(int(ref["n"]), ref["alternative"], ref["test"])]
         notes = ["suspect"] if ref.get("suspect", False) else []
-        if test.name == "ent":
+        if cell.test == "ent":
             notes.append("published_window_unstated")
         report.append(_row(
             table_id, ref["power"], cell.power,
-            n=int(ref["n"]), alpha=order_label(test.order) if test.is_entropy_band else "",
-            test=test.name, alternative=alt, m="" if cell.m is None else cell.m,
-            metric="power", note=";".join(notes),
+            n=cell.n, test=cell.test, alternative=cell.alternative, metric="power",
+            note=";".join(notes), **{name: read(cell, seed) for name, read in _TEST_PARAM_COLUMNS},
         ))
     return report
 

@@ -265,7 +265,11 @@ def ent_rows(sorted_rows, m, floor=-745.0):
         logs = np.log(scaled)
     if np.any(gaps <= 0.0):
         logs = np.where(gaps > 0.0, logs, floor)
-    return logs.mean(axis=1)
+    # Each row adds its logs in index order, alone or in a batch.
+    total = logs[:, 0].copy()
+    for j in range(1, n):
+        total += logs[:, j]
+    return total / n
 
 
 def stephens_quantile(family, j, u):

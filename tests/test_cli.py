@@ -6,6 +6,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -19,15 +20,9 @@ from wcrte import (
     run_study,
     study_config_from_json,
 )
-from wcrte.cli import (
-    _Z_95,
-    CRITICAL_FIELDS,
-    GOF_FIELDS,
-    MSE_FIELDS,
-    POWER_FIELDS,
-    build_parser,
-    main,
-)
+from wcrte.cli import _Z_95, build_parser, main
+from wcrte.gof import CRITICAL_COLUMNS, GOF_COLUMNS, POWER_COLUMNS
+from wcrte.mc import STUDY_COLUMNS
 from wcrte.reference import REPORT_FIELDS
 
 FROZEN_WCRTE_VAR_30 = 1.0922596389064871
@@ -226,7 +221,7 @@ def test_mse_study_csv_schema_and_sweep(capsys):
     assert code == 0
     assert err == ""
     rows = parse_csv(out)
-    assert out.splitlines()[0] == ",".join(MSE_FIELDS)
+    assert out.splitlines()[0] == ",".join(STUDY_COLUMNS)
     assert [r["m"] for r in rows] == ["1", "2", "3", "4"]
     for r in rows:
         assert r["model"] == "exp:lambda=1"
@@ -365,7 +360,7 @@ def test_critical_values_table_mode_matches_library(capsys):
         ["critical-values", "--n", "10", "--alpha", "1,2", "--reps", "1000"], capsys
     )
     assert code == 0
-    assert out.splitlines()[0] == ",".join(CRITICAL_FIELDS)
+    assert out.splitlines()[0] == ",".join(CRITICAL_COLUMNS)
     rows = parse_csv(out)
     assert [r["alpha"] for r in rows] == ["1", "2"]
     for row, order in zip(rows, (None, 2.0)):
@@ -396,7 +391,7 @@ def test_critical_values_data_mode(exp30, tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    assert out.splitlines()[0] == ",".join(GOF_FIELDS)
+    assert out.splitlines()[0] == ",".join(GOF_COLUMNS)
     rows = parse_csv(out)
     by_test = {r["test"]: r for r in rows}
     band = by_test["wcrte"]
@@ -463,7 +458,7 @@ def test_power_csv(capsys):
         capsys,
     )
     assert code == 0
-    assert out.splitlines()[0] == ",".join(POWER_FIELDS)
+    assert out.splitlines()[0] == ",".join(POWER_COLUMNS)
     rows = parse_csv(out)
     assert [r["test"] for r in rows] == ["ks", "wcrte", "ent"]
     for r in rows:
@@ -496,6 +491,22 @@ def test_verify_tables_critical_group(capsys):
     assert {r["metric"] for r in rows} == {"lower", "upper"}
     for r in rows:
         assert float(r["abs_diff"]) >= 0.0
+
+
+def test_readme_lists_the_columns_each_command_writes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("CSV columns:", 1)[1].split("\n\n", 2)[1]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        command, columns = (cell.strip() for cell in line.strip("|").split("|"))
+        documented[command] = [c.strip() for c in columns.split(",")]
+    assert documented == {
+        "mse-study": list(STUDY_COLUMNS),
+        "critical-values": list(CRITICAL_COLUMNS),
+        "critical-values --data": list(GOF_COLUMNS),
+        "power": list(POWER_COLUMNS),
+        "verify-tables": list(REPORT_FIELDS),
+    }
 
 
 def test_verify_tables_rejects_unknown_ids(capsys):

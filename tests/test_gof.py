@@ -467,13 +467,23 @@ def test_stephens_quantile_matches_the_two_branch_bits():
             assert got == naive.stephens_quantile(family, j, v), (family, j, v)
 
 
-def test_tiles_never_leave_a_single_row():
+def test_one_row_tile_gives_the_bits_of_the_batch():
+    """Every statistic scores a lone row as it scores that row inside a batch,
+    so a tile of one row keeps the bits of the whole batch."""
+    tests = [parse_test(t) for t in ("wcre", "wcrte:alpha=2", "ks", "cvm", "ad", "ent", "ent:m=1")]
+    for n in range(3, 200):
+        scored = [(t, t.resolved_m(n)) for t in tests]
+        rows = np.sort(derive_stream(8, n).random((5, n)), axis=1)
+        whole = gof._score_rows(rows, scored, {})
+        for k in range(len(rows)):
+            alone = gof._score_rows(rows[k : k + 1], scored, {})
+            for (test, _), got, want in zip(scored, alone, whole):
+                assert got[0] == want[k], (n, k, test.label())
     for n in (1, 7, 50, 70_000):
         for reps in (100, 1001, 1310 * 3 + 1, 65_537):
             tiles = list(gof._tiles(reps, n))
             assert tiles[0][0] == 0 and tiles[-1][1] == reps
             assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
-            assert all(hi - lo >= 2 for lo, hi in tiles)
 
 
 @pytest.mark.parametrize("n, reps", [(13, 4 * 25 + 1), (13, 103), (7, 100)])
@@ -487,18 +497,30 @@ def test_tiled_scoring_equals_one_tile(monkeypatch, n, reps):
         return gof._score(stream, n, reps, scored, quantile)
 
     whole = [score(None), score(alt.quantile)]
-    monkeypatch.setattr(gof, "_TILE_VALUES", 4 * n)  # four rows a tile
-    assert len(list(gof._tiles(reps, n))) > 20
-    tiled = [score(None), score(alt.quantile)]
-    for got, want in zip(tiled, whole):
-        assert np.array_equal(got, want)
+    for rows in (4, 1):
+        monkeypatch.setattr(gof, "_TILE_VALUES", rows * n)
+        assert len(list(gof._tiles(reps, n))) > 20
+        tiled = [score(None), score(alt.quantile)]
+        for got, want in zip(tiled, whole):
+            assert np.array_equal(got, want), rows
 
 
-@pytest.mark.parametrize("table", [7, 8])
-def test_verify_groups_do_not_depend_on_threads(table):
-    assert verify_table(table, replications=1000, threads=2) == verify_table(
-        table, replications=1000, threads=1
-    )
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda threads: verify_table(7, replications=1000, threads=threads), id="7"),
+        pytest.param(lambda threads: verify_table(8, replications=1000, threads=threads), id="8"),
+        pytest.param(
+            lambda threads: power_study(
+                ["alt:A,j=2", "alt:B,j=3", "alt:C,j=1.5"], 20, ["wcre", "wcrte:alpha=2", "ks", "ent"],
+                replications=1000, seed=5, threads=threads,
+            ),
+            id="power_study",
+        ),
+    ],
+)
+def test_verify_groups_do_not_depend_on_threads(run):
+    assert run(2) == run(1)
 
 
 def test_power_study_peak_grows_only_by_its_statistic_vectors():
