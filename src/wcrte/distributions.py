@@ -556,11 +556,19 @@ def closed_wcrte(model: Model, order) -> float:
     ``order=None`` selects the WCRE limit, which is the family's closed form
     at order 1. Values follow the published closed-form table that the Monte
     Carlo harness uses as truth; see the module docstring for how that table
-    relates to the defining integral.
+    relates to the defining integral. A value that leaves the float range
+    raises NumericError.
     """
     a = 1.0 if order is None else check_order(order)
     model._require_finite(a)
-    return float(model._closed(a))
+    try:
+        value = float(model._closed(a))
+        if math.isfinite(value):
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise NumericError(f"the closed form of order {order_label(order)} of {model} "
+                       "leaves the float range")
 
 
 def closed_wcre(model: Model) -> float:

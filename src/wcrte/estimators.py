@@ -30,9 +30,15 @@ exactly 0 and no spacing estimate is negative.
 
 A batch is thus validated, sorted and squared once, and each estimator is
 one contraction with its O(n) coefficient vector. A standalone call
-contracts by ``np.einsum``, one vector at a time. A Monte Carlo block plans
-all its vectors up front and contracts them in chunks of W = 16, one BLAS
+contracts by ``np.einsum``, one vector at a time. A Monte Carlo study builds
+one coefficient matrix per (kind, order, plotting position, n), one row per
+window, and each block contracts its vectors in chunks of W = 16, one BLAS
 product ``tile @ C.T`` per tile of rows, lanes along the product's columns.
+The harness then reduces a whole chunk at once: it finishes the (lanes, R)
+product with the one scaling rule and the one finiteness rule of
+:meth:`_SortedSquares.finish`, forms the errors in the product itself, and
+takes every lane's moments by row reductions along axis 1, which give the
+bits of a 1-D reduction of each row.
 The harness promises that adding cells or threads never moves a cell, and
 BLAS may round differently with the shape, so every chunk product has the
 same shape. Each rule below was measured with OpenBLAS 0.3.31 (Haswell
@@ -45,8 +51,8 @@ kernels):
   neighbour moved a result, at 1 and at 2 BLAS threads;
 * a tile holds at most 262 144 / (W * K) rows, so OpenBLAS runs it on the
   calling thread, whatever its thread count;
-* a chunk is computed on the first read of one of its vectors and dropped
-  after the last, so a block holds one chunk at a time per row kind, not all.
+* a block computes one chunk at a time and releases it before the next
+  product is allocated, so it holds its prepared batch and one chunk.
 """
 
 from __future__ import annotations
@@ -125,20 +131,22 @@ _CHUNK_WIDTH = 16
 _TILE_MACS = 262_144
 
 
-class _Chunk:
-    """Up to W coefficient keys over one row kind, contracted together.
+def _chunks(keys) -> list[list[tuple]]:
+    """The distinct ``keys`` in chunks of at most W that weigh one row kind.
 
-    ``keys[lane]`` is the key of column ``lane``; ``reads`` counts the planned
-    reads still to come. The product is computed on the first read and
-    dropped after the last planned one.
+    Spacing keys and L-statistic keys fill separate chunks, each in order of
+    first appearance; a repeated key keeps its first lane.
     """
-
-    __slots__ = ("keys", "reads", "out")
-
-    def __init__(self) -> None:
-        self.keys: list[tuple] = []
-        self.reads = 0
-        self.out = None
+    chunks: list[list[tuple]] = []
+    open_chunks: dict[bool, list[tuple]] = {}
+    for key in dict.fromkeys(keys):
+        lstat = key[0] is EstimatorKind.LSTAT
+        chunk = open_chunks.get(lstat)
+        if chunk is None or len(chunk) == _CHUNK_WIDTH:
+            chunk = open_chunks[lstat] = []
+            chunks.append(chunk)
+        chunk.append(key)
+    return chunks
 
 
 class _SortedSquares:
@@ -148,11 +156,10 @@ class _SortedSquares:
     ``x * 2**-shift``; :meth:`finish` scales results back exactly. ``coefs``
     memoizes coefficient vectors and may be shared between batches. With
     ``overwrite`` the squares are taken in ``srt`` itself, which the caller
-    then no longer reads as sorted values. Keys given to :meth:`plan` are
-    contracted in chunks; any other key is contracted on its own.
+    then no longer reads as sorted values.
     """
 
-    __slots__ = ("s2", "d", "shift", "squeeze", "coefs", "chunks")
+    __slots__ = ("s2", "d", "shift", "squeeze", "coefs")
 
     def __init__(
         self, srt: np.ndarray, squeeze: bool, coefs: dict | None = None, overwrite: bool = False
@@ -165,25 +172,6 @@ class _SortedSquares:
         self.d = np.diff(self.s2, axis=1)
         self.squeeze = squeeze
         self.coefs = {} if coefs is None else coefs
-        self.chunks: dict[tuple, _Chunk] = {}
-
-    def plan(self, keys) -> None:
-        """Contract ``keys`` in chunks of W, one planned read per entry.
-
-        Spacing keys and L-statistic keys fill separate chunks, each in
-        order of first appearance; a repeated key shares its first lane.
-        """
-        open_chunks: dict[bool, _Chunk] = {}
-        for key in keys:
-            chunk = self.chunks.get(key)
-            if chunk is None:
-                lstat = key[0] is EstimatorKind.LSTAT
-                chunk = open_chunks.get(lstat)
-                if chunk is None or len(chunk.keys) == _CHUNK_WIDTH:
-                    chunk = open_chunks[lstat] = _Chunk()
-                chunk.keys.append(key)
-                self.chunks[key] = chunk
-            chunk.reads += 1
 
     def _rows(self, key: tuple) -> np.ndarray:
         """What the coefficients of ``key`` weigh: ``s2`` or the spacings ``d``."""
@@ -191,21 +179,14 @@ class _SortedSquares:
 
     def contract(self, key: tuple) -> np.ndarray:
         """The estimator of coefficient ``key`` on every row, before :meth:`finish`."""
-        chunk = self.chunks.get(key)
-        if chunk is None:
-            return np.einsum("ij,j->i", self._rows(key), _coefficients(self.coefs, *key))
-        out = chunk.out
-        if out is None:
-            out = self._chunk_product(chunk.keys)
-        chunk.reads -= 1
-        chunk.out = out if chunk.reads > 0 else None
-        return out[chunk.keys.index(key)]
+        return np.einsum("ij,j->i", self._rows(key), _coefficients(self.coefs, *key))
 
-    def _chunk_product(self, keys: list[tuple]) -> np.ndarray:
-        """Rows of (W, R): lane ``j`` holds the estimator of ``keys[j]``.
+    def chunk(self, keys: list[tuple]) -> np.ndarray:
+        """Rows of (len(keys), R) for one chunk (see :func:`_chunks`), before :meth:`finish`.
 
-        Each tile of rows is one product ``tile @ C.T`` of fixed shape, lanes
-        along its columns, transposed into the result.
+        Lane ``j`` holds the estimator of ``keys[j]``. Each tile of rows is one
+        product ``tile @ C.T`` of fixed shape, W lanes along its columns,
+        transposed into the result.
         """
         rows = self._rows(keys[0])
         r, k = rows.shape
@@ -216,18 +197,22 @@ class _SortedSquares:
         step = max(1, _TILE_MACS // (_CHUNK_WIDTH * k))
         for lo in range(0, r, step):
             out[:, lo : lo + step] = (rows[lo : lo + step] @ coef.T).T
-        return out
+        return out[: len(keys)]
 
     def finish(self, out: np.ndarray, power: int = 1):
-        """Undo the scaling of a result of degree ``power`` in ``s2``."""
+        """Undo the scaling of a result of degree ``power`` in ``s2``, in place.
+
+        ``out`` is one estimator's vector or a chunk's rows, each row checked
+        on its own: an estimate that leaves the float range raises.
+        """
         if self.shift:
             with np.errstate(over="ignore"):  # reported below
-                out = np.ldexp(out, 2 * power * self.shift)
-        # A finite sum proves every entry finite; only a sum that is not
-        # finite (an entry that is not, or an overflow) needs the scan.
+                np.ldexp(out, 2 * power * self.shift, out=out)
+        # A finite row sum proves every entry of the row finite; only a sum
+        # that is not finite (an entry that is not, or an overflow) needs the scan.
         with np.errstate(over="ignore", invalid="ignore"):
-            total = np.add.reduce(out)
-        if not math.isfinite(total) and not np.isfinite(out).all():
+            total = np.add.reduce(out, axis=-1)
+        if not np.isfinite(total).all() and not np.isfinite(out).all():
             raise NumericError("the estimate is not finite: it leaves the float range")
         return float(out[0]) if self.squeeze else out
 
@@ -296,32 +281,39 @@ def ebrahimi_weights(n: int, m) -> np.ndarray:
     c_i ramps linearly from 1 + (i-1)/m near the lower edge up to 2 in the
     interior, and back down symmetrically near the upper edge.
     """
-    mi = _check_window(m, n)
-    i = np.arange(1, n + 1, dtype=float)
-    c = np.full(n, 2.0)
-    head = i <= mi
-    c[head] = 1.0 + (i[head] - 1.0) / mi
-    tail = i >= n - mi + 1
-    c[tail] = 1.0 + (n - i[tail]) / mi
+    return _edge_weights(n, (_check_window(m, n),))[0]
+
+
+def _edge_weights(n: int, windows) -> np.ndarray:
+    """Rows of c_1..c_n (see :func:`ebrahimi_weights`), one per checked window."""
+    c = np.full((len(windows), n), 2.0)
+    for row, m in zip(c, windows):
+        ramp = 1.0 + np.arange(m, dtype=float) / m  # i = 1..m; the top edge mirrors it
+        row[:m] = ramp
+        row[n - m :] = ramp[::-1]
     return c
 
 
 # --- the linear core ------------------------------------------------------------
 
 
-def _build_coefficients(kind: EstimatorKind, order, m, plotting, n: int) -> np.ndarray:
-    """Coefficients over ``s2`` (L-statistic) or over ``d`` (other kinds)."""
+def _build_coefficients(kind: EstimatorKind, order, windows, plotting, n: int) -> np.ndarray:
+    """Coefficients over ``s2`` (L-statistic) or over ``d`` (other kinds), one row per window.
+
+    ``windows`` lists a spacing kind's windows, each checked against n; a
+    kind without a window takes ``(None,)`` and gets one row.
+    """
     if kind is EstimatorKind.LSTAT:
         # The plotting default: i/(n+1) for the WCRE, i/n for other orders.
         plotting = plotting or ("n+1" if order is None else "n")
         p = np.arange(1, n + 1, dtype=float) / (n if plotting == "n" else n + 1)
         if order is not None:
-            return (1.0 - order * (1.0 - p) ** (order - 1.0)) / (2.0 * (order - 1.0) * n)
+            return ((1.0 - order * (1.0 - p) ** (order - 1.0)) / (2.0 * (order - 1.0) * n))[None]
         with np.errstate(divide="ignore"):
             c = -(1.0 + np.log(1.0 - p)) / (2.0 * n)
         if plotting == "n":
             c[-1] = 0.0  # the log(0) term is dropped
-        return c
+        return c[None]
     # Tail weights for i = 1..n-1; the i = n term of the windowed WCRTE sums
     # is always 0, so both measures stop at n - 1.
     tail = 1.0 - np.arange(1, n, dtype=float) / n
@@ -330,21 +322,24 @@ def _build_coefficients(kind: EstimatorKind, order, m, plotting, n: int) -> np.n
     else:
         w = (tail - tail**order) / (order - 1.0)
     if kind is EstimatorKind.EMPIRICAL:
-        return w / 2.0
-    m = _check_window(m, n)
+        return (w / 2.0)[None]
+    ms = [_check_window(m, n) for m in windows]
+    m = np.array(ms, dtype=float)[:, None]
     if kind is EstimatorKind.VASICEK:
-        w /= 4.0 * m
+        w = w / (4.0 * m)
     elif kind is EstimatorKind.EBRAHIMI:
-        w /= ebrahimi_weights(n, m)[:-1] * (2.0 * m)
+        w = w / (_edge_weights(n, ms)[:, :-1] * (2.0 * m))
     else:
-        w /= m * ebrahimi_weights(n, m)[:-1] ** 2
+        w = w / (m * _edge_weights(n, ms)[:, :-1] ** 2)
     # Spacing j (0-based) lies inside the clamped window of every 1-based i
     # with j - m + 2 <= i <= j + m + 1. With C[k] = w_1 + ... + w_k = cum[k - 1]
     # and C[0] = 0, its coefficient is C[min(j + m + 1, n - 1)] - C[max(j - m + 1, 0)].
-    cum = np.cumsum(w, out=w)
-    out = np.full(n - 1, cum[-1])
-    out[: n - 1 - m] = cum[m:]
-    out[m:] -= cum[: n - 1 - m]
+    cum = np.cumsum(w, axis=1, out=w)
+    out = np.empty_like(cum)
+    for row, c, mi in zip(out, cum, ms):
+        row[: n - 1 - mi] = c[mi:]
+        row[n - 1 - mi :] = c[-1]
+        row[mi:] -= c[: n - 1 - mi]
     return out
 
 
@@ -361,24 +356,45 @@ def _coefficients(coefs: dict, kind, order, m, plotting, n: int) -> np.ndarray:
     key = (kind, order, m, plotting, n)
     c = coefs.get(key)
     if c is None:
-        c = coefs[key] = _build_coefficients(*key)
+        c = coefs[key] = _build_coefficients(kind, order, (m,), plotting, n)[0]
     return c
 
 
-def _evaluate(spec: EstimatorSpec, x):
-    """``spec`` on ``x``; every public estimator ends here."""
+def _coefficient_rows(keys) -> dict:
+    """The vectors of ``keys``, keyed as :func:`_coefficients` memoizes them.
+
+    One matrix is built per (kind, order, plotting, n), with one row per
+    window its keys use; each vector is a row of it.
+    """
+    windows: dict[tuple, dict] = {}
+    for kind, order, m, plotting, n in keys:
+        windows.setdefault((kind, order, plotting, n), {})[m] = None
+    coefs = {}
+    for (kind, order, plotting, n), ms in windows.items():
+        for m, row in zip(ms, _build_coefficients(kind, order, tuple(ms), plotting, n)):
+            coefs[(kind, order, m, plotting, n)] = row
+    return coefs
+
+
+def _warn_order(spec: EstimatorSpec, stacklevel: int) -> None:
+    """The warnings an evaluation of ``spec`` gives, whatever its sample."""
     if spec.kind.needs_window and spec.order is not None and spec.order < 1.0:
         warnings.warn(
             f"order {spec.order:g} is below 1; the underlying measure may be infinite "
             "and the spacing estimate need not stabilize",
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
     if spec.order is None and spec.plotting == "n":
         warnings.warn(
             "plotting position i/n makes the last WCRE L-statistic term "
             "log(0); dropping the i = n term",
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
+
+
+def _evaluate(spec: EstimatorSpec, x):
+    """``spec`` on ``x``; every public estimator ends here."""
+    _warn_order(spec, stacklevel=3)
     sq = _prepare(x)
     return sq.finish(sq.contract(_key(spec, sq.s2.shape[1])))
 

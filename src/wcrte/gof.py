@@ -50,7 +50,8 @@ from .distributions import (
 )
 from .errors import DomainError, ParseError
 from .mc import (
-    _RUN_COLUMNS, DEFAULT_SEED, _columns, _pool_map, gof_alternative_stream, gof_null_stream,
+    _RUN_COLUMNS, DEFAULT_SEED, _check_threads, _columns, _pool_map, gof_alternative_stream,
+    gof_null_stream,
 )
 from .sample import _check_size, _sorted_rows
 
@@ -594,6 +595,7 @@ def power_study(
     one per (alternative, test), alternatives outermost, and no value
     depends on the thread count.
     """
+    _check_threads(threads)
     n, g, reps = _check_null_grid(n, gamma, replications, min_replications=100)
     tests = [parse_test(t) if isinstance(t, str) else t for t in tests]
     alternatives = [parse_model(a) if isinstance(a, str) else a for a in alternatives]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import estimators as est
 from .distributions import Model, closed_wcrte, order_from_label, order_label, parse_model
-from .errors import DivergenceError, DomainError, ParseError
+from .errors import DivergenceError, DomainError, NumericError, ParseError
 from .estimators import EstimatorKind
 from .sample import _check_size, _check_sorted
 
@@ -150,6 +150,12 @@ class McCell:
     mse_se: float
     replications: int
 
+    @property
+    def bias_se(self) -> float:
+        """Standard error of ``bias``: the population standard deviation of
+        the R errors, sqrt(mse - bias**2), divided by sqrt(R)."""
+        return math.sqrt(max(self.mse - self.bias * self.bias, 0.0)) / math.sqrt(self.replications)
+
 
 def _columns(*columns) -> dict:
     """A printed table's columns, each name mapped to ``read(result, seed)``.
@@ -168,7 +174,7 @@ _RUN_COLUMNS = (("R", lambda result, _: result.replications), ("seed", lambda _,
 STUDY_COLUMNS = _columns(
     "model", "n", ("alpha", lambda cell, _: order_label(cell.order)),
     ("estimator", lambda cell, _: cell.kind.value), ("m", lambda cell, _: cell.window),
-    "bias", "mse", "mse_se", *_RUN_COLUMNS,
+    "bias", "bias_se", "mse", "mse_se", *_RUN_COLUMNS,
 )
 
 
@@ -204,10 +210,12 @@ def _plan_blocks(config: McStudyConfig) -> tuple[list[_BlockPlan], list[str]]:
     kinds or windows to a study never changes any draw, and cells whose
     target measure diverges, or whose estimator does not admit the order
     (the L-statistic below order 1), are skipped without affecting the rest.
+    Each estimator spec is built, and warns, once per (order, kind, n).
     """
     blocks: list[_BlockPlan] = []
     skipped: list[str] = []
     truth_cache: dict[tuple[int, float | None], float | None] = {}
+    spec_cache: dict[tuple, tuple[est.EstimatorSpec, ...]] = {}
     for (mi, model), n in itertools.product(enumerate(config.models), config.sample_sizes):
         specs: list[_CellSpec] = []
         for order, kind in itertools.product(config.orders, config.kinds):
@@ -221,16 +229,60 @@ def _plan_blocks(config: McStudyConfig) -> tuple[list[_BlockPlan], list[str]]:
             truth = truth_cache[key]
             if truth is None:
                 continue
-            try:
-                est.EstimatorSpec(kind, order)
-            except DomainError as exc:
-                if str(exc) not in skipped:
-                    skipped.append(str(exc))
-                continue
-            for window in config.windows_for(kind, n):
-                specs.append(_CellSpec(est.EstimatorSpec(kind, order, window), truth))
+            if (order, kind, n) not in spec_cache:
+                spec_cache[(order, kind, n)] = _specs(kind, order, config.windows_for(kind, n), skipped)
+            specs.extend(_CellSpec(spec, truth) for spec in spec_cache[(order, kind, n)])
         blocks.append(_BlockPlan(mi, model, n, tuple(specs)))
     return blocks, skipped
+
+
+def _specs(kind, order, windows, skipped: list[str]) -> tuple[est.EstimatorSpec, ...]:
+    """One spec per window, or none if the kind does not admit the order."""
+    try:
+        spec = est.EstimatorSpec(kind, order)
+    except DomainError as exc:
+        if str(exc) not in skipped:
+            skipped.append(str(exc))
+        return ()
+    est._warn_order(spec, stacklevel=4)
+    return tuple(est.EstimatorSpec(kind, order, window) for window in windows)
+
+
+#: A lane's squared deviations, and their sum, stay below (R * mse)**2, so
+#: they can overflow only where R * mse reaches this bound.
+_SCALED_FROM = 2.0**500
+
+
+def _chunk_moments(out: np.ndarray, truths, replications: int, where: str) -> list[tuple]:
+    """(bias, mse, mse_se) of each row of a finished chunk of estimates.
+
+    The error, its square and the square's deviation are formed in ``out``
+    itself, and each moment is one row reduction along axis 1: for every
+    row, the bits of ``ndarray.mean`` and ``ndarray.std`` of that row alone.
+    A lane whose squared deviations overflow gets its mse_se from the
+    deviations scaled by an exact power of two; a bias or mse that leaves
+    the float range raises NumericError, naming ``where``.
+    """
+    r = replications
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.subtract(out, np.asarray(truths)[:, None], out=out)
+        bias = np.add.reduce(err, axis=1) / r
+        sq = np.multiply(err, err, out=err)
+        mse = np.add.reduce(sq, axis=1) / r
+        if not (np.isfinite(bias).all() and np.isfinite(mse).all()):
+            raise NumericError(f"the bias or mse of a cell of {where} leaves the float range")
+        dev = np.subtract(sq, mse[:, None], out=sq)
+        big = np.flatnonzero(mse >= _SCALED_FROM / r)
+        kept = dev[big]  # a copy
+        var = np.add.reduce(np.multiply(dev, dev, out=dev), axis=1) / r
+    se = [math.sqrt(v) / math.sqrt(r) for v in var.tolist()]
+    for lane, row in zip(big.tolist(), kept):
+        if not math.isfinite(se[lane]):
+            k = math.frexp(float(np.abs(row).max()))[1]
+            row = np.ldexp(row, -k, out=row)
+            v = float(np.add.reduce(np.multiply(row, row, out=row)) / r)
+            se[lane] = math.ldexp(math.sqrt(v) / math.sqrt(r), k)
+    return list(zip(bias.tolist(), mse.tolist(), se))
 
 
 def _run_block(block: _BlockPlan, replications: int, seed: int, coefs: dict) -> list[McCell]:
@@ -240,22 +292,23 @@ def _run_block(block: _BlockPlan, replications: int, seed: int, coefs: dict) -> 
     xs = block.model.quantile(stream.random((replications, block.n)))
     # One validation, sort and squaring for the whole block, in the drawn
     # array itself; the cells' coefficient vectors (from ``coefs``) are then
-    # contracted with it in chunks, each on the first read of one of its cells.
+    # contracted with it and reduced one chunk at a time.
     xs.sort(axis=1)
     squares = est._SortedSquares(_check_sorted(xs), False, coefs, overwrite=True)
-    squares.plan(est._key(cell.estimator, block.n) for cell in block.specs)
+    keys = [est._key(cell.estimator, block.n) for cell in block.specs]
+    truths = dict(zip(keys, (cell.truth for cell in block.specs)))
     model = block.model.spec_string()
+    where = f"{model} at n={block.n}"
+    moments = {}
+    for chunk in est._chunks(keys):
+        out = squares.finish(squares.chunk(chunk))
+        truth = [truths[key] for key in chunk]
+        moments.update(zip(chunk, _chunk_moments(out, truth, replications, where)))
+        del out  # released before the next chunk's product is allocated
     cells: list[McCell] = []
-    for cell in block.specs:
+    for cell, key in zip(block.specs, keys):
         spec = cell.estimator
-        # The steps of ndarray.mean and ndarray.std, without their wrappers
-        # (same bits), in one buffer: the error, its square, the deviation.
-        err = est.estimate(spec, squares) - cell.truth
-        bias = float(np.add.reduce(err) / replications)
-        sq = np.multiply(err, err, out=err)
-        mse = float(np.add.reduce(sq) / replications)
-        dev = np.subtract(sq, mse, out=sq)
-        var = float(np.add.reduce(np.multiply(dev, dev, out=dev)) / replications)
+        bias, mse, mse_se = moments[key]
         cells.append(
             McCell(
                 model=model,
@@ -266,11 +319,18 @@ def _run_block(block: _BlockPlan, replications: int, seed: int, coefs: dict) -> 
                 truth=cell.truth,
                 bias=bias,
                 mse=mse,
-                mse_se=math.sqrt(var) / math.sqrt(replications),
+                mse_se=mse_se,
                 replications=replications,
             )
         )
     return cells
+
+
+def _check_threads(threads: int | None) -> int | None:
+    """``threads`` if it is None or a positive count; checked before any work."""
+    if threads is not None and int(threads) < 1:
+        raise DomainError(f"threads must be positive, got {threads!r}")
+    return threads
 
 
 def _pool_map(fn, items, threads: int | None = None) -> list:
@@ -279,9 +339,7 @@ def _pool_map(fn, items, threads: int | None = None) -> list:
     Results come back in item order, so no output depends on the thread
     count; ``threads=None`` or 1 runs in the calling thread.
     """
-    if threads is not None and int(threads) < 1:
-        raise DomainError(f"threads must be positive, got {threads!r}")
-    if threads is None or int(threads) == 1:
+    if _check_threads(threads) is None or int(threads) == 1:
         return [fn(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor
 
@@ -295,13 +353,14 @@ def run_study(config: McStudyConfig, threads: int | None = None) -> McStudyResul
     ``threads=None`` or 1 runs serially; larger values parallelize across
     (model, n) blocks without changing any output bit.
     """
+    _check_threads(threads)
     blocks, skipped = _plan_blocks(config)
-    # Each (spec, n) coefficient vector is built once, here, before any
-    # worker starts; the blocks then only read this dict.
-    coefs: dict = {}
-    for b in blocks:
-        for cell in b.specs:
-            est._coefficients(coefs, *est._key(cell.estimator, b.n))
+    # Every coefficient vector is built here, before any worker starts, as a
+    # row of one matrix per (kind, order, plotting, n); the blocks then only
+    # read this dict.
+    coefs = est._coefficient_rows(
+        est._key(cell.estimator, b.n) for b in blocks for cell in b.specs
+    )
 
     def run(b: _BlockPlan) -> list[McCell]:
         return _run_block(b, config.replications, config.seed, coefs)

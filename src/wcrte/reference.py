@@ -26,7 +26,7 @@ from importlib import resources
 from .distributions import order_from_label, order_label, parse_model
 from .errors import DomainError
 from .gof import _TEST_PARAM_COLUMNS, _critical_pairs, power_study
-from .mc import DEFAULT_SEED, McStudyConfig, _pool_map, run_study
+from .mc import DEFAULT_SEED, McStudyConfig, _check_threads, _pool_map, run_study
 
 __all__ = [
     "load_reference_tables",
@@ -202,6 +202,7 @@ def verify_table(
     :data:`REPORT_FIELDS`; ``abs_diff`` compares absolute values when the
     published sign is flagged as suspect.
     """
+    _check_threads(threads)
     tables = load_reference_tables()["tables"]
     key = str(int(table_id))
     if key not in tables:

@@ -289,3 +289,64 @@ def stephens_quantile(family, j, u):
             0.5 + (np.maximum(v - 0.5, 0.0) / c) ** (1.0 / j),
         )
     return out.item() if out.ndim == 0 else out
+
+
+def study_cell(estimates, truth, replications):
+    """(bias, mse, mse_se) of one study cell: the earlier per-cell reduction.
+
+    ``estimates`` is the cell's vector of R estimates; it is not modified.
+    """
+    # The steps of ndarray.mean and ndarray.std, without their wrappers
+    # (same bits), in one buffer: the error, its square, the deviation.
+    err = estimates - truth
+    bias = float(np.add.reduce(err) / replications)
+    sq = np.multiply(err, err, out=err)
+    mse = float(np.add.reduce(sq) / replications)
+    dev = np.subtract(sq, mse, out=sq)
+    var = float(np.add.reduce(np.multiply(dev, dev, out=dev)) / replications)
+    return bias, mse, math.sqrt(var) / math.sqrt(replications)
+
+
+def ebrahimi_weights(n, m):
+    i = np.arange(1, n + 1, dtype=float)
+    c = np.full(n, 2.0)
+    head = i <= m
+    c[head] = 1.0 + (i[head] - 1.0) / m
+    tail = i >= n - m + 1
+    c[tail] = 1.0 + (n - i[tail]) / m
+    return c
+
+
+def coefficients(kind, order, m, plotting, n):
+    """The earlier one-vector builder: coefficients over s2 (L-statistic) or d.
+
+    ``kind`` is the kind's token ("empirical", ..., "lstat").
+    """
+    if kind == "lstat":
+        plotting = plotting or ("n+1" if order is None else "n")
+        p = np.arange(1, n + 1, dtype=float) / (n if plotting == "n" else n + 1)
+        if order is not None:
+            return (1.0 - order * (1.0 - p) ** (order - 1.0)) / (2.0 * (order - 1.0) * n)
+        with np.errstate(divide="ignore"):
+            c = -(1.0 + np.log(1.0 - p)) / (2.0 * n)
+        if plotting == "n":
+            c[-1] = 0.0
+        return c
+    tail = 1.0 - np.arange(1, n, dtype=float) / n
+    if order is None:
+        w = -tail * np.log(tail)
+    else:
+        w = (tail - tail**order) / (order - 1.0)
+    if kind == "empirical":
+        return w / 2.0
+    if kind == "vasicek":
+        w /= 4.0 * m
+    elif kind == "ebrahimi":
+        w /= ebrahimi_weights(n, m)[:-1] * (2.0 * m)
+    else:
+        w /= m * ebrahimi_weights(n, m)[:-1] ** 2
+    cum = np.cumsum(w, out=w)
+    out = np.full(n - 1, cum[-1])
+    out[: n - 1 - m] = cum[m:]
+    out[m:] -= cum[: n - 1 - m]
+    return out

@@ -189,6 +189,17 @@ def test_estimate_out_of_float_range_exits_four(tmp_path, capsys):
     assert "not finite" in err
 
 
+def test_study_moments_never_print_inf_or_nan(capsys):
+    argv = ["mse-study", "--n", "10", "--alpha", "2", "--estimator", "empirical", "--reps", "200"]
+    code, out, _ = run_cli([*argv, "--model", "uniform:theta=1e40"], capsys)
+    assert code == 0
+    (row,) = parse_csv(out)
+    assert all(math.isfinite(float(row[c])) for c in ("bias", "bias_se", "mse", "mse_se"))
+    code, out, err = run_cli([*argv, "--model", "uniform:theta=1e80"], capsys)
+    assert (code, out) == (4, "")
+    assert "leaves the float range" in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     code, _, _ = run_cli(["frobnicate"], capsys)
     assert code == 2

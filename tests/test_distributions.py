@@ -58,6 +58,23 @@ def test_closed_wcrte_scales_with_theta_squared():
     assert math.isclose(closed_wcrte(Exponential(2.0), 2.5), base / 4.0, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["uniform:theta=1e200", "rayleigh:sigma=1e200", "exp:lambda=1e-200",
+     "weibull:lambda=1e-200,p=2", "pareto1:k=1e200,delta=3", "uniform:theta=1e154"],
+)
+def test_closed_forms_out_of_float_range_raise_numeric_error(spec, capsys):
+    for order in (2.0, None):
+        with pytest.raises(NumericError, match="leaves the float range"):
+            closed_wcrte(parse_model(spec), order)
+    code, out, err = run_cli(
+        ["mse-study", "--model", spec, "--n", "10", "--estimator", "empirical", "--reps", "10"],
+        capsys,
+    )
+    assert (code, out) == (4, "")
+    assert "leaves the float range" in err
+
+
 def test_closed_wcre_hand_values():
     assert math.isclose(closed_wcre(Uniform(1.0)), 5.0 / 36.0, abs_tol=1e-8)
     assert math.isclose(closed_wcre(Exponential(1.0)), 2.0, abs_tol=1e-8)

@@ -38,7 +38,7 @@ from wcrte import (
     wcrte_modified_n,
     wcrte_vasicek,
 )
-from wcrte.estimators import _coefficients
+from wcrte.estimators import _coefficient_rows, _coefficients
 
 
 # --- hand-computed values -----------------------------------------------------
@@ -193,6 +193,26 @@ def test_spacing_coefficients_are_nonnegative():
             if spec.kind is not EstimatorKind.LSTAT:
                 c = _coefficients({}, spec.kind, spec.order, spec.window, None, n)
                 assert (c >= 0.0).all(), spec
+
+
+def test_coefficient_rows_equal_the_one_window_vectors():
+    """One matrix per (kind, order, plotting, n) gives the earlier builder's bits."""
+    orders = (None, 0.5, 2.0, 7.0)
+    for n in range(3, 102):
+        windows = tuple(range(1, max_window(n) + 1))
+        keys = [(kind, order, m, None, n)
+                for kind in EstimatorKind if kind is not EstimatorKind.LSTAT
+                for order in orders
+                for m in (windows if kind.needs_window else (None,))]
+        keys += [(EstimatorKind.LSTAT, order, None, plotting, n)
+                 for order in (None, 2.0, 7.0) for plotting in (None, "n", "n+1")]
+        rows = _coefficient_rows(keys)
+        assert len(rows) == len(keys)
+        for key in keys:
+            kind, order, m, plotting, _ = key
+            want = naive.coefficients(kind.value, order, m, plotting, n)
+            assert rows[key].tobytes() == want.tobytes(), key
+            assert _coefficients({}, *key).tobytes() == want.tobytes(), key
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 31])

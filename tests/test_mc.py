@@ -1,10 +1,12 @@
 """Monte Carlo study harness: windows, grids, shared draws, determinism."""
 
 import io
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from wcrte import (
     Exponential,
     McCell,
     McStudyConfig,
+    NumericError,
     ParetoOne,
     ParseError,
     Uniform,
@@ -29,8 +32,10 @@ from wcrte import (
     derive_stream,
     estimate,
     heuristic_window,
+    power_study,
     run_study,
     study_config_from_json,
+    verify_table,
 )
 from wcrte import estimators as est
 
@@ -241,8 +246,7 @@ def test_a_spec_alone_in_its_chunk_equals_it_in_every_lane(kind, n, r):
 
     def read(keys, key):
         squares = est._SortedSquares(rows, False)
-        squares.plan(keys)
-        return estimate(EstimatorSpec(*key[:4]), squares)
+        return squares.finish(squares.chunk(keys))[keys.index(key)]
 
     alone = read([target], target)
     # Standalone calls keep the per-spec contraction: equal up to rounding.
@@ -289,6 +293,101 @@ def test_study_cells_match_the_naive_oracle():
         err = [fn(list(row), *args) - cell.truth for row in rows]
         assert cell.bias == pytest.approx(sum(err) / r, rel=1e-12, abs=1e-12)
         assert cell.mse == pytest.approx(sum(e * e for e in err) / r, rel=1e-12, abs=1e-12)
+
+
+def _oracle_cells(config):
+    """Every cell of a one-model study, the earlier way: one lane's chunk read
+    per cell, reduced by the earlier per-cell reduction (``naive.study_cell``)."""
+    (model,), r = config.models, config.replications
+    want = []
+    for n in config.sample_sizes:
+        rows = np.sort(model.quantile(wcrte.mc.mc_stream(config.seed, 0, n).random((r, n))), axis=1)
+        squares = est._SortedSquares(rows, False)
+        for order in config.orders:
+            truth = closed_wcre(model) if order is None else closed_wcrte(model, order)
+            for kind in config.kinds:
+                if kind is EstimatorKind.LSTAT and order is not None and order < 1.0:
+                    continue
+                for window in config.windows_for(kind, n):
+                    spec = EstimatorSpec(kind, order, window)
+                    key = est._key(spec, n)
+                    lane = squares.finish(squares.chunk([key]))[0]
+                    # The standalone contraction agrees up to rounding.
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # orders below 1
+                        alone = estimate(spec, rows)
+                    np.testing.assert_allclose(lane, alone, rtol=1e-12, atol=1e-300)
+                    want.append((n, order, kind, window, *naive.study_cell(lane, truth, r)))
+    return want
+
+
+@pytest.mark.parametrize("r", [1, 7, 301, 10_000])
+def test_chunk_moments_equal_the_per_cell_reduction_bit_for_bit(r):
+    config = McStudyConfig(
+        models=(EXP1,), sample_sizes=(3, 10, 21, 50), orders=(2.0, None, 0.5, 2.0),
+        kinds=ALL_KINDS, windows="sweep", replications=r, seed=0x5EED,
+    )
+    with pytest.warns(UserWarning, match="below 1"):
+        cells = run_study(config).cells
+    got = [(c.n, c.order, c.kind, c.window, c.bias, c.mse, c.mse_se) for c in cells]
+    want = _oracle_cells(config)
+    assert len(got) == len(want) > 4 * W
+    for g, w in zip(got, want):
+        assert g[:4] == w[:4]
+        assert [v.hex() for v in g[4:]] == [v.hex() for v in w[4:]], g[:4]
+
+
+@pytest.mark.parametrize("r", [1, 2, 301, 4000])
+def test_bias_se_is_the_population_sd_of_the_errors_over_sqrt_r(r):
+    config = McStudyConfig(
+        models=(EXP1,), sample_sizes=(10,), orders=(2.0, None), kinds=ALL_KINDS,
+        windows=(1, 4), replications=r, seed=3,
+    )
+    rows = np.sort(EXP1.quantile(wcrte.mc.mc_stream(3, 0, 10).random((r, 10))), axis=1)
+    for cell in run_study(config).cells:
+        err = estimate(EstimatorSpec(cell.kind, cell.order, cell.window), rows) - cell.truth
+        if r == 1:
+            assert cell.bias_se == 0.0
+        else:
+            assert cell.bias_se == pytest.approx(np.std(err) / np.sqrt(r), rel=1e-9)
+
+
+def test_a_study_scaled_by_a_power_of_two_scales_every_cell_exactly():
+    """Squared deviations of 2**520 overflow; their mse_se is still exact."""
+    def cells(theta):
+        config = McStudyConfig(
+            models=(Uniform(theta),), sample_sizes=(10, 21), orders=(2.0, None, 5.0),
+            kinds=ALL_KINDS, windows="sweep", replications=200, seed=11,
+        )
+        return run_study(config).cells
+
+    base, scaled = cells(1.0), cells(2.0**130)
+    assert len(base) == len(scaled) > W
+    for a, b in zip(base, scaled):
+        assert math.isfinite(b.mse_se)
+        for name, shift in (("bias", 260), ("bias_se", 260), ("mse", 520), ("mse_se", 520)):
+            assert getattr(b, name).hex() == math.ldexp(getattr(a, name), shift).hex(), name
+    with pytest.raises(NumericError, match="uniform:theta=.* at n=10 leaves the float range"):
+        cells(2.0**260)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda: run_study(McStudyConfig(
+            models=(EXP1,), sample_sizes=(10,), orders=(2.0,), kinds=(EstimatorKind.EMPIRICAL,),
+            replications=100), threads=0), id="run_study"),
+        pytest.param(lambda: power_study(["alt:A,j=2"], 200, ["wcre", "ks", "ent"],
+                                         replications=20_000, threads=0), id="power_study"),
+        pytest.param(lambda: verify_table(8, threads=0), id="verify_table"),
+    ],
+)
+def test_thread_count_is_checked_before_any_stream_is_derived(run, monkeypatch):
+    derived = []
+    monkeypatch.setattr(wcrte.mc, "derive_stream", lambda *a: derived.append(a))
+    with pytest.raises(DomainError, match="threads must be positive, got 0"):
+        run()
+    assert derived == []
 
 
 def test_a_grid_listing_an_order_twice_gives_equal_duplicate_cells():

@@ -22,7 +22,7 @@ from wcrte import (
 
 CELLS = (
     McCell(model="exp:lambda=1", n=10, order=None, kind=EstimatorKind.EMPIRICAL, window=None,
-           truth=2.0, bias=-0.5, mse=0.25, mse_se=0.125, replications=100),
+           truth=2.0, bias=-0.5, mse=0.5, mse_se=0.125, replications=100),
     McCell(model="exp:lambda=1", n=10, order=2.0, kind=EstimatorKind.VASICEK, window=3,
            truth=1.5, bias=0.1, mse=1e-05, mse_se=2.5e-06, replications=100),
 )
@@ -64,19 +64,21 @@ def _run(argv, fmt, capsys):
 
 
 MSE_ARGV = ["mse-study", "--model", "exp:lambda=1", "--reps", "100"]
-MSE_HEAD = "model,n,alpha,estimator,m,bias,mse,mse_se,R,seed\n"
+MSE_HEAD = "model,n,alpha,estimator,m,bias,bias_se,mse,mse_se,R,seed\n"
 
 TABLES = {
     "mse-study": (
         MSE_ARGV,
         MSE_HEAD
-        + "exp:lambda=1,10,1,empirical,,-0.5,0.25,0.125,100,7\n"
-        + "exp:lambda=1,10,2,vasicek,3,0.1,1e-05,2.5e-06,100,7\n",
+        + "exp:lambda=1,10,1,empirical,,-0.5,0.05,0.5,0.125,100,7\n"
+        + "exp:lambda=1,10,2,vasicek,3,0.1,0.0,1e-05,2.5e-06,100,7\n",
         [
             {"model": "exp:lambda=1", "n": 10, "alpha": "1", "estimator": "empirical",
-             "m": None, "bias": -0.5, "mse": 0.25, "mse_se": 0.125, "R": 100, "seed": 7},
+             "m": None, "bias": -0.5, "bias_se": 0.05, "mse": 0.5, "mse_se": 0.125, "R": 100,
+             "seed": 7},
             {"model": "exp:lambda=1", "n": 10, "alpha": "2", "estimator": "vasicek",
-             "m": 3, "bias": 0.1, "mse": 1e-05, "mse_se": 2.5e-06, "R": 100, "seed": 7},
+             "m": 3, "bias": 0.1, "bias_se": 0.0, "mse": 1e-05, "mse_se": 2.5e-06, "R": 100,
+             "seed": 7},
         ],
     ),
     "critical-values": (
