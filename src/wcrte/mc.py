@@ -326,11 +326,10 @@ def _run_block(block: _BlockPlan, replications: int, seed: int, coefs: dict) -> 
     return cells
 
 
-def _check_threads(threads: int | None) -> int | None:
-    """``threads`` if it is None or a positive count; checked before any work."""
+def _check_threads(threads: int | None) -> None:
+    """The thread-count rule (None or a positive count), checked before any work."""
     if threads is not None and int(threads) < 1:
         raise DomainError(f"threads must be positive, got {threads!r}")
-    return threads
 
 
 def _pool_map(fn, items, threads: int | None = None) -> list:
@@ -339,7 +338,8 @@ def _pool_map(fn, items, threads: int | None = None) -> list:
     Results come back in item order, so no output depends on the thread
     count; ``threads=None`` or 1 runs in the calling thread.
     """
-    if _check_threads(threads) is None or int(threads) == 1:
+    _check_threads(threads)
+    if threads is None or int(threads) == 1:
         return [fn(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor
 
