@@ -177,9 +177,16 @@ class _SortedSquares:
         """What the coefficients of ``key`` weigh: ``s2`` or the spacings ``d``."""
         return self.s2 if key[0] is EstimatorKind.LSTAT else self.d
 
-    def contract(self, key: tuple) -> np.ndarray:
-        """The estimator of coefficient ``key`` on every row, before :meth:`finish`."""
-        return np.einsum("ij,j->i", self._rows(key), _coefficients(self.coefs, *key))
+    def contract(self, keys: list[tuple]) -> np.ndarray:
+        """Rows of (len(keys), R), row ``j`` the estimator of ``keys[j]``, before :meth:`finish`.
+
+        Each row is its own ``einsum`` written in place, so a key gives the
+        same bits alone or among others.
+        """
+        out = np.empty((len(keys), self.s2.shape[0]))
+        for row, key in zip(out, keys):
+            np.einsum("ij,j->i", self._rows(key), _coefficients(self.coefs, *key), out=row)
+        return out
 
     def chunk(self, keys: list[tuple]) -> np.ndarray:
         """Rows of (len(keys), R) for one chunk (see :func:`_chunks`), before :meth:`finish`.
@@ -396,7 +403,7 @@ def _evaluate(spec: EstimatorSpec, x):
     """``spec`` on ``x``; every public estimator ends here."""
     _warn_order(spec, stacklevel=3)
     sq = _prepare(x)
-    return sq.finish(sq.contract(_key(spec, sq.s2.shape[1])))
+    return sq.finish(sq.contract([_key(spec, sq.s2.shape[1])])[0])
 
 
 # --- WCRTE estimators --------------------------------------------------------

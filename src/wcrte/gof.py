@@ -22,13 +22,19 @@ and squared once and every test reads it: all orders of one n in
 draws once. Nothing is kept between calls.
 
 A batch is drawn and scored in tiles of rows (``_score``): each tile is
-drawn, mapped through the alternative's quantile if any, sorted, squared
-if an entropy-band test reads it, and scored by every test, and only each
-test's vector of statistics spans the whole batch. Every step acts row by
-row, so a tiled batch, down to tiles of one row, gives the bits of the
-whole one. The KS kernel reduces across replications (its deviations are
-laid out in column order), the spacing-entropy kernel sums each row in
-index order, and CvM and AD keep each row's own contiguous sum.
+drawn, mapped through the alternative's quantile if any, sorted, scored by
+every competitor, then squared in place if an entropy-band test reads it,
+and only each test's vector of statistics spans the whole batch. The
+entropy-band tests of a tile are scored in one pass (``_score_rows``): each
+is its own contraction of the tile's spacings, written into one row of a
+(tests, rows) array, and one ``finish`` checks them all; that is the
+contraction a standalone estimate makes, so the values are unchanged.
+Every step acts row by row, so a tiled batch, down to tiles of one row,
+gives the bits of the whole one. The KS kernel reduces across replications
+(its deviations are laid out in column order), the spacing-entropy kernel
+sums each row in index order (column by column when a tile has more rows
+than columns, else as the last column of the running sum; same bits), and
+CvM and AD keep each row's own contiguous sum.
 """
 
 from __future__ import annotations
@@ -162,6 +168,23 @@ def _ad_stat(sorted_rows: np.ndarray) -> np.ndarray:
     return -n - terms.sum(axis=1) / n
 
 
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row of ``terms`` summed left to right, alone or in a batch.
+
+    A tile with more rows than columns adds its columns in turn; any other
+    takes the last column of the running sum, so a long lone row is one
+    numpy call. Both add in index order and give the same bits (numpy's own
+    sum would add a lone row pairwise).
+    """
+    r, n = terms.shape
+    if r <= n:
+        return np.cumsum(terms, axis=1)[:, -1]
+    out = terms[:, 0].copy()
+    for j in range(1, n):
+        out += terms[:, j]
+    return out
+
+
 def _ent_stat(sorted_rows: np.ndarray, m: int) -> np.ndarray:
     """Spacing-entropy statistic of window m, already checked against n."""
     n = sorted_rows.shape[1]
@@ -169,15 +192,13 @@ def _ent_stat(sorted_rows: np.ndarray, m: int) -> np.ndarray:
     hi = np.minimum(idx + m, n) - 1
     lo = np.maximum(idx - m, 1) - 1
     # The gather lays the spacings out one spacing index per column; the log
-    # works in that buffer. Each row is summed in index order, as the last
-    # column of its running sum, so a row alone gives the bits it gives in a
-    # batch (numpy's mean would sum a lone row pairwise).
+    # works in that buffer.
     logs = sorted_rows[:, hi]
     logs -= sorted_rows[:, lo]
     logs *= n / (2.0 * m)
     with np.errstate(divide="ignore"):
         np.log(logs, out=logs)
-    out = np.cumsum(logs, axis=1)[:, -1] / n
+    out = _row_sums(logs) / n
     # Spacings are never negative, and only a zero one makes a mean -inf.
     if np.isneginf(out).any():
         warnings.warn(
@@ -185,7 +206,7 @@ def _ent_stat(sorted_rows: np.ndarray, m: int) -> np.ndarray:
             stacklevel=3,
         )
         logs[np.isneginf(logs)] = _ENT_LOG_FLOOR
-        out = np.cumsum(logs, axis=1)[:, -1] / n
+        out = _row_sums(logs) / n
     return out
 
 
@@ -345,22 +366,28 @@ def _tiles(replications: int, n: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _score_rows(rows: np.ndarray, scored, coefs: dict) -> list[np.ndarray]:
-    """Statistic of each ``(test, m)`` of ``scored`` on sorted [0, 1] ``rows``.
+def _score_rows(rows: np.ndarray, scored, coefs: dict, overwrite: bool = False) -> np.ndarray:
+    """Statistics of ``scored`` on sorted [0, 1] ``rows``: row k for ``scored[k]``.
 
-    The rows are squared once, and only if an entropy-band test reads the
-    squares; ``coefs`` memoizes their coefficient vectors across calls.
+    The competitors read the sorted rows first. Then, if an entropy-band test
+    is scored, the rows are squared once (in place with ``overwrite``), each
+    such test is one row of one :meth:`~wcrte.estimators._SortedSquares.contract`
+    and all of them get a single ``finish``: the contraction and checks of a
+    standalone estimate, so each statistic keeps its bits. ``coefs`` memoizes
+    the coefficient vectors across calls.
     """
-    squares = None
-    out = []
-    for test, m in scored:
+    out = np.empty((len(scored), rows.shape[0]))
+    band = []
+    for k, (test, m) in enumerate(scored):
         if test.is_entropy_band:
-            if squares is None:
-                squares = est._SortedSquares(rows, False, coefs)
-            spec = est.EstimatorSpec(est.EstimatorKind.EMPIRICAL, test.order)
-            out.append(est.estimate(spec, squares))
+            band.append(k)
         else:
-            out.append(_competitor_null_stats(test, rows, m))
+            out[k] = _competitor_null_stats(test, rows, m)
+    if band:
+        squares = est._SortedSquares(rows, False, coefs, overwrite)
+        n = rows.shape[1]
+        keys = [(est.EstimatorKind.EMPIRICAL, scored[k][0].order, None, None, n) for k in band]
+        out[band] = squares.finish(squares.contract(keys))
     return out
 
 
@@ -368,8 +395,9 @@ def _score(stream, n: int, replications: int, scored, quantile=None) -> np.ndarr
     """Statistics of a (replications, n) batch of ``stream``: row k for ``scored[k]``.
 
     Each tile of draws is mapped through ``quantile`` (an alternative's; None
-    keeps the uniform null), sorted and scored. Draws, transforms, sorts and
-    row statistics act row by row, so tiles give the bits of one whole batch.
+    keeps the uniform null), sorted and scored; the tile is this call's own,
+    so it is squared in place. Draws, transforms, sorts and row statistics act
+    row by row, so tiles give the bits of one whole batch.
     """
     out = np.empty((len(scored), replications))
     coefs: dict = {}
@@ -378,8 +406,7 @@ def _score(stream, n: int, replications: int, scored, quantile=None) -> np.ndarr
         if quantile is not None:
             rows = quantile(rows)
         rows.sort(axis=1)
-        for k, stats in enumerate(_score_rows(rows, scored, coefs)):
-            out[k, lo:hi] = stats
+        out[:, lo:hi] = _score_rows(rows, scored, coefs, overwrite=True)
     return out
 
 
@@ -588,7 +615,9 @@ def power_study(
     alternative gets its own stream keyed by its position in the list, and
     its draws are sorted and squared once for all tests. Passing the
     uniform model as an alternative estimates the empirical size, since its
-    draws are independent of the null calibration draws.
+    draws are independent of the null calibration draws. An alternative
+    whose largest draw, ``quantile(nextafter(1, 0))``, exceeds 1 raises
+    DomainError before anything is drawn.
 
     After the calibration each alternative is one task on ``threads`` worker
     threads (``None`` or 1 runs in the calling thread). The cells come back
@@ -601,6 +630,14 @@ def power_study(
     alternatives = [parse_model(a) if isinstance(a, str) else a for a in alternatives]
     if not tests or not alternatives:
         raise DomainError("need at least one test and one alternative")
+    for model in alternatives:
+        # The largest uniform draw is nextafter(1, 0), so this bounds every draw.
+        top = model.quantile(np.nextafter(1.0, 0.0))
+        if not top <= 1.0:
+            raise DomainError(
+                f"alternative {model.spec_string()} draws values up to {top:g}; "
+                "sample values must not exceed 1"
+            )
     scored = [(test, test.resolved_m(n)) for test in tests]
     bands = _null_bands(n, scored, g, reps, seed)
 

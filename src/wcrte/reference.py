@@ -91,8 +91,11 @@ def _verify_bias_mse(table_id: int, group: dict, reps, seed, threads) -> list[di
         models = (group["model"],)
         kinds = ("vasicek", "ebrahimi", "modified_n")
         windows = "sweep"
+    # Each distinct model string is parsed once; rows name their cells by it.
+    parsed = {m: parse_model(m) for m in models}
+    names = {m: model.spec_string() for m, model in parsed.items()}
     config = McStudyConfig(
-        models=tuple(parse_model(m) for m in models),
+        models=tuple(parsed.values()),
         sample_sizes=sizes,
         orders=(order,),
         kinds=kinds,
@@ -107,9 +110,8 @@ def _verify_bias_mse(table_id: int, group: dict, reps, seed, threads) -> list[di
 
     report: list[dict] = []
     for ref in rows:
-        model = ref.get("model", group.get("model"))
         key = (
-            parse_model(model).spec_string(),
+            names[ref.get("model", group.get("model"))],
             int(ref["n"]),
             ref.get("estimator", ref.get("kind")),
             int(ref["m"]) if "m" in ref else None,

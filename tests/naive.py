@@ -7,7 +7,9 @@ fast implementations compute the right quantity.
 
 The last section is different: it keeps the earlier whole-batch numpy forms
 of the four competitor statistics and of the two-branch alternative quantile
-verbatim, so that the leaner kernels can be held to their exact bits.
+verbatim, and the earlier study-cell reduction, coefficient builder and
+per-test tile scorer, so that the leaner kernels can be held to their exact
+bits.
 """
 
 import math
@@ -349,4 +351,26 @@ def coefficients(kind, order, m, plotting, n):
     out = np.full(n - 1, cum[-1])
     out[: n - 1 - m] = cum[m:]
     out[m:] -= cum[: n - 1 - m]
+    return out
+
+
+def score_rows(rows, scored, coefs):
+    """The earlier tile scorer: one public ``estimate`` call per entropy-band test.
+
+    Returns one statistic vector per ``(test, m)`` of ``scored``; ``rows`` is
+    not modified.
+    """
+    from wcrte import estimators as est
+    from wcrte.gof import _competitor_null_stats
+
+    squares = None
+    out = []
+    for test, m in scored:
+        if test.is_entropy_band:
+            if squares is None:
+                squares = est._SortedSquares(rows, False, coefs)
+            spec = est.EstimatorSpec(est.EstimatorKind.EMPIRICAL, test.order)
+            out.append(est.estimate(spec, squares))
+        else:
+            out.append(_competitor_null_stats(test, rows, m))
     return out

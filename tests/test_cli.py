@@ -490,6 +490,16 @@ def test_power_requires_alternative_and_test(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("model", ["exp:lambda=1", "uniform:theta=2"])
+def test_power_alternative_outside_the_unit_interval_exits_3(model, capsys):
+    argv = ["power", "--alternative", "alt:A,j=2", "--alternative", model, "--n", "10",
+            "--test", "wcre", "--test", "ad", "--test", "ent", "--reps", "200"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert f"alternative {model} draws values up to" in err
+
+
 # --- verify-tables -----------------------------------------------------------------
 
 

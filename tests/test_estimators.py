@@ -38,7 +38,7 @@ from wcrte import (
     wcrte_modified_n,
     wcrte_vasicek,
 )
-from wcrte.estimators import _coefficient_rows, _coefficients
+from wcrte.estimators import _coefficient_rows, _coefficients, _SortedSquares
 
 
 # --- hand-computed values -----------------------------------------------------
@@ -213,6 +213,25 @@ def test_coefficient_rows_equal_the_one_window_vectors():
             want = naive.coefficients(kind.value, order, m, plotting, n)
             assert rows[key].tobytes() == want.tobytes(), key
             assert _coefficients({}, *key).tobytes() == want.tobytes(), key
+
+
+def test_each_contracted_row_is_the_plain_einsum_of_its_key():
+    """A key's row of ``contract`` gives the bits of ``einsum`` on that key alone,
+    whatever keys share the call, one-row batches at large n included."""
+    rng = np.random.default_rng(41)
+    for n, r in ((2, 1), (3, 7), (100, 655), (9000, 1), (9000, 7), (20_000, 2)):
+        srt = np.sort(rng.random((r, n)), axis=1)
+        keys = [(EstimatorKind.EMPIRICAL, order, None, None, n) for order in (2.0, None, 7.0, 1.5)]
+        keys.append((EstimatorKind.LSTAT, 2.0, None, None, n))
+        if n >= 3:
+            keys.append((EstimatorKind.VASICEK, 2.0, 1, None, n))
+        squares = _SortedSquares(srt, False)
+        got = squares.contract(keys)
+        assert got.shape == (len(keys), r)
+        for row, key in zip(got, keys):
+            plain = squares.s2 if key[0] is EstimatorKind.LSTAT else squares.d
+            want = np.einsum("ij,j->i", plain, _coefficients({}, *key))
+            assert row.tobytes() == want.tobytes(), (n, r, key)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 31])

@@ -25,6 +25,7 @@ from wcrte import (
     derive_stream,
     max_window,
     null_statistic_value,
+    parse_model,
     parse_test,
     power_study,
     statistic_bound,
@@ -323,6 +324,28 @@ def test_power_study_guards():
         power_study(["alt:B,j=2"], 20, ["ks"], replications=50)
 
 
+@pytest.mark.parametrize("model", ["exp:lambda=1", "uniform:theta=2", "uniform:theta=1.0001"])
+def test_power_study_rejects_alternatives_that_leave_the_unit_interval(null_draws, model):
+    """An alternative is judged by its largest draw, quantile(nextafter(1, 0)),
+    before anything is drawn; uniformity_test rejects such data too."""
+    with pytest.raises(DomainError, match=f"alternative {model} draws values up to"):
+        power_study(["alt:A,j=2", model], 20, ["wcre", "ad"], replications=100)
+    assert null_draws == []
+    sample = parse_model(model).quantile(derive_stream(4, 20).random(200))
+    if sample.max() > 1.0:
+        with pytest.raises(DomainError, match="must not exceed 1"):
+            uniformity_test(sample, "wcre", replications=1000)
+
+
+def test_power_study_admits_alternatives_inside_the_unit_interval():
+    top = np.nextafter(1.0, 0.0)
+    assert parse_model("alt:C,j=1.5").quantile(top) == 1.0  # reaches 1 exactly: allowed
+    models = ["uniform:theta=1", "uniform:theta=0.5", "alt:A,j=1.5", "alt:A,j=2",
+              "alt:B,j=1.5", "alt:B,j=2", "alt:B,j=3", "alt:C,j=1.5", "alt:C,j=2"]
+    cells = power_study(models, 10, ["wcre"], replications=100, seed=2)
+    assert [c.alternative for c in cells] == models
+
+
 def test_power_study_null_size_and_ordering():
     cells = power_study(
         ["uniform:theta=1", "alt:A,j=2"],
@@ -396,9 +419,10 @@ def test_verify_tables_draw_each_null_batch_once(null_draws):
 
 
 def test_critical_pairs_hold_two_batches_at_peak():
-    # The draws are squared in place, so the batch is its squares and their
-    # spacings: about two arrays of replications x n floats, where sorted
-    # rows, squares and spacings would be three.
+    # Each tile of draws is squared in place, so the peak is one tile's
+    # squares and their spacings plus the statistic vectors, where sorted
+    # rows, squares and spacings would be three tiles (about 1.2 MB against
+    # 1.7 MB here; the bound is two and a half whole batches).
     n, reps = 100, 1000
     orders = (None, 2.0, 5.0, 7.0, 10.0)
     gof._critical_pairs(n, orders, 0.05, reps, 3)  # first-call allocations
@@ -484,6 +508,52 @@ def test_one_row_tile_gives_the_bits_of_the_batch():
             tiles = list(gof._tiles(reps, n))
             assert tiles[0][0] == 0 and tiles[-1][1] == reps
             assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+
+
+def test_one_pass_tile_scoring_matches_the_per_test_scorer():
+    """All entropy-band tests of a tile in one pass give the bits of one
+    public estimate per test, in place or not, down to one-row tiles."""
+    names = ("wcrte:alpha=2", "ks", "wcre", "cvm", "wcrte:alpha=7", "ad", "ent", "wcrte:alpha=1.5")
+    tests = [parse_test(t) for t in names]
+    rng = np.random.default_rng(15)
+    for n in [*range(2, 201), 9000]:
+        scored = [(t, t.resolved_m(n)) for t in tests if n >= 3 or t.name != "ent"]
+        full = max(1, gof._TILE_VALUES // n)
+        for r in sorted({1, 2, 7, full}):
+            rows = np.sort(rng.random((r, n)), axis=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = naive.score_rows(rows, scored, {})
+                got = gof._score_rows(rows.copy(), scored, {})
+                in_place = gof._score_rows(rows.copy(), scored, {}, overwrite=True)
+            assert got.shape == in_place.shape == (len(scored), r)
+            for k, (test, _) in enumerate(scored):
+                assert np.array_equal(got[k], want[k]), (n, r, test.label())
+                assert np.array_equal(in_place[k], want[k]), (n, r, test.label())
+
+
+def test_ent_row_sums_match_the_reference_on_both_branches():
+    """Tiles taller than wide add their logs column by column, the others take
+    the running sum; both give the index-order bits, zero spacings included."""
+    rng = np.random.default_rng(16)
+    for n in (3, 4, 10, 30, 200):
+        for r in sorted({1, n - 1, n, n + 1, 3 * n, gof._TILE_VALUES // n}):
+            plain = np.sort(rng.random((r, n)), axis=1)
+            tied = np.sort(rng.integers(0, 4, (r, n)) / 4.0, axis=1)
+            for rows in (plain, tied):
+                for m in sorted({1, default_spacing_window(n), max_window(n)}):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        got = gof._ent_stat(rows, m)
+                    assert np.array_equal(got, naive.ent_rows(rows, m)), (n, r, m)
+            logs = rng.standard_normal((r, n))
+            want = []
+            for row in logs.tolist():
+                total = row[0]
+                for value in row[1:]:
+                    total += value
+                want.append(total)
+            assert np.array_equal(gof._row_sums(logs), want), (n, r)
 
 
 @pytest.mark.parametrize("n, reps", [(13, 4 * 25 + 1), (13, 103), (7, 100)])
