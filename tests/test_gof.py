@@ -17,6 +17,7 @@ from wcrte import (
     DomainError,
     GofTest,
     ParseError,
+    Sample,
     StephensAlternative,
     competitor_critical_value,
     competitor_statistic,
@@ -314,6 +315,18 @@ def test_uniformity_test_takes_one_sample_only():
     u = derive_stream(9000, 40).random((3, 20))
     with pytest.raises(DomainError):
         uniformity_test(u, "ks", replications=2000)
+
+
+def test_uniformity_tests_score_a_read_only_sample_without_writing_it():
+    """A Sample's sorted values are a read-only view: the tests read and square
+    a copy, never the view itself."""
+    u = derive_stream(9000, 41).random(30)
+    sample = Sample(u)
+    before = sample.sorted_values.copy()
+    tests = ["wcre", "ks", "wcrte:alpha=2", "ent"]
+    got = gof._uniformity_results(sample, tests, 0.05, 1000, 3)
+    assert got == gof._uniformity_results(u, tests, 0.05, 1000, 3)
+    assert np.array_equal(sample.sorted_values, before)
 
 
 # --- power study -----------------------------------------------------------------------
