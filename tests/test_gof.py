@@ -340,7 +340,8 @@ def test_power_study_guards():
 @pytest.mark.parametrize("model", ["exp:lambda=1", "uniform:theta=2", "uniform:theta=1.0001"])
 def test_power_study_rejects_alternatives_that_leave_the_unit_interval(null_draws, model):
     """An alternative is judged by its largest draw, quantile(nextafter(1, 0)),
-    before anything is drawn; uniformity_test rejects such data too."""
+    before anything is drawn, so uniform:theta=1.0001 is refused even where a
+    sample of it stays below 1; uniformity_test rejects a sample that does not."""
     with pytest.raises(DomainError, match=f"alternative {model} draws values up to"):
         power_study(["alt:A,j=2", model], 20, ["wcre", "ad"], replications=100)
     assert null_draws == []
