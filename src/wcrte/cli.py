@@ -31,8 +31,11 @@ Each table command runs the library, then writes one row per result
 through the columns stated next to the result type: ``mc.STUDY_COLUMNS``,
 ``gof.CRITICAL_COLUMNS``, ``gof.GOF_COLUMNS``, ``gof.POWER_COLUMNS`` and
 ``reference.REPORT_FIELDS``; the master seed is the one column no result
-holds. ``gof`` and ``reference`` are imported inside the commands that run
-them, so ``estimate`` starts without loading them.
+holds. ``mc``, ``gof`` and ``reference`` are imported inside the commands
+that run them, so ``estimate`` starts without loading them. ``estimate``
+prepares its sample once (validated, sorted, squared) and passes that one
+prepared batch to every estimator and variance companion it runs; an error
+in one spec names the spec's ``--estimator`` text.
 
 Model, estimator and test specifications share one grammar: a
 case-insensitive head, then after a colon an optional positional token
@@ -51,24 +54,16 @@ import os
 import sys
 from dataclasses import replace
 
+from .distributions import _GRID_KEYS, DEFAULT_SEED, _convert, _integer, _json_object
 from .errors import DomainError, NumericError, ParseError
 from .estimators import (
     EstimatorKind,
+    _prepare,
     estimate,
+    heuristic_window,
     parse_estimator,
     wcre_lstat_variance,
     wcrte_lstat_variance,
-)
-from .mc import (
-    _STUDY_KEYS,
-    DEFAULT_SEED,
-    STUDY_COLUMNS,
-    _convert,
-    _integer,
-    _json_object,
-    heuristic_window,
-    run_study,
-    study_config_from_json,
 )
 from .sample import read_sample
 
@@ -107,7 +102,7 @@ def _path(value) -> str:
 #: The converter of every option a config can set, keyed by the option's
 #: argparse destination, which is also its config key.
 _CONVERTERS = {
-    **{key: _STUDY_KEYS[key] for key in ("n", "alpha", "m", "replications", "seed")},
+    **_GRID_KEYS,
     "gamma": _real,
     "threads": _integer,
     "format": _format,
@@ -192,33 +187,46 @@ def cmd_estimate(args) -> int:
         raise ParseError("estimate needs exactly one --data file")
     if not args.estimators:
         raise ParseError("estimate needs at least one --estimator")
-    x = read_sample(args.data[0])
+    # One validation, sort and squaring for every spec; the read sample is
+    # released once it is prepared.
+    x = _prepare(read_sample(args.data[0]))
     lines = []
     for text in args.estimators:
         spec = parse_estimator(text)
-        note = ""
-        if spec.kind.needs_window and spec.window is None:
-            spec = replace(spec, window=heuristic_window(spec.kind, x.n))
-            note = "  (window chosen automatically)"
-        value = estimate(spec, x)
-        line = f"{spec.label()}  estimate={value:.10g}  n={x.n}{note}"
-        if spec.kind is EstimatorKind.LSTAT and x.n >= 3:
-            if spec.order is None:
-                sigma2 = wcre_lstat_variance(x)
-            else:
-                sigma2 = wcrte_lstat_variance(x, spec.order)
-            if sigma2 > 0.0:
-                se = math.sqrt(sigma2 / x.n)
-                lo, hi = value - _Z_95 * se, value + _Z_95 * se
-                line += f"  se={se:.6g}  ci95=[{lo:.6g}, {hi:.6g}]"
-            else:
-                line += "  (variance estimate not positive; no interval)"
-        lines.append(line)
+        try:
+            lines.append(_estimate_line(spec, x))
+        except (DomainError, NumericError) as exc:
+            raise type(exc)(f"{text}: {exc}") from None
     _write_rows(args, lines)
     return 0
 
 
+def _estimate_line(spec, x) -> str:
+    """The printed line of ``spec`` on the prepared sample ``x``."""
+    n = x.s2.shape[1]
+    note = ""
+    if spec.kind.needs_window and spec.window is None:
+        spec = replace(spec, window=heuristic_window(spec.kind, n))
+        note = "  (window chosen automatically)"
+    value = estimate(spec, x)
+    line = f"{spec.label()}  estimate={value:.10g}  n={n}{note}"
+    if spec.kind is EstimatorKind.LSTAT and n >= 3:
+        if spec.order is None:
+            sigma2 = wcre_lstat_variance(x)
+        else:
+            sigma2 = wcrte_lstat_variance(x, spec.order)
+        if sigma2 > 0.0:
+            se = math.sqrt(sigma2 / n)
+            lo, hi = value - _Z_95 * se, value + _Z_95 * se
+            line += f"  se={se:.6g}  ci95=[{lo:.6g}, {hi:.6g}]"
+        else:
+            line += "  (variance estimate not positive; no interval)"
+    return line
+
+
 def cmd_mse_study(args) -> int:
+    from .mc import _STUDY_KEYS, STUDY_COLUMNS, run_study, study_config_from_json
+
     if not args.models:
         raise ParseError("mse-study needs at least one --model")
     doc = {key: getattr(args, key) for key in _STUDY_KEYS}

@@ -56,6 +56,10 @@ __all__ = [
 #: than the float 1.0, so the limit can never be confused with a real order.
 WCRE_LIMIT = None
 
+#: Default master seed of the command line and the Monte Carlo studies;
+#: exported by :mod:`wcrte.mc`.
+DEFAULT_SEED = 0xC0FFEE
+
 _ORDER_ONE_TOL = 1e-12
 #: Floor applied inside logarithms of quadrature integrands.
 _LOG_FLOOR = 1e-300
@@ -483,6 +487,96 @@ def _parse_number(token: str, context: str, kind=float):
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise ParseError(f"{context}: not {what}: {token!r}") from None
+
+
+# --- option values -------------------------------------------------------------
+# One converter per key. A value is a command-line flag string ("10,20",
+# "0xff", "sweep") or a JSON value (a list, a scalar, or such a string);
+# already converted values pass through unchanged. The command line and
+# ``mc.study_config_from_json`` share them.
+
+
+def _integer(value, base: int = 10) -> int:
+    """An integer; a JSON float must be integral."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    try:
+        return int(str(value), base)
+    except ValueError:
+        raise ParseError(f"not an integer: {value!r}") from None
+
+
+def _order(value) -> float | None:
+    """An order label: 1 or null select the WCRE limit."""
+    try:
+        return order_from_label(value)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _items(value, split: bool = True) -> list:
+    """A JSON list, a comma-separated string (``split``), or one scalar, as a list."""
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+    elif isinstance(value, str) and split:
+        items = [s for s in value.split(",") if s.strip()]
+    else:
+        items = [value]
+    if not items:
+        raise ParseError("empty list")
+    return items
+
+
+def _windows(value):
+    """``auto``, ``sweep`` (any case) or a list of windows."""
+    if isinstance(value, str) and value.strip().lower() in ("auto", "sweep"):
+        return value.strip().lower()
+    return tuple(map(_integer, _items(value)))
+
+
+#: The converters of the study grid's numeric keys; ``mc._STUDY_KEYS`` adds
+#: the model and estimator keys.
+_GRID_KEYS = {
+    "n": lambda v: tuple(map(_integer, _items(v))),
+    "alpha": lambda v: tuple(map(_order, _items(v))),
+    "m": _windows,
+    "replications": _integer,
+    "seed": lambda v: _integer(v, 0),
+}
+
+
+def _convert(converters: dict, key: str, value):
+    """``converters[key](value)``; a ParseError names the key."""
+    try:
+        return converters[key](value)
+    except ParseError as exc:
+        raise ParseError(f"{key}: {exc}") from None
+
+
+def _json_object(doc, keys, what: str, where: str = "") -> dict:
+    """The JSON object in ``doc`` (a dict, JSON text or bytes, or a file object).
+
+    Undecodable bytes and invalid JSON raise ParseError, as do an integer
+    literal beyond Python's digit limit, a document that is not an object
+    and keys outside ``keys``; ``what`` names the document and ``where``
+    (such as ``"path: "``) prefixes every message. json is imported here, on
+    first use, so that ``import wcrte`` does not load it.
+    """
+    import json
+
+    try:
+        if hasattr(doc, "read"):
+            doc = doc.read()
+        if isinstance(doc, (str, bytes)):
+            doc = json.loads(doc)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, the digit limit
+        raise ParseError(f"{where}invalid JSON {what}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ParseError(f"{where}unknown {what} keys: {', '.join(unknown)}")
+    return doc
 
 
 # --- model spec parsing ------------------------------------------------------

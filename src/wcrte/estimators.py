@@ -30,10 +30,16 @@ exactly 0 and no spacing estimate is negative.
 
 A batch is thus validated, sorted and squared once, and each estimator is
 one contraction with its O(n) coefficient vector. A standalone call
-contracts by ``np.einsum``, one vector at a time. A Monte Carlo study builds
-one coefficient matrix per (kind, order, plotting position, n), one row per
-window, and each block contracts its vectors in chunks of W = 16, one BLAS
-product ``tile @ C.T`` per tile of rows, lanes along the product's columns.
+contracts by ``np.einsum``, one vector at a time, and keeps no vector after
+its contraction. Every spacing kind of one order weighs the same tail
+weights (``1 - i/n``, then ``log`` or ``pow``), built once per (order, n): a
+prepared batch keeps them, one vector per order, for every call made on it.
+``wcrte estimate`` prepares its sample once and passes that batch to every
+estimator and variance companion it runs. A Monte Carlo study builds one
+coefficient matrix per (kind, order, plotting position, n), one row per
+window, from one tail-weight vector per (order, n), and each block contracts
+its vectors in chunks of W = 16, one BLAS product ``tile @ C.T`` per tile of
+rows, lanes along the product's columns.
 The harness then reduces a whole chunk at once: it finishes the (lanes, R)
 product with the one scaling rule and the one finiteness rule of
 :meth:`_SortedSquares.finish`, forms the errors in the product itself, and
@@ -154,12 +160,14 @@ class _SortedSquares:
 
     A batch whose largest value reaches 2**511 is stored as the squares of
     ``x * 2**-shift``; :meth:`finish` scales results back exactly. ``coefs``
-    memoizes coefficient vectors and may be shared between batches. With
+    memoizes whole coefficient vectors and may be shared between batches;
+    without it each vector is built for its contraction alone. ``tails``
+    keeps the tail weights of each order the batch's spacing kinds used. With
     ``overwrite`` the squares are taken in ``srt`` itself, which the caller
     then no longer reads as sorted values.
     """
 
-    __slots__ = ("s2", "d", "shift", "squeeze", "coefs")
+    __slots__ = ("s2", "d", "shift", "squeeze", "coefs", "tails")
 
     def __init__(
         self, srt: np.ndarray, squeeze: bool, coefs: dict | None = None, overwrite: bool = False
@@ -168,10 +176,11 @@ class _SortedSquares:
         self.shift = math.frexp(top)[1] if top >= _SQUARE_LIMIT else 0
         if self.shift:
             srt = np.ldexp(srt, -self.shift)
-        self.s2 = np.multiply(srt, srt, out=srt if overwrite else None)
+        self.s2 = np.multiply(srt, srt, out=srt if overwrite or self.shift else None)
         self.d = np.diff(self.s2, axis=1)
         self.squeeze = squeeze
-        self.coefs = {} if coefs is None else coefs
+        self.coefs = coefs
+        self.tails = {}
 
     def _rows(self, key: tuple) -> np.ndarray:
         """What the coefficients of ``key`` weigh: ``s2`` or the spacings ``d``."""
@@ -185,7 +194,8 @@ class _SortedSquares:
         """
         out = np.empty((len(keys), self.s2.shape[0]))
         for row, key in zip(out, keys):
-            np.einsum("ij,j->i", self._rows(key), _coefficients(self.coefs, *key), out=row)
+            coef = _coefficients(self.coefs, *key, self.tails)
+            np.einsum("ij,j->i", self._rows(key), coef, out=row)
         return out
 
     def chunk(self, keys: list[tuple]) -> np.ndarray:
@@ -199,7 +209,7 @@ class _SortedSquares:
         r, k = rows.shape
         coef = np.zeros((_CHUNK_WIDTH, k))
         for lane, key in enumerate(keys):
-            coef[lane] = _coefficients(self.coefs, *key)
+            coef[lane] = _coefficients(self.coefs, *key, self.tails)
         out = np.empty((_CHUNK_WIDTH, r))
         step = max(1, _TILE_MACS // (_CHUNK_WIDTH * k))
         for lo in range(0, r, step):
@@ -261,6 +271,23 @@ def _clamp_window(m: int, n: int) -> int:
     return max(1, min(m, max_window(_check_size(n, 3))))
 
 
+def heuristic_window(kind, n: int) -> int:
+    """Window rule of thumb, clamped into the admissible range.
+
+    Vasicek and Ebrahimi kinds: floor(n/2) - 1 up to n = 20, floor(n/3)
+    beyond. Modified-N: floor(n/4) + 1. Exported by :mod:`wcrte.mc`.
+    """
+    kind = EstimatorKind(kind)
+    n = _check_size(n, 3)
+    if kind in (EstimatorKind.VASICEK, EstimatorKind.EBRAHIMI):
+        m = n // 2 - 1 if n <= 20 else n // 3
+    elif kind is EstimatorKind.MODIFIED_N:
+        m = n // 4 + 1
+    else:
+        raise DomainError(f"estimator kind {kind.value} takes no window")
+    return _clamp_window(m, n)
+
+
 def clamp_order_stat(sample, i) -> float:
     """Order statistic with the index clamped to the sample range.
 
@@ -304,11 +331,35 @@ def _edge_weights(n: int, windows) -> np.ndarray:
 # --- the linear core ------------------------------------------------------------
 
 
-def _build_coefficients(kind: EstimatorKind, order, windows, plotting, n: int) -> np.ndarray:
+def _tail_weights(tails: dict, order, n: int) -> np.ndarray:
+    """Tail weights w_1..w_{n-1} of ``order`` (None for the WCRE), memoized in ``tails``.
+
+    With t_i = 1 - i/n, w_i is -t_i log t_i or (t_i - t_i**order) / (order - 1);
+    the i = n term of the windowed sums is always 0, so both stop at n - 1.
+    Every spacing kind weighs these, and none writes to them.
+    """
+    w = tails.get((order, n))
+    if w is None:
+        tail = 1.0 - np.arange(1, n, dtype=float) / n
+        if order is None:
+            w = np.log(tail)
+            w *= tail
+            np.negative(w, out=w)
+        else:
+            w = tail**order
+            np.subtract(tail, w, out=w)
+            w /= order - 1.0
+        tails[(order, n)] = w
+    return w
+
+
+def _build_coefficients(kind: EstimatorKind, order, windows, plotting, n: int,
+                        tails: dict) -> np.ndarray:
     """Coefficients over ``s2`` (L-statistic) or over ``d`` (other kinds), one row per window.
 
     ``windows`` lists a spacing kind's windows, each checked against n; a
-    kind without a window takes ``(None,)`` and gets one row.
+    kind without a window takes ``(None,)`` and gets one row. Spacing kinds
+    take their order's tail weights from ``tails`` (see :func:`_tail_weights`).
     """
     if kind is EstimatorKind.LSTAT:
         # The plotting default: i/(n+1) for the WCRE, i/n for other orders.
@@ -321,23 +372,22 @@ def _build_coefficients(kind: EstimatorKind, order, windows, plotting, n: int) -
         if plotting == "n":
             c[-1] = 0.0  # the log(0) term is dropped
         return c[None]
-    # Tail weights for i = 1..n-1; the i = n term of the windowed WCRTE sums
-    # is always 0, so both measures stop at n - 1.
-    tail = 1.0 - np.arange(1, n, dtype=float) / n
-    if order is None:
-        w = -tail * np.log(tail)
-    else:
-        w = (tail - tail**order) / (order - 1.0)
+    w = _tail_weights(tails, order, n)
     if kind is EstimatorKind.EMPIRICAL:
         return (w / 2.0)[None]
     ms = [_check_window(m, n) for m in windows]
     m = np.array(ms, dtype=float)[:, None]
     if kind is EstimatorKind.VASICEK:
         w = w / (4.0 * m)
-    elif kind is EstimatorKind.EBRAHIMI:
-        w = w / (_edge_weights(n, ms)[:, :-1] * (2.0 * m))
     else:
-        w = w / (m * _edge_weights(n, ms)[:, :-1] ** 2)
+        # The denominators, then the weights divided by them, in one buffer.
+        den = _edge_weights(n, ms)[:, :-1]
+        if kind is EstimatorKind.EBRAHIMI:
+            den *= 2.0 * m
+        else:
+            den **= 2
+            den *= m
+        w = np.divide(w, den, out=den)
     # Spacing j (0-based) lies inside the clamped window of every 1-based i
     # with j - m + 2 <= i <= j + m + 1. With C[k] = w_1 + ... + w_k = cum[k - 1]
     # and C[0] = 0, its coefficient is C[min(j + m + 1, n - 1)] - C[max(j - m + 1, 0)].
@@ -355,15 +405,20 @@ def _key(spec: EstimatorSpec, n: int) -> tuple:
     return (spec.kind, spec.order, spec.window, spec.plotting, n)
 
 
-def _coefficients(coefs: dict, kind, order, m, plotting, n: int) -> np.ndarray:
+def _coefficients(coefs: dict | None, kind, order, m, plotting, n: int,
+                  tails: dict | None = None) -> np.ndarray:
     """Coefficient vector of one estimator at sample size n, memoized in ``coefs``.
 
-    A vector is built, and its window checked against n, on the first call.
+    A vector is built, and its window checked against n, on the first call;
+    without ``coefs`` it is built on every call and kept by no one. Its tail
+    weights come from, and stay in, ``tails``.
     """
     key = (kind, order, m, plotting, n)
-    c = coefs.get(key)
+    c = None if coefs is None else coefs.get(key)
     if c is None:
-        c = coefs[key] = _build_coefficients(kind, order, (m,), plotting, n)[0]
+        c = _build_coefficients(kind, order, (m,), plotting, n, {} if tails is None else tails)[0]
+        if coefs is not None:
+            coefs[key] = c
     return c
 
 
@@ -371,14 +426,15 @@ def _coefficient_rows(keys) -> dict:
     """The vectors of ``keys``, keyed as :func:`_coefficients` memoizes them.
 
     One matrix is built per (kind, order, plotting, n), with one row per
-    window its keys use; each vector is a row of it.
+    window its keys use, and one tail-weight vector per (order, n); each
+    vector is a row of a matrix.
     """
     windows: dict[tuple, dict] = {}
     for kind, order, m, plotting, n in keys:
         windows.setdefault((kind, order, plotting, n), {})[m] = None
-    coefs = {}
+    coefs, tails = {}, {}
     for (kind, order, plotting, n), ms in windows.items():
-        for m, row in zip(ms, _build_coefficients(kind, order, tuple(ms), plotting, n)):
+        for m, row in zip(ms, _build_coefficients(kind, order, tuple(ms), plotting, n, tails)):
             coefs[(kind, order, m, plotting, n)] = row
     return coefs
 
@@ -444,25 +500,48 @@ def wcrte_lstat(x, order, plotting: PlottingPosition | None = None):
     return _evaluate(spec, x)
 
 
-def _lstat_variance(x, coef_of_tail, denominator: float):
-    """Shared body of the two variance companions (n >= 3).
+def _lstat_variance(x, order):
+    """Shared body of the two variance companions (n >= 3; ``order=None`` for the WCRE).
 
     The double sum over ordered index pairs is evaluated in O(n) via a
     cumulative sum; a literal O(n^2) version is kept in the test suite as an
-    oracle.
+    oracle. Each step writes into a buffer it no longer needs or frees one
+    first, so the companion holds at most three n-length vectors beside the
+    batch.
     """
     sq = _prepare(x)
     n = _check_size(sq.s2.shape[1], 3)
-    i = np.arange(1, n, dtype=float)  # spacing index, 1..n-1
-    tail = 1.0 - i / n
-    coef = coef_of_tail(tail)
-    upper = tail * coef * sq.d  # factor carrying the larger index
-    lower = (i / n) * coef * sq.d  # factor carrying the smaller index
-    cum = np.cumsum(lower, axis=1)
+    head = np.arange(1, n, dtype=float)
+    head /= n  # i/n for the spacing index i = 1..n-1
+    tail = 1.0 - head
+    if order is None:
+        coef = np.log(tail)
+        coef += 1.0
+        # Twice the ordered-pair sum estimates the variance of -2 times the
+        # estimate, so the net constant is 2/4 = 1/2.
+        denominator = 2.0
+    else:
+        coef = tail ** (order - 1.0)
+        coef *= order
+        np.subtract(1.0, coef, out=coef)
+        # Twice the ordered-pair sum covers the symmetric index square and
+        # estimates the variance of the auxiliary statistic 2(order - 1)
+        # times the estimate; dividing by (2(order - 1))^2 rescales to the
+        # estimate.
+        denominator = 2.0 * (order - 1.0) ** 2
+    tail *= coef  # the factor carrying the larger index
+    head *= coef  # the factor carrying the smaller index
+    del coef
+    upper = tail * sq.d
+    del tail
+    cum = head * sq.d
+    del head
+    cum = np.cumsum(cum, axis=1, out=cum)
     # A product overflows only when the variance itself is out of range,
     # which finish() reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        inner = (upper[:, 1:] * cum[:, :-1]).sum(axis=1)
+        pairs = np.multiply(upper[:, 1:], cum[:, :-1], out=upper[:, 1:])
+        inner = pairs.sum(axis=1)
     out = sq.finish(inner / denominator, power=2)
     if np.any(np.asarray(out) < 0.0):
         warnings.warn("negative variance estimate (small-sample artifact)", stacklevel=3)
@@ -476,11 +555,7 @@ def wcrte_lstat_variance(x, order):
     can produce a negative value, which is reported with a warning rather
     than clipped.
     """
-    a = _check_order_above_one(order)
-    # Twice the ordered-pair sum covers the symmetric index square and
-    # estimates the variance of the auxiliary statistic 2(order - 1) times
-    # the estimate; dividing by (2(order - 1))^2 rescales to the estimate.
-    return _lstat_variance(x, lambda tail: 1.0 - a * tail ** (a - 1.0), 2.0 * (a - 1.0) ** 2)
+    return _lstat_variance(x, _check_order_above_one(order))
 
 
 # --- WCRE estimators (order -> 1 limit) ---------------------------------------
@@ -516,10 +591,7 @@ def wcre_lstat(x, plotting: PlottingPosition | None = None):
 
 def wcre_lstat_variance(x):
     """Variance estimator attached to the WCRE L-statistic (n >= 3)."""
-    # Same structure as the ordered variant: twice the ordered-pair sum
-    # estimates the variance of -2 times the estimate, so the net constant
-    # is 2/4 = 1/2.
-    return _lstat_variance(x, lambda tail: 1.0 + np.log(tail), 2.0)
+    return _lstat_variance(x, None)
 
 
 # --- estimator specs and dispatch ---------------------------------------------
@@ -636,7 +708,7 @@ def estimate(spec: EstimatorSpec, x):
     Goes through the public function of the spec's measure and kind, so its
     argument checks and warnings apply. Windowed kinds need ``spec.window``
     resolved; callers that want an automatic choice resolve it first (see
-    ``mc.heuristic_window``).
+    :func:`heuristic_window`).
     """
     if spec.kind.needs_window and spec.window is None:
         raise DomainError(

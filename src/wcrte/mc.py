@@ -15,16 +15,25 @@ in grid order, which keeps output bit-identical for any thread count.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import estimators as est
-from .distributions import Model, closed_wcrte, order_from_label, order_label, parse_model
+from .distributions import (
+    _GRID_KEYS,
+    DEFAULT_SEED,
+    Model,
+    _convert,
+    _items,
+    _json_object,
+    closed_wcrte,
+    order_label,
+    parse_model,
+)
 from .errors import DivergenceError, DomainError, NumericError, ParseError
-from .estimators import EstimatorKind
+from .estimators import EstimatorKind, heuristic_window
 from .sample import _check_size, _check_sorted
 
 __all__ = [
@@ -38,9 +47,6 @@ __all__ = [
     "best_window",
     "study_config_from_json",
 ]
-
-#: Default master seed used by the command line.
-DEFAULT_SEED = 0xC0FFEE
 
 # Stream purpose tags (first spawn-key word) keeping the harness's draws,
 # the null-distribution draws, and the alternative draws mutually independent.
@@ -70,23 +76,6 @@ def gof_null_stream(seed: int, n: int) -> np.random.Generator:
 
 def gof_alternative_stream(seed: int, n: int, alternative_index: int) -> np.random.Generator:
     return derive_stream(seed, _PURPOSE_GOF_ALT, n, alternative_index)
-
-
-def heuristic_window(kind, n: int) -> int:
-    """Window rule of thumb, clamped into the admissible range.
-
-    Vasicek and Ebrahimi kinds: floor(n/2) - 1 up to n = 20, floor(n/3)
-    beyond. Modified-N: floor(n/4) + 1.
-    """
-    kind = EstimatorKind(kind)
-    n = _check_size(n, 3)
-    if kind in (EstimatorKind.VASICEK, EstimatorKind.EBRAHIMI):
-        m = n // 2 - 1 if n <= 20 else n // 3
-    elif kind is EstimatorKind.MODIFIED_N:
-        m = n // 4 + 1
-    else:
-        raise DomainError(f"estimator kind {kind.value} takes no window")
-    return est._clamp_window(m, n)
 
 
 @dataclass(frozen=True)
@@ -375,91 +364,16 @@ def run_study(config: McStudyConfig, threads: int | None = None) -> McStudyResul
 
 
 # --- study keys -------------------------------------------------------------------
-# One converter per key. A value is a command-line flag string ("10,20",
-# "0xff", "sweep") or a JSON value (a list, a scalar, or such a string);
-# already converted values pass through unchanged.
-
-
-def _integer(value, base: int = 10) -> int:
-    """An integer; a JSON float must be integral."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    try:
-        return int(str(value), base)
-    except ValueError:
-        raise ParseError(f"not an integer: {value!r}") from None
-
-
-def _order(value) -> float | None:
-    """An order label: 1 or null select the WCRE limit."""
-    try:
-        return order_from_label(value)
-    except DomainError as exc:
-        raise ParseError(str(exc)) from None
-
-
-def _items(value, split: bool = True) -> list:
-    """A JSON list, a comma-separated string (``split``), or one scalar, as a list."""
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    elif isinstance(value, str) and split:
-        items = [s for s in value.split(",") if s.strip()]
-    else:
-        items = [value]
-    if not items:
-        raise ParseError("empty list")
-    return items
-
-
-def _windows(value):
-    """``auto``, ``sweep`` (any case) or a list of windows."""
-    if isinstance(value, str) and value.strip().lower() in ("auto", "sweep"):
-        return value.strip().lower()
-    return tuple(map(_integer, _items(value)))
-
+# One converter per key: the grid's numeric keys (``distributions._GRID_KEYS``,
+# shared with the command line) and the model and estimator keys.
 
 _STUDY_KEYS = {
     "models": lambda v: tuple(
         m if isinstance(m, Model) else parse_model(str(m)) for m in _items(v, split=False)
     ),
-    "n": lambda v: tuple(map(_integer, _items(v))),
-    "alpha": lambda v: tuple(map(_order, _items(v))),
+    **_GRID_KEYS,
     "estimators": lambda v: tuple(map(est.parse_kind, _items(v, split=False))),
-    "m": _windows,
-    "replications": _integer,
-    "seed": lambda v: _integer(v, 0),
 }
-
-
-def _convert(converters: dict, key: str, value):
-    """``converters[key](value)``; a ParseError names the key."""
-    try:
-        return converters[key](value)
-    except ParseError as exc:
-        raise ParseError(f"{key}: {exc}") from None
-
-
-def _json_object(doc, keys, what: str, where: str = "") -> dict:
-    """The JSON object in ``doc`` (a dict, JSON text or bytes, or a file object).
-
-    Undecodable bytes and invalid JSON raise ParseError, as do an integer
-    literal beyond Python's digit limit, a document that is not an object
-    and keys outside ``keys``; ``what`` names the document and ``where``
-    (such as ``"path: "``) prefixes every message.
-    """
-    try:
-        if hasattr(doc, "read"):
-            doc = doc.read()
-        if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, the digit limit
-        raise ParseError(f"{where}invalid JSON {what}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{where}{what} must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ParseError(f"{where}unknown {what} keys: {', '.join(unknown)}")
-    return doc
 
 
 def study_config_from_json(doc) -> McStudyConfig:

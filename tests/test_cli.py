@@ -5,20 +5,30 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from wcrte import (
     DEFAULT_SEED,
+    EstimatorKind,
     Exponential,
     NumericError,
+    Sample,
+    cli,
     critical_values,
     derive_stream,
+    estimate,
     gof,
+    heuristic_window,
+    parse_estimator,
     run_study,
     study_config_from_json,
+    wcre_lstat_variance,
+    wcrte_lstat_variance,
 )
 from wcrte.cli import _Z_95, build_parser, main
 from wcrte.gof import CRITICAL_COLUMNS, GOF_COLUMNS, POWER_COLUMNS
@@ -187,6 +197,93 @@ def test_estimate_out_of_float_range_exits_four(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert "not finite" in err
+
+
+#: The ten specs of the ``estimate`` benchmark workload.
+TEN_SPECS = (
+    "wcrte:e,alpha=2", "wcrte:v,alpha=2", "wcrte:eb,alpha=2", "wcrte:n,alpha=2", "wcrte:l,alpha=2",
+    "wcre:e", "wcre:v", "wcre:eb", "wcre:n", "wcre:l",
+)
+
+
+def _standalone_line(text, x):
+    """The line ``estimate`` prints for ``text``, from public calls on the raw array ``x``."""
+    spec, note = parse_estimator(text), ""
+    if spec.kind.needs_window and spec.window is None:
+        spec = replace(spec, window=heuristic_window(spec.kind, x.size))
+        note = "  (window chosen automatically)"
+    value = estimate(spec, x)
+    line = f"{spec.label()}  estimate={value:.10g}  n={x.size}{note}"
+    if spec.kind is EstimatorKind.LSTAT:
+        if spec.order is None:
+            sigma2 = wcre_lstat_variance(x)
+        else:
+            sigma2 = wcrte_lstat_variance(x, spec.order)
+        if sigma2 > 0.0:
+            se = math.sqrt(sigma2 / x.size)
+            lo, hi = value - _Z_95 * se, value + _Z_95 * se
+            line += f"  se={se:.6g}  ci95=[{lo:.6g}, {hi:.6g}]"
+        else:
+            line += "  (variance estimate not positive; no interval)"
+    return line + "\n"
+
+
+@pytest.mark.parametrize("n, top", [(3, None), (2001, None), (2001, 1.5 * 2.0**511)])
+def test_estimate_prints_the_bits_of_standalone_calls(tmp_path, capsys, n, top):
+    """One prepared sample shared by every spec and companion gives the bits
+    of each public call on its own, the scaled path (a value reaching 2**511,
+    variance finished at power 2) included."""
+    x = Exponential(1.0).quantile(derive_stream(17, n).random(n))
+    if top is not None:
+        x[-1] = top
+    path = tmp_path / "x.txt"
+    path.write_text("".join(f"{float(v)!r}\n" for v in x))
+    argv = ["estimate", "--data", str(path)]
+    for text in TEN_SPECS:
+        argv += ["--estimator", text]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # n = 3 gives a negative variance
+        assert out == "".join(_standalone_line(text, x) for text in TEN_SPECS)
+
+
+def test_estimate_holds_at_most_eight_vectors_beside_its_sample(monkeypatch, capsys):
+    """At n = 200 000 the estimation phase of the ten specs (the prepared
+    squares and spacings, one tail-weight vector per order and the variance
+    companion's buffers) stays within eight n-length vectors."""
+    n = 200_000
+    sample = Sample(Exponential(1.0).quantile(derive_stream(19, n).random(n)))
+    monkeypatch.setattr(cli, "read_sample", lambda path: sample)
+    argv = ["estimate", "--data", "unused.txt"]
+    for text in TEN_SPECS:
+        argv += ["--estimator", text]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(TEN_SPECS)
+    assert peak <= 8 * 8 * n, peak / (8 * n)
+
+
+def test_estimate_errors_name_the_failing_spec(tmp_path, capsys):
+    path = tmp_path / "two.txt"
+    path.write_text("1.5\n2.5\n")
+    code, out, err = run_cli(
+        ["estimate", "--data", str(path), "--estimator", "wcre:l", "--estimator", "wcre:v"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: wcre:v: need n >= 3, got 2\n"
+    path.write_text("1e160\n2e160\n3e160\n5e160\n")
+    code, out, err = run_cli(
+        ["estimate", "--data", str(path), "--estimator", "wcrte:e, alpha=2"], capsys
+    )
+    assert (code, out) == (4, "")
+    assert err == ("error: wcrte:e, alpha=2: the estimate is not finite: "
+                   "it leaves the float range\n")
 
 
 def test_study_moments_never_print_inf_or_nan(capsys):

@@ -37,6 +37,15 @@ def test_public_names_are_unchanged_and_resolve():
     assert wcrte.DomainError is wcrte.errors.DomainError
 
 
+def test_names_moved_out_of_mc_still_resolve_there():
+    """``heuristic_window`` lives in estimators and ``DEFAULT_SEED`` in
+    distributions; mc still exports both."""
+    assert wcrte.mc.heuristic_window is wcrte.estimators.heuristic_window
+    assert wcrte.mc.DEFAULT_SEED == wcrte.distributions.DEFAULT_SEED == 0xC0FFEE
+    assert {"heuristic_window", "DEFAULT_SEED"} <= set(wcrte.mc.__all__)
+    assert wcrte.heuristic_window is wcrte.mc.heuristic_window
+
+
 IMPORT_GUARD = """
 import sys
 import numpy as np
@@ -79,7 +88,8 @@ with open(path, "w") as fh:
     fh.write("".join(f"{0.1 * k!r}\\n" for k in range(1, 41)))
 assert cli.main(["estimate", "--data", path, "--estimator", "wcrte:l,alpha=2",
                  "--estimator", "wcre:v"]) == 0
-unused = sorted({"wcrte.gof", "wcrte.reference", "concurrent.futures"} & set(sys.modules))
+unused = sorted({"wcrte.mc", "wcrte.gof", "wcrte.reference", "concurrent.futures"}
+                & set(sys.modules))
 assert not unused, unused
 assert wcrte.McStudyConfig is wcrte.mc.McStudyConfig
 missing = set(sys.argv[2:]) - set(dir(wcrte))
@@ -88,7 +98,7 @@ assert not missing, missing
 
 
 def test_estimate_loads_only_what_it_runs(tmp_path):
-    """`estimate` loads neither gof, reference nor a thread pool; the namespace still builds."""
+    """`estimate` loads neither mc, gof, reference nor a thread pool; the namespace still builds."""
     done = subprocess.run([sys.executable, "-c", ESTIMATE_GUARD, str(tmp_path / "x.txt"), *PUBLIC],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -18,6 +18,7 @@ from wcrte import (
     PowerCell,
     cli,
     gof,
+    mc,
 )
 
 CELLS = (
@@ -138,7 +139,7 @@ TABLES = {
 def fixed_results(monkeypatch, tmp_path):
     """Every command's Monte Carlo replaced by the hand-built results above."""
     study = McStudyResult(cells=CELLS, skipped=(), seed=7, replications=100)
-    monkeypatch.setattr(cli, "run_study", lambda config, threads=None: study)
+    monkeypatch.setattr(mc, "run_study", lambda config, threads=None: study)
     monkeypatch.setattr(gof, "_critical_pairs", _pairs)
     monkeypatch.setattr(gof, "_uniformity_results", _results)
     monkeypatch.setattr(gof, "power_study", _power)
@@ -157,6 +158,6 @@ def test_every_table_prints_its_exact_bytes(fixed_results, capsys, table):
 
 def test_all_skipped_study_prints_its_header_or_an_empty_list(monkeypatch, capsys):
     study = McStudyResult(cells=(), skipped=("exp:lambda=1 lstat",), seed=7, replications=100)
-    monkeypatch.setattr(cli, "run_study", lambda config, threads=None: study)
+    monkeypatch.setattr(mc, "run_study", lambda config, threads=None: study)
     assert _run(MSE_ARGV, "csv", capsys) == MSE_HEAD
     assert _run(MSE_ARGV, "json", capsys) == "[]\n"
