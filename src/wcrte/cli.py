@@ -33,9 +33,12 @@ through the columns stated next to the result type: ``mc.STUDY_COLUMNS``,
 ``reference.REPORT_FIELDS``; the master seed is the one column no result
 holds. ``mc``, ``gof`` and ``reference`` are imported inside the commands
 that run them, so ``estimate`` starts without loading them. ``estimate``
-prepares its sample once (validated, sorted, squared) and passes that one
-prepared batch to every estimator and variance companion it runs; an error
-in one spec names the spec's ``--estimator`` text.
+parses every ``--estimator`` before it reads the data file, so a malformed
+spec fails first. It then prepares its sample once (validated, sorted,
+squared) and passes that one prepared batch to every estimator and variance
+companion it runs; an error in one spec names the spec's ``--estimator``
+text. ``--threads`` goes to the library as given, and its one rule is
+checked there before any work.
 
 Model, estimator and test specifications share one grammar: a
 case-insensitive head, then after a colon an optional positional token
@@ -173,12 +176,6 @@ def _write_rows(args, rows, fields=None) -> None:
         sys.stdout.write(text)
 
 
-def _threads(args) -> int:
-    if args.threads < 1:
-        raise DomainError(f"--threads must be positive, got {args.threads!r}")
-    return args.threads
-
-
 # --- subcommands ----------------------------------------------------------------
 
 
@@ -187,12 +184,12 @@ def cmd_estimate(args) -> int:
         raise ParseError("estimate needs exactly one --data file")
     if not args.estimators:
         raise ParseError("estimate needs at least one --estimator")
+    specs = [parse_estimator(text) for text in args.estimators]
     # One validation, sort and squaring for every spec; the read sample is
     # released once it is prepared.
     x = _prepare(read_sample(args.data[0]))
     lines = []
-    for text in args.estimators:
-        spec = parse_estimator(text)
+    for text, spec in zip(args.estimators, specs):
         try:
             lines.append(_estimate_line(spec, x))
         except (DomainError, NumericError) as exc:
@@ -233,7 +230,7 @@ def cmd_mse_study(args) -> int:
     if doc["estimators"] is None:
         doc["estimators"] = _ALL_KINDS
     config = study_config_from_json({k: v for k, v in doc.items() if v is not None})
-    result = run_study(config, threads=_threads(args))
+    result = run_study(config, threads=args.threads)
     for message in result.skipped:
         print(f"skipped: {message}", file=sys.stderr)
     _write_rows(args, _table(STUDY_COLUMNS, result.cells, result.seed), STUDY_COLUMNS)
@@ -289,7 +286,7 @@ def cmd_verify_tables(args) -> int:
     from .reference import REPORT_FIELDS, verify_table
 
     rows = verify_table(args.table, replications=args.replications, seed=args.seed,
-                        threads=_threads(args))
+                        threads=args.threads)
     _write_rows(args, rows, REPORT_FIELDS)
     return 0
 

@@ -29,17 +29,25 @@ cumulative sum. No spacing coefficient is negative, so tied samples give
 exactly 0 and no spacing estimate is negative.
 
 A batch is thus validated, sorted and squared once, and each estimator is
-one contraction with its O(n) coefficient vector. A standalone call
-contracts by ``np.einsum``, one vector at a time, and keeps no vector after
-its contraction. Every spacing kind of one order weighs the same tail
-weights (``1 - i/n``, then ``log`` or ``pow``), built once per (order, n): a
-prepared batch keeps them, one vector per order, for every call made on it.
-``wcrte estimate`` prepares its sample once and passes that batch to every
-estimator and variance companion it runs. A Monte Carlo study builds one
-coefficient matrix per (kind, order, plotting position, n), one row per
-window, from one tail-weight vector per (order, n), and each block contracts
-its vectors in chunks of W = 16, one BLAS product ``tile @ C.T`` per tile of
-rows, lanes along the product's columns.
+one contraction with its O(n) coefficient row. :func:`_build_coefficients`
+is the one maker of coefficient rows, and the caller that knows its
+workload builds them once; the prepared batch (:class:`_SortedSquares`) is
+data only and contracts the rows it is handed. Every spacing kind of one
+order weighs the same tail weights (``1 - i/n``, then ``log`` or ``pow``),
+built once per (order, n) and shared through a ``tails`` dict.
+
+* A standalone call builds its own row from the batch's ``tails``, one
+  vector per order kept for every call made on that batch, and contracts it
+  by ``np.einsum``; ``wcrte estimate`` prepares its sample once and passes
+  that batch to every estimator and variance companion it runs.
+* A Monte Carlo study builds every row before its workers start
+  (:func:`_coefficient_rows`, keyed by ``(EstimatorSpec, n)``): one matrix
+  per (kind, order, plotting position, n), one row per window. Each block
+  contracts its rows in chunks of W = 16, one BLAS product ``tile @ C.T`` per
+  tile of rows, lanes along the product's columns.
+* A uniformity-test scorer (:mod:`wcrte.gof`) builds the rows of its
+  entropy-band tests once per call, before its first tile, and contracts
+  them by ``np.einsum`` as a standalone call does.
 The harness then reduces a whole chunk at once: it finishes the (lanes, R)
 product with the one scaling rule and the one finiteness rule of
 :meth:`_SortedSquares.finish`, forms the errors in the product itself, and
@@ -137,41 +145,41 @@ _CHUNK_WIDTH = 16
 _TILE_MACS = 262_144
 
 
-def _chunks(keys) -> list[list[tuple]]:
-    """The distinct ``keys`` in chunks of at most W that weigh one row kind.
+def _chunks(specs) -> list[list[EstimatorSpec]]:
+    """The distinct ``specs`` in chunks of at most W that weigh one row kind.
 
-    Spacing keys and L-statistic keys fill separate chunks, each in order of
-    first appearance; a repeated key keeps its first lane.
+    Spacing specs and L-statistic specs fill separate chunks, each in order
+    of first appearance; a repeated spec keeps its first lane.
     """
-    chunks: list[list[tuple]] = []
-    open_chunks: dict[bool, list[tuple]] = {}
-    for key in dict.fromkeys(keys):
-        lstat = key[0] is EstimatorKind.LSTAT
+    chunks: list[list[EstimatorSpec]] = []
+    open_chunks: dict[bool, list[EstimatorSpec]] = {}
+    for spec in dict.fromkeys(specs):
+        lstat = spec.kind is EstimatorKind.LSTAT
         chunk = open_chunks.get(lstat)
         if chunk is None or len(chunk) == _CHUNK_WIDTH:
             chunk = open_chunks[lstat] = []
             chunks.append(chunk)
-        chunk.append(key)
+        chunk.append(spec)
     return chunks
 
 
 class _SortedSquares:
     """Sorted squares ``s2`` of validated samples and their spacings ``d``.
 
-    A batch whose largest value reaches 2**511 is stored as the squares of
-    ``x * 2**-shift``; :meth:`finish` scales results back exactly. ``coefs``
-    memoizes whole coefficient vectors and may be shared between batches;
-    without it each vector is built for its contraction alone. ``tails``
-    keeps the tail weights of each order the batch's spacing kinds used. With
-    ``overwrite`` the squares are taken in ``srt`` itself, which the caller
-    then no longer reads as sorted values.
+    The batch is data only: it builds no coefficients. :meth:`contract` and
+    :meth:`chunk` take the coefficient rows the caller built with
+    :func:`_build_coefficients`; a row of n entries weighs ``s2``, one of
+    n - 1 entries weighs ``d``. A batch whose largest value reaches 2**511 is
+    stored as the squares of ``x * 2**-shift``; :meth:`finish` scales results
+    back exactly. ``tails`` keeps the tail weights of each order for the
+    callers that build rows for this batch alone. With ``overwrite`` the
+    squares are taken in ``srt`` itself, which the caller then no longer
+    reads as sorted values.
     """
 
-    __slots__ = ("s2", "d", "shift", "squeeze", "coefs", "tails")
+    __slots__ = ("s2", "d", "shift", "squeeze", "tails")
 
-    def __init__(
-        self, srt: np.ndarray, squeeze: bool, coefs: dict | None = None, overwrite: bool = False
-    ) -> None:
+    def __init__(self, srt: np.ndarray, squeeze: bool, overwrite: bool = False) -> None:
         top = float(srt[:, -1].max())
         self.shift = math.frexp(top)[1] if top >= _SQUARE_LIMIT else 0
         if self.shift:
@@ -179,42 +187,39 @@ class _SortedSquares:
         self.s2 = np.multiply(srt, srt, out=srt if overwrite or self.shift else None)
         self.d = np.diff(self.s2, axis=1)
         self.squeeze = squeeze
-        self.coefs = coefs
         self.tails = {}
 
-    def _rows(self, key: tuple) -> np.ndarray:
-        """What the coefficients of ``key`` weigh: ``s2`` or the spacings ``d``."""
-        return self.s2 if key[0] is EstimatorKind.LSTAT else self.d
+    def _weighed(self, coef: np.ndarray) -> np.ndarray:
+        """What ``coef`` weighs: ``s2`` for n entries, the spacings ``d`` for n - 1."""
+        return self.s2 if coef.shape[-1] == self.s2.shape[1] else self.d
 
-    def contract(self, keys: list[tuple]) -> np.ndarray:
-        """Rows of (len(keys), R), row ``j`` the estimator of ``keys[j]``, before :meth:`finish`.
+    def contract(self, coefs) -> np.ndarray:
+        """Rows of (len(coefs), R), row ``j`` contracted with ``coefs[j]``, before :meth:`finish`.
 
-        Each row is its own ``einsum`` written in place, so a key gives the
-        same bits alone or among others.
+        Each row is its own ``einsum`` written in place, so a coefficient row
+        gives the same bits alone or among others.
         """
-        out = np.empty((len(keys), self.s2.shape[0]))
-        for row, key in zip(out, keys):
-            coef = _coefficients(self.coefs, *key, self.tails)
-            np.einsum("ij,j->i", self._rows(key), coef, out=row)
+        out = np.empty((len(coefs), self.s2.shape[0]))
+        for row, coef in zip(out, coefs):
+            np.einsum("ij,j->i", self._weighed(coef), coef, out=row)
         return out
 
-    def chunk(self, keys: list[tuple]) -> np.ndarray:
-        """Rows of (len(keys), R) for one chunk (see :func:`_chunks`), before :meth:`finish`.
+    def chunk(self, coefs) -> np.ndarray:
+        """Rows of (len(coefs), R) for one chunk (see :func:`_chunks`), before :meth:`finish`.
 
-        Lane ``j`` holds the estimator of ``keys[j]``. Each tile of rows is one
-        product ``tile @ C.T`` of fixed shape, W lanes along its columns,
-        transposed into the result.
+        Lane ``j`` is contracted with ``coefs[j]``; all of them weigh one row
+        kind. Each tile of rows is one product ``tile @ C.T`` of fixed shape,
+        W lanes along its columns, transposed into the result.
         """
-        rows = self._rows(keys[0])
+        rows = self._weighed(coefs[0])
         r, k = rows.shape
         coef = np.zeros((_CHUNK_WIDTH, k))
-        for lane, key in enumerate(keys):
-            coef[lane] = _coefficients(self.coefs, *key, self.tails)
+        coef[: len(coefs)] = coefs
         out = np.empty((_CHUNK_WIDTH, r))
         step = max(1, _TILE_MACS // (_CHUNK_WIDTH * k))
         for lo in range(0, r, step):
             out[:, lo : lo + step] = (rows[lo : lo + step] @ coef.T).T
-        return out[: len(keys)]
+        return out[: len(coefs)]
 
     def finish(self, out: np.ndarray, power: int = 1):
         """Undo the scaling of a result of degree ``power`` in ``s2``, in place.
@@ -357,9 +362,11 @@ def _build_coefficients(kind: EstimatorKind, order, windows, plotting, n: int,
                         tails: dict) -> np.ndarray:
     """Coefficients over ``s2`` (L-statistic) or over ``d`` (other kinds), one row per window.
 
-    ``windows`` lists a spacing kind's windows, each checked against n; a
-    kind without a window takes ``(None,)`` and gets one row. Spacing kinds
-    take their order's tail weights from ``tails`` (see :func:`_tail_weights`).
+    The one maker of coefficient rows: every contraction in the package
+    weighs rows built here. ``windows`` lists a spacing kind's windows, each
+    checked against n; a kind without a window takes ``(None,)`` and gets
+    one row. Spacing kinds take their order's tail weights from ``tails``
+    (see :func:`_tail_weights`).
     """
     if kind is EstimatorKind.LSTAT:
         # The plotting default: i/(n+1) for the WCRE, i/n for other orders.
@@ -400,43 +407,21 @@ def _build_coefficients(kind: EstimatorKind, order, windows, plotting, n: int,
     return out
 
 
-def _key(spec: EstimatorSpec, n: int) -> tuple:
-    """The coefficient key of ``spec`` at sample size n."""
-    return (spec.kind, spec.order, spec.window, spec.plotting, n)
-
-
-def _coefficients(coefs: dict | None, kind, order, m, plotting, n: int,
-                  tails: dict | None = None) -> np.ndarray:
-    """Coefficient vector of one estimator at sample size n, memoized in ``coefs``.
-
-    A vector is built, and its window checked against n, on the first call;
-    without ``coefs`` it is built on every call and kept by no one. Its tail
-    weights come from, and stay in, ``tails``.
-    """
-    key = (kind, order, m, plotting, n)
-    c = None if coefs is None else coefs.get(key)
-    if c is None:
-        c = _build_coefficients(kind, order, (m,), plotting, n, {} if tails is None else tails)[0]
-        if coefs is not None:
-            coefs[key] = c
-    return c
-
-
 def _coefficient_rows(keys) -> dict:
-    """The vectors of ``keys``, keyed as :func:`_coefficients` memoizes them.
+    """The coefficient row of each ``(EstimatorSpec, n)`` of ``keys``, keyed by it.
 
     One matrix is built per (kind, order, plotting, n), with one row per
-    window its keys use, and one tail-weight vector per (order, n); each
-    vector is a row of a matrix.
+    window its specs use, and one tail-weight vector per (order, n); each
+    row is a row of a matrix.
     """
-    windows: dict[tuple, dict] = {}
-    for kind, order, m, plotting, n in keys:
-        windows.setdefault((kind, order, plotting, n), {})[m] = None
-    coefs, tails = {}, {}
-    for (kind, order, plotting, n), ms in windows.items():
-        for m, row in zip(ms, _build_coefficients(kind, order, tuple(ms), plotting, n, tails)):
-            coefs[(kind, order, m, plotting, n)] = row
-    return coefs
+    groups: dict[tuple, list[EstimatorSpec]] = {}
+    for spec, n in dict.fromkeys(keys):
+        groups.setdefault((spec.kind, spec.order, spec.plotting, n), []).append(spec)
+    rows, tails = {}, {}
+    for (kind, order, plotting, n), specs in groups.items():
+        built = _build_coefficients(kind, order, [s.window for s in specs], plotting, n, tails)
+        rows.update(((spec, n), row) for spec, row in zip(specs, built))
+    return rows
 
 
 def _warn_order(spec: EstimatorSpec, stacklevel: int) -> None:
@@ -459,7 +444,9 @@ def _evaluate(spec: EstimatorSpec, x):
     """``spec`` on ``x``; every public estimator ends here."""
     _warn_order(spec, stacklevel=3)
     sq = _prepare(x)
-    return sq.finish(sq.contract([_key(spec, sq.s2.shape[1])])[0])
+    n = sq.s2.shape[1]
+    coef = _build_coefficients(spec.kind, spec.order, (spec.window,), spec.plotting, n, sq.tails)
+    return sq.finish(sq.contract(coef)[0])
 
 
 # --- WCRTE estimators --------------------------------------------------------
@@ -690,7 +677,10 @@ def parse_estimator(text: str) -> EstimatorSpec:
     measure, token, fields = _split_spec(spec, _SPEC_KEYS, positional=tuple(_SPEC_KEYS))
     if token is None:
         raise ParseError(f"{spec!r}: missing estimator kind")
-    kind = parse_kind(token)
+    try:
+        kind = parse_kind(token)
+    except ParseError as exc:
+        raise ParseError(f"{spec!r}: {exc}") from None
     if measure == "wcrte" and "alpha" not in fields:
         raise ParseError(f"{spec!r}: wcrte requires alpha=<order>")
     order = _parse_number(fields["alpha"], spec) if "alpha" in fields else None

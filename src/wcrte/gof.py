@@ -21,14 +21,20 @@ and squared once and every test reads it: all orders of one n in
 :func:`power_study` call, which also sorts and squares each alternative's
 draws once. Nothing is kept between calls.
 
-A batch is drawn and scored in tiles of rows (``_score``): each tile is
-drawn, mapped through the alternative's quantile if any, sorted, scored by
-every competitor, then squared in place if an entropy-band test reads it,
-and only each test's vector of statistics spans the whole batch. The
+Every scoring path takes its tests resolved at the batch's n
+(:meth:`GofTest.resolved`: ``ent`` with its window filled in), so a test's
+window lives in the test alone. A batch is drawn and scored in tiles of rows
+(``_score``): the coefficient row of each entropy-band test is built once
+per call, before the first tile (``_band_rows``, through
+:func:`wcrte.estimators._coefficient_rows`); then each tile is drawn, mapped
+through the alternative's quantile if any, sorted, scored by every
+competitor, then squared in place if an entropy-band test reads it, and
+only each test's vector of statistics spans the whole batch. The
 entropy-band tests of a tile are scored in one pass (``_score_rows``): each
-is its own contraction of the tile's spacings, written into one row of a
-(tests, rows) array, and one ``finish`` checks them all; that is the
-contraction a standalone estimate makes, so the values are unchanged.
+is its own contraction of the tile's spacings with its row, written into
+one row of a (tests, rows) array, and one ``finish`` checks them all; that
+is the contraction a standalone estimate makes, so the values are unchanged.
+A single sample (:func:`uniformity_test`) builds its rows once the same way.
 Every step acts row by row, so a tiled batch, down to tiles of one row,
 gives the bits of the whole one. The KS kernel reduces across replications
 (its deviations are laid out in column order), the spacing-entropy kernel
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -219,7 +225,7 @@ def competitor_statistic(name: str, x, m: int | None = None):
     if test.is_entropy_band:
         raise DomainError(f"unknown competitor {name!r} (known: ks, cvm, ad, ent)")
     rows, single = _sorted_rows(x, min_n=1, upper=1.0)
-    out = _competitor_null_stats(test, rows, test.resolved_m(rows.shape[1]))
+    out = _competitor_null_stats(test.resolved(rows.shape[1]), rows)
     return float(out[0]) if single else out
 
 
@@ -267,11 +273,12 @@ class GofTest:
         """True when small statistic values are evidence against uniformity."""
         return self.name == "ent"
 
-    def resolved_m(self, n: int) -> int | None:
-        """The window of ``ent`` at sample size n, checked against n; None elsewhere."""
+    def resolved(self, n: int) -> GofTest:
+        """This test at sample size n: ``ent`` with its window filled in and checked against n."""
         if self.name != "ent":
-            return None
-        return default_spacing_window(n) if self.m is None else est._check_window(self.m, n)
+            return self
+        m = default_spacing_window(n) if self.m is None else est._check_window(self.m, n)
+        return replace(self, m=m)
 
     def label(self) -> str:
         if self.name == "wcrte":
@@ -345,7 +352,10 @@ class CriticalValue:
 def _check_null_grid(n, gamma, replications, min_replications: int = 1000):
     """Validated (n, level, replications) of a calibration run."""
     n = _check_size(n)
-    g = float(gamma)
+    try:
+        g = float(gamma)
+    except (TypeError, ValueError):
+        g = math.nan  # fails the rule below
     if not (0.0 < g < 1.0):
         raise DomainError(f"level gamma must lie in (0, 1), got {gamma!r}")
     return n, g, _check_size(replications, min_replications, "replications")
@@ -366,58 +376,69 @@ def _tiles(replications: int, n: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _score_rows(rows: np.ndarray, scored, coefs: dict, overwrite: bool = False) -> np.ndarray:
-    """Statistics of ``scored`` on sorted [0, 1] ``rows``: row k for ``scored[k]``.
+def _band_rows(tests, n: int) -> list[np.ndarray]:
+    """The coefficient row of each entropy-band test of ``tests`` at size n, in order.
+
+    Each test's statistic is the plug-in estimate of its order.
+    """
+    specs = [est.EstimatorSpec(est.EstimatorKind.EMPIRICAL, t.order) for t in tests
+             if t.is_entropy_band]
+    rows = est._coefficient_rows((spec, n) for spec in specs)
+    return [rows[(spec, n)] for spec in specs]
+
+
+def _score_rows(rows: np.ndarray, tests, band_rows, overwrite: bool = False) -> np.ndarray:
+    """Statistics of the resolved ``tests`` on sorted [0, 1] ``rows``: row k for ``tests[k]``.
 
     The competitors read the sorted rows first. Then, if an entropy-band test
     is scored, the rows are squared once (in place with ``overwrite``), each
     such test is one row of one :meth:`~wcrte.estimators._SortedSquares.contract`
-    and all of them get a single ``finish``: the contraction and checks of a
-    standalone estimate, so each statistic keeps its bits. ``coefs`` memoizes
-    the coefficient vectors across calls.
+    with its row of ``band_rows`` (see :func:`_band_rows`), and all of them
+    get a single ``finish``: the contraction and checks of a standalone
+    estimate, so each statistic keeps its bits.
     """
-    out = np.empty((len(scored), rows.shape[0]))
+    out = np.empty((len(tests), rows.shape[0]))
     band = []
-    for k, (test, m) in enumerate(scored):
+    for k, test in enumerate(tests):
         if test.is_entropy_band:
             band.append(k)
         else:
-            out[k] = _competitor_null_stats(test, rows, m)
+            out[k] = _competitor_null_stats(test, rows)
     if band:
-        squares = est._SortedSquares(rows, False, coefs, overwrite)
-        n = rows.shape[1]
-        keys = [(est.EstimatorKind.EMPIRICAL, scored[k][0].order, None, None, n) for k in band]
-        out[band] = squares.finish(squares.contract(keys))
+        squares = est._SortedSquares(rows, False, overwrite)
+        out[band] = squares.finish(squares.contract(band_rows))
     return out
 
 
-def _score(stream, n: int, replications: int, scored, quantile=None) -> np.ndarray:
-    """Statistics of a (replications, n) batch of ``stream``: row k for ``scored[k]``.
+def _score(stream, n: int, replications: int, tests, quantile=None) -> np.ndarray:
+    """Statistics of a (replications, n) batch of ``stream``: row k for ``tests[k]``.
 
-    Each tile of draws is mapped through ``quantile`` (an alternative's; None
-    keeps the uniform null), sorted and scored; the tile is this call's own,
-    so it is squared in place. Draws, transforms, sorts and row statistics act
-    row by row, so tiles give the bits of one whole batch.
+    The band rows are built once, before the first tile. Each tile of draws
+    is mapped through ``quantile`` (an alternative's; None keeps the uniform
+    null), sorted and scored; the tile is this call's own, so it is squared
+    in place. Draws, transforms, sorts and row statistics act row by row, so
+    tiles give the bits of one whole batch.
     """
-    out = np.empty((len(scored), replications))
-    coefs: dict = {}
+    out = np.empty((len(tests), replications))
+    band_rows = _band_rows(tests, n)
     for lo, hi in _tiles(replications, n):
         rows = stream.random((hi - lo, n))
         if quantile is not None:
             rows = quantile(rows)
         rows.sort(axis=1)
-        out[:, lo:hi] = _score_rows(rows, scored, coefs, overwrite=True)
+        out[:, lo:hi] = _score_rows(rows, tests, band_rows, overwrite=True)
     return out
 
 
-def _competitor_null_stats(test: GofTest, sorted_null: np.ndarray, m: int | None) -> np.ndarray:
+def _competitor_null_stats(test: GofTest, sorted_null: np.ndarray) -> np.ndarray:
+    """The statistic of the resolved competitor ``test`` on each sorted row."""
     if test.name == "ks":
         return _ks_stat(sorted_null)
     if test.name == "cvm":
         return _cvm_stat(sorted_null)
     if test.name == "ad":
         return _ad_stat(sorted_null)
-    return _ent_stat(sorted_null, m)
+    return _ent_stat(sorted_null, test.m)
 
 
 def _calibrate(test: GofTest, stats: np.ndarray, g: float):
@@ -435,10 +456,10 @@ def _calibrate(test: GofTest, stats: np.ndarray, g: float):
     return None, float(np.quantile(stats, 1.0 - g))
 
 
-def _null_bands(n: int, scored, g: float, replications: int, seed: int) -> list[tuple]:
-    """``(lo, hi)`` of each ``(test, m)`` of ``scored``, all from the (seed, n) null batch."""
-    stats = _score(gof_null_stream(seed, n), n, replications, scored)
-    return [_calibrate(test, row, g) for (test, _), row in zip(scored, stats)]
+def _null_bands(n: int, tests, g: float, replications: int, seed: int) -> list[tuple]:
+    """``(lo, hi)`` of each resolved test of ``tests``, all from the (seed, n) null batch."""
+    stats = _score(gof_null_stream(seed, n), n, replications, tests)
+    return [_calibrate(test, row, g) for test, row in zip(tests, stats)]
 
 
 def _reject(stats, lo, hi):
@@ -466,7 +487,7 @@ def _critical_pairs(n, orders, gamma, replications, seed) -> list[CriticalPair]:
     """:func:`critical_values` for each of ``orders``, all on one null batch."""
     n, g, reps = _check_null_grid(n, gamma, replications)
     tests = [GofTest(name="wcre") if a is None else GofTest(name="wcrte", order=a) for a in orders]
-    bands = _null_bands(n, [(test, None) for test in tests], g, reps, seed)
+    bands = _null_bands(n, tests, g, reps, seed)
     return [
         CriticalPair(n=n, order=test.order, gamma=g, lower=lower, upper=upper, replications=reps)
         for test, (lower, upper) in zip(tests, bands)
@@ -490,11 +511,11 @@ def competitor_critical_value(
     if test.is_entropy_band:
         raise DomainError("use critical_values for the entropy-band tests")
     n, g, reps = _check_null_grid(n, gamma, replications)
-    resolved_m = test.resolved_m(n)
-    [(lo, hi)] = _null_bands(n, [(test, resolved_m)], g, reps, seed)
+    test = test.resolved(n)
+    [(lo, hi)] = _null_bands(n, [test], g, reps, seed)
     return CriticalValue(
         test=test.name, n=n, gamma=g, value=hi if lo is None else lo,
-        rejects_low=test.rejects_low, m=resolved_m, replications=reps,
+        rejects_low=test.rejects_low, m=test.m, replications=reps,
     )
 
 
@@ -567,16 +588,16 @@ def _uniformity_results(x, tests, gamma, replications, seed) -> list[GofResult]:
             if not single:
                 raise DomainError("uniformity_test takes a single 1-D sample")
             n, g, reps = _check_null_grid(rows.shape[1], gamma, replications)
-        scored.append((test, test.resolved_m(n)))
+        scored.append(test.resolved(n))
     bands = _null_bands(n, scored, g, reps, seed)
-    stats = _score_rows(rows, scored, {})
+    stats = _score_rows(rows, scored, _band_rows(scored, n))
     return [
         GofResult(
-            test=test.name, n=n, order=test.order, m=m, gamma=g,
+            test=test.name, n=n, order=test.order, m=test.m, gamma=g,
             statistic=float(stat[0]), lower=lo, upper=hi,
             reject=bool(_reject(stat[0], lo, hi)), replications=reps,
         )
-        for (test, m), (lo, hi), stat in zip(scored, bands, stats)
+        for test, (lo, hi), stat in zip(scored, bands, stats)
     ]
 
 
@@ -638,24 +659,24 @@ def power_study(
                 f"alternative {model.spec_string()} draws values up to {top:g}; "
                 "sample values must not exceed 1"
             )
-    scored = [(test, test.resolved_m(n)) for test in tests]
-    bands = _null_bands(n, scored, g, reps, seed)
+    tests = [test.resolved(n) for test in tests]
+    bands = _null_bands(n, tests, g, reps, seed)
 
     def cells(item) -> list[PowerCell]:
         ai, model = item
         stream = gof_alternative_stream(seed, n, ai)
-        stats = _score(stream, n, reps, scored, model.quantile)
+        stats = _score(stream, n, reps, tests, model.quantile)
         return [
             PowerCell(
                 alternative=model.spec_string(),
                 n=n,
                 test=test.name,
                 order=test.order,
-                m=m,
+                m=test.m,
                 power=float(_reject(row, lo, hi).mean()),
                 replications=reps,
             )
-            for (test, m), (lo, hi), row in zip(scored, bands, stats)
+            for test, (lo, hi), row in zip(tests, bands, stats)
         ]
 
     return [cell for part in _pool_map(cells, enumerate(alternatives), threads) for cell in part]

@@ -84,8 +84,9 @@ class McStudyConfig:
 
     ``orders`` may contain None for the WCRE limit. ``windows`` is either the
     string "auto" (one heuristic window per kind and n), the string "sweep"
-    (every admissible window), or an explicit tuple applied to all windowed
-    kinds; explicit windows must be admissible for every n in the grid.
+    (every admissible window), or an explicit nonempty tuple applied to all
+    windowed kinds; explicit windows must be admissible for every n in the
+    grid.
     """
 
     models: tuple[Model, ...]
@@ -101,7 +102,9 @@ class McStudyConfig:
         object.__setattr__(self, "sample_sizes", tuple(map(_check_size, self.sample_sizes)))
         object.__setattr__(self, "orders", tuple(self.orders))
         object.__setattr__(self, "kinds", tuple(EstimatorKind(k) for k in self.kinds))
-        if not self.models or not self.sample_sizes or not self.orders or not self.kinds:
+        if not isinstance(self.windows, str):
+            object.__setattr__(self, "windows", tuple(self.windows))
+        if not (self.models and self.sample_sizes and self.orders and self.kinds) or self.windows == ():
             raise DomainError("study grid must have at least one entry on every axis")
         object.__setattr__(self, "replications", _check_size(self.replications, 1, "replications"))
         if isinstance(self.windows, str):
@@ -274,30 +277,29 @@ def _chunk_moments(out: np.ndarray, truths, replications: int, where: str) -> li
     return list(zip(bias.tolist(), mse.tolist(), se))
 
 
-def _run_block(block: _BlockPlan, replications: int, seed: int, coefs: dict) -> list[McCell]:
+def _run_block(block: _BlockPlan, replications: int, seed: int, rows: dict) -> list[McCell]:
     if not block.specs:
         return []
     stream = mc_stream(seed, block.model_index, block.n)
     xs = block.model.quantile(stream.random((replications, block.n)))
     # One validation, sort and squaring for the whole block, in the drawn
-    # array itself; the cells' coefficient vectors (from ``coefs``) are then
+    # array itself; the cells' coefficient rows (from ``rows``) are then
     # contracted with it and reduced one chunk at a time.
     xs.sort(axis=1)
-    squares = est._SortedSquares(_check_sorted(xs), False, coefs, overwrite=True)
-    keys = [est._key(cell.estimator, block.n) for cell in block.specs]
-    truths = dict(zip(keys, (cell.truth for cell in block.specs)))
+    squares = est._SortedSquares(_check_sorted(xs), False, overwrite=True)
+    truths = {cell.estimator: cell.truth for cell in block.specs}
     model = block.model.spec_string()
     where = f"{model} at n={block.n}"
     moments = {}
-    for chunk in est._chunks(keys):
-        out = squares.finish(squares.chunk(chunk))
-        truth = [truths[key] for key in chunk]
+    for chunk in est._chunks(truths):
+        out = squares.finish(squares.chunk([rows[(spec, block.n)] for spec in chunk]))
+        truth = [truths[spec] for spec in chunk]
         moments.update(zip(chunk, _chunk_moments(out, truth, replications, where)))
         del out  # released before the next chunk's product is allocated
     cells: list[McCell] = []
-    for cell, key in zip(block.specs, keys):
+    for cell in block.specs:
         spec = cell.estimator
-        bias, mse, mse_se = moments[key]
+        bias, mse, mse_se = moments[spec]
         cells.append(
             McCell(
                 model=model,
@@ -344,15 +346,13 @@ def run_study(config: McStudyConfig, threads: int | None = None) -> McStudyResul
     """
     _check_threads(threads)
     blocks, skipped = _plan_blocks(config)
-    # Every coefficient vector is built here, before any worker starts, as a
+    # Every coefficient row is built here, before any worker starts, as a
     # row of one matrix per (kind, order, plotting, n); the blocks then only
     # read this dict.
-    coefs = est._coefficient_rows(
-        est._key(cell.estimator, b.n) for b in blocks for cell in b.specs
-    )
+    rows = est._coefficient_rows((cell.estimator, b.n) for b in blocks for cell in b.specs)
 
     def run(b: _BlockPlan) -> list[McCell]:
-        return _run_block(b, config.replications, config.seed, coefs)
+        return _run_block(b, config.replications, config.seed, rows)
 
     cells = [cell for part in _pool_map(run, blocks, threads) for cell in part]
     return McStudyResult(

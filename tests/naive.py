@@ -354,10 +354,10 @@ def coefficients(kind, order, m, plotting, n):
     return out
 
 
-def score_rows(rows, scored, coefs):
+def score_rows(rows, tests):
     """The earlier tile scorer: one public ``estimate`` call per entropy-band test.
 
-    Returns one statistic vector per ``(test, m)`` of ``scored``; ``rows`` is
+    Returns one statistic vector per resolved test of ``tests``; ``rows`` is
     not modified.
     """
     from wcrte import estimators as est
@@ -365,12 +365,12 @@ def score_rows(rows, scored, coefs):
 
     squares = None
     out = []
-    for test, m in scored:
+    for test in tests:
         if test.is_entropy_band:
             if squares is None:
-                squares = est._SortedSquares(rows, False, coefs)
+                squares = est._SortedSquares(rows, False)
             spec = est.EstimatorSpec(est.EstimatorKind.EMPIRICAL, test.order)
             out.append(est.estimate(spec, squares))
         else:
-            out.append(_competitor_null_stats(test, rows, m))
+            out.append(_competitor_null_stats(test, rows))
     return out

@@ -286,6 +286,43 @@ def test_estimate_errors_name_the_failing_spec(tmp_path, capsys):
                    "it leaves the float range\n")
 
 
+def test_estimate_parses_every_spec_before_reading_the_data(tmp_path, capsys, monkeypatch):
+    """A bad spec anywhere in the list exits 2 naming the spec, before the data
+    file is read, so it wins over an unreadable file; a study's kind list keeps
+    its own message."""
+    path = tmp_path / "x.txt"
+    path.write_text("1.5\n2.5\n4.0\n")
+    known = "e, eb, ebrahimi, empirical, l, lstat, mn, modified, modified_n, n, v, vasicek"
+    want = f"error: 'wcre:bogus': unknown estimator kind 'bogus' (known: {known})\n"
+    specs = ["--estimator", "wcre:l", "--estimator", "wcrte:l,alpha=2",
+             "--estimator", "wcre:bogus"]
+    code, out, err = run_cli(["estimate", "--data", str(path), *specs], capsys)
+    assert (code, out, err) == (2, "", want)
+    code, out, err = run_cli(["estimate", "--data", str(tmp_path / "missing.txt"), *specs], capsys)
+    assert (code, out, err) == (2, "", want)
+    monkeypatch.setattr(cli, "read_sample", lambda path: pytest.fail("read before parsing"))
+    code, out, err = run_cli(["estimate", "--data", str(path), *specs], capsys)
+    assert (code, out, err) == (2, "", want)
+    code, out, err = run_cli(
+        ["mse-study", "--model", "exp:lambda=1", "--estimator", "bogus", "--reps", "10"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: estimators: unknown estimator kind 'bogus' (known: {known})\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mse-study", "--model", "exp:lambda=1", "--n", "10", "--reps", "10"],
+        ["verify-tables", "--table", "8", "--reps", "1000"],
+    ],
+)
+def test_a_thread_count_below_one_exits_three_before_any_draw(argv, capsys, monkeypatch):
+    monkeypatch.setattr("wcrte.mc.derive_stream", lambda *key: pytest.fail(f"drew {key}"))
+    code, out, err = run_cli([*argv, "--threads", "0"], capsys)
+    assert (code, out, err) == (3, "", "error: threads must be positive, got 0\n")
+
+
 def test_study_moments_never_print_inf_or_nan(capsys):
     argv = ["mse-study", "--n", "10", "--alpha", "2", "--estimator", "empirical", "--reps", "200"]
     code, out, _ = run_cli([*argv, "--model", "uniform:theta=1e40"], capsys)

@@ -38,7 +38,7 @@ from wcrte import (
     wcrte_modified_n,
     wcrte_vasicek,
 )
-from wcrte.estimators import _coefficient_rows, _coefficients, _SortedSquares
+from wcrte.estimators import _build_coefficients, _coefficient_rows, _SortedSquares
 
 
 # --- hand-computed values -----------------------------------------------------
@@ -191,8 +191,14 @@ def test_spacing_coefficients_are_nonnegative():
     for n in (3, 10, 50, 201):
         for spec in _every_spec(n):
             if spec.kind is not EstimatorKind.LSTAT:
-                c = _coefficients({}, spec.kind, spec.order, spec.window, None, n)
+                (c,) = _build_coefficients(spec.kind, spec.order, (spec.window,), None, n, {})
                 assert (c >= 0.0).all(), spec
+
+
+def _one_row(spec, n):
+    """The coefficient row of ``spec`` at size n, built alone by the one builder."""
+    (row,) = _build_coefficients(spec.kind, spec.order, (spec.window,), spec.plotting, n, {})
+    return row
 
 
 def test_coefficient_rows_equal_the_one_window_vectors():
@@ -200,38 +206,40 @@ def test_coefficient_rows_equal_the_one_window_vectors():
     orders = (None, 0.5, 2.0, 7.0)
     for n in range(3, 102):
         windows = tuple(range(1, max_window(n) + 1))
-        keys = [(kind, order, m, None, n)
+        keys = [(EstimatorSpec(kind, order, m), n)
                 for kind in EstimatorKind if kind is not EstimatorKind.LSTAT
                 for order in orders
                 for m in (windows if kind.needs_window else (None,))]
-        keys += [(EstimatorKind.LSTAT, order, None, plotting, n)
+        keys += [(EstimatorSpec(EstimatorKind.LSTAT, order, plotting=plotting), n)
                  for order in (None, 2.0, 7.0) for plotting in (None, "n", "n+1")]
         rows = _coefficient_rows(keys)
         assert len(rows) == len(keys)
         for key in keys:
-            kind, order, m, plotting, _ = key
-            want = naive.coefficients(kind.value, order, m, plotting, n)
+            spec = key[0]
+            want = naive.coefficients(spec.kind.value, spec.order, spec.window, spec.plotting, n)
             assert rows[key].tobytes() == want.tobytes(), key
-            assert _coefficients({}, *key).tobytes() == want.tobytes(), key
+            assert _one_row(spec, n).tobytes() == want.tobytes(), key
 
 
 def test_each_contracted_row_is_the_plain_einsum_of_its_key():
-    """A key's row of ``contract`` gives the bits of ``einsum`` on that key alone,
-    whatever keys share the call, one-row batches at large n included."""
+    """A coefficient row's result from ``contract`` gives the bits of ``einsum``
+    on that row alone, whatever rows share the call, one-row batches at large
+    n included."""
     rng = np.random.default_rng(41)
     for n, r in ((2, 1), (3, 7), (100, 655), (9000, 1), (9000, 7), (20_000, 2)):
         srt = np.sort(rng.random((r, n)), axis=1)
-        keys = [(EstimatorKind.EMPIRICAL, order, None, None, n) for order in (2.0, None, 7.0, 1.5)]
-        keys.append((EstimatorKind.LSTAT, 2.0, None, None, n))
+        specs = [EstimatorSpec(EstimatorKind.EMPIRICAL, order) for order in (2.0, None, 7.0, 1.5)]
+        specs.append(EstimatorSpec(EstimatorKind.LSTAT, 2.0))
         if n >= 3:
-            keys.append((EstimatorKind.VASICEK, 2.0, 1, None, n))
+            specs.append(EstimatorSpec(EstimatorKind.VASICEK, 2.0, 1))
         squares = _SortedSquares(srt, False)
-        got = squares.contract(keys)
-        assert got.shape == (len(keys), r)
-        for row, key in zip(got, keys):
-            plain = squares.s2 if key[0] is EstimatorKind.LSTAT else squares.d
-            want = np.einsum("ij,j->i", plain, _coefficients({}, *key))
-            assert row.tobytes() == want.tobytes(), (n, r, key)
+        coefs = [_one_row(spec, n) for spec in specs]
+        got = squares.contract(coefs)
+        assert got.shape == (len(specs), r)
+        for row, spec, coef in zip(got, specs, coefs):
+            plain = squares.s2 if spec.kind is EstimatorKind.LSTAT else squares.d
+            want = np.einsum("ij,j->i", plain, coef)
+            assert row.tobytes() == want.tobytes(), (n, r, spec)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 31])

@@ -1,6 +1,7 @@
 """Uniformity tests: statistics, bands, critical values, and power."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 import naive
+from wcrte import estimators as est
 from wcrte import gof
 from wcrte import (
     ORDER_CENTERED,
@@ -166,9 +168,9 @@ def test_gof_test_validation():
     assert GofTest(name="wcrte", order=2.0).label() == "wcrte:alpha=2"
     assert GofTest(name="wcre").label() == "wcre"
     assert GofTest(name="ent", m=5).label() == "ent:m=5"
-    assert GofTest(name="ent").resolved_m(10) == 4
-    assert GofTest(name="ent", m=2).resolved_m(10) == 2
-    assert GofTest(name="ks").resolved_m(10) is None
+    assert GofTest(name="ent").resolved(10).m == 4
+    assert GofTest(name="ent", m=2).resolved(10).m == 2
+    assert GofTest(name="ks").resolved(10).m is None
     with pytest.raises(DomainError):
         GofTest(name="wcrte")  # needs an order
     with pytest.raises(DomainError):
@@ -231,6 +233,17 @@ def test_critical_values_guards():
         critical_values(10, order=2.0, replications=500)
     with pytest.raises(DomainError):
         critical_values(10, order=2.0, gamma=1.5)
+
+
+@pytest.mark.parametrize("gamma", ["x", None, [0.05]])
+def test_a_non_numeric_level_raises_the_level_rule(gamma, monkeypatch):
+    """A level that is not a number fails the level rule, before anything is drawn."""
+    monkeypatch.setattr("wcrte.mc.derive_stream", lambda *key: pytest.fail(f"drew {key}"))
+    message = f"^level gamma must lie in \\(0, 1\\), got {re.escape(repr(gamma))}$"
+    with pytest.raises(DomainError, match=message):
+        critical_values(10, gamma=gamma, replications=1000)
+    with pytest.raises(DomainError, match=message):
+        power_study(["alt:A,j=2"], 10, ["ks"], gamma=gamma, replications=100)
 
 
 def test_critical_values_deterministic_and_ordered():
@@ -510,12 +523,13 @@ def test_one_row_tile_gives_the_bits_of_the_batch():
     so a tile of one row keeps the bits of the whole batch."""
     tests = [parse_test(t) for t in ("wcre", "wcrte:alpha=2", "ks", "cvm", "ad", "ent", "ent:m=1")]
     for n in range(3, 200):
-        scored = [(t, t.resolved_m(n)) for t in tests]
+        scored = [t.resolved(n) for t in tests]
+        band = gof._band_rows(scored, n)
         rows = np.sort(derive_stream(8, n).random((5, n)), axis=1)
-        whole = gof._score_rows(rows, scored, {})
+        whole = gof._score_rows(rows, scored, band)
         for k in range(len(rows)):
-            alone = gof._score_rows(rows[k : k + 1], scored, {})
-            for (test, _), got, want in zip(scored, alone, whole):
+            alone = gof._score_rows(rows[k : k + 1], scored, band)
+            for test, got, want in zip(scored, alone, whole):
                 assert got[0] == want[k], (n, k, test.label())
     for n in (1, 7, 50, 70_000):
         for reps in (100, 1001, 1310 * 3 + 1, 65_537):
@@ -531,17 +545,18 @@ def test_one_pass_tile_scoring_matches_the_per_test_scorer():
     tests = [parse_test(t) for t in names]
     rng = np.random.default_rng(15)
     for n in [*range(2, 201), 9000]:
-        scored = [(t, t.resolved_m(n)) for t in tests if n >= 3 or t.name != "ent"]
+        scored = [t.resolved(n) for t in tests if n >= 3 or t.name != "ent"]
+        band = gof._band_rows(scored, n)
         full = max(1, gof._TILE_VALUES // n)
         for r in sorted({1, 2, 7, full}):
             rows = np.sort(rng.random((r, n)), axis=1)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                want = naive.score_rows(rows, scored, {})
-                got = gof._score_rows(rows.copy(), scored, {})
-                in_place = gof._score_rows(rows.copy(), scored, {}, overwrite=True)
+                want = naive.score_rows(rows, scored)
+                got = gof._score_rows(rows.copy(), scored, band)
+                in_place = gof._score_rows(rows.copy(), scored, band, overwrite=True)
             assert got.shape == in_place.shape == (len(scored), r)
-            for k, (test, _) in enumerate(scored):
+            for k, test in enumerate(scored):
                 assert np.array_equal(got[k], want[k]), (n, r, test.label())
                 assert np.array_equal(in_place[k], want[k]), (n, r, test.label())
 
@@ -573,7 +588,7 @@ def test_ent_row_sums_match_the_reference_on_both_branches():
 @pytest.mark.parametrize("n, reps", [(13, 4 * 25 + 1), (13, 103), (7, 100)])
 def test_tiled_scoring_equals_one_tile(monkeypatch, n, reps):
     tests = [parse_test(t) for t in ("wcre", "wcrte:alpha=2", "ks", "cvm", "ad", "ent", "ent:m=1")]
-    scored = [(t, t.resolved_m(n)) for t in tests]
+    scored = [t.resolved(n) for t in tests]
     alt = StephensAlternative("C", 1.5)
 
     def score(quantile):
@@ -587,6 +602,33 @@ def test_tiled_scoring_equals_one_tile(monkeypatch, n, reps):
         tiled = [score(None), score(alt.quantile)]
         for got, want in zip(tiled, whole):
             assert np.array_equal(got, want), rows
+
+
+def test_score_builds_each_band_row_once_per_call(monkeypatch):
+    """``_score`` builds the coefficient row of each entropy-band test once,
+    before its first tile, whatever its tile count."""
+    n, reps = 13, 103
+    names = ("wcre", "ks", "wcrte:alpha=2", "ent", "wcrte:alpha=7")
+    tests = [parse_test(t).resolved(n) for t in names]
+    built = []
+    build = est._build_coefficients
+
+    def counted(kind, order, windows, plotting, n, tails):
+        out = build(kind, order, windows, plotting, n, tails)
+        built.append((kind, order, len(out)))
+        return out
+
+    monkeypatch.setattr(est, "_build_coefficients", counted)
+    want = [(est.EstimatorKind.EMPIRICAL, order, 1) for order in (None, 2.0, 7.0)]
+    whole = gof._score(derive_stream(6, 2, n), n, reps, tests)
+    assert built == want
+    for rows in (4, 1):
+        built.clear()
+        monkeypatch.setattr(gof, "_TILE_VALUES", rows * n)
+        assert len(list(gof._tiles(reps, n))) > 20
+        tiled = gof._score(derive_stream(6, 2, n), n, reps, tests)
+        assert built == want, rows
+        assert np.array_equal(tiled, whole), rows
 
 
 @pytest.mark.parametrize(

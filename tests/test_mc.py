@@ -90,6 +90,20 @@ def test_config_validation():
         McStudyConfig(**{**base, "kinds": (EstimatorKind.VASICEK,), "windows": (7,)})
 
 
+def test_an_empty_window_tuple_is_an_empty_axis():
+    """An explicit empty window tuple raises the rule of every empty axis, for
+    a windowed kind or not, instead of running a study of no cells."""
+    empty = "^study grid must have at least one entry on every axis$"
+    for kind in (EstimatorKind.VASICEK, EstimatorKind.EMPIRICAL):
+        for windows in ((), []):
+            with pytest.raises(DomainError, match=empty):
+                McStudyConfig(models=(EXP1,), sample_sizes=(10,), orders=(2.0,), kinds=(kind,),
+                              windows=windows)
+    with pytest.raises(DomainError, match="^windows must be 'auto', 'sweep' or a tuple, got ''$"):
+        McStudyConfig(models=(EXP1,), sample_sizes=(10,), orders=(2.0,),
+                      kinds=(EstimatorKind.VASICEK,), windows="")
+
+
 def test_windows_for_modes():
     cfg = McStudyConfig(
         models=(EXP1,),
@@ -228,33 +242,36 @@ def test_sweep_with_every_kind_is_stable_under_added_cells_and_threads():
 W = est._CHUNK_WIDTH
 
 
-def _lane_keys(kind, n):
-    """W + 1 distinct coefficient keys of one row kind at sample size n."""
+def _lane_specs(kind):
+    """W + 1 distinct specs of one row kind, all admissible at every n >= 3."""
     if kind is EstimatorKind.LSTAT:
-        specs = [EstimatorSpec(kind, 1.5 + 0.5 * i) for i in range(W)]
-        specs.append(EstimatorSpec(kind, plotting="n+1"))
-    else:
-        specs = [EstimatorSpec(kind, order, 1) for order in (None, *range(2, W + 2))]
-    return [est._key(spec, n) for spec in specs]
+        return [*(EstimatorSpec(kind, 1.5 + 0.5 * i) for i in range(W)),
+                EstimatorSpec(kind, plotting="n+1")]
+    return [EstimatorSpec(kind, order, 1) for order in (None, *range(2, W + 2))]
+
+
+def _chunk_of(squares, specs, n):
+    """``squares.chunk`` on the coefficient rows of ``specs`` at size n, finished."""
+    rows = est._coefficient_rows((spec, n) for spec in specs)
+    return squares.finish(squares.chunk([rows[(spec, n)] for spec in specs]))
 
 
 @pytest.mark.parametrize("n, r", [(3, 5), (21, 301), (64, 1000)])
 @pytest.mark.parametrize("kind", [EstimatorKind.VASICEK, EstimatorKind.LSTAT])
 def test_a_spec_alone_in_its_chunk_equals_it_in_every_lane(kind, n, r):
     rows = np.sort(Exponential(1.0).quantile(derive_stream(3, n).random((r, n))), axis=1)
-    target, *others = _lane_keys(kind, n)
+    target, *others = _lane_specs(kind)
 
-    def read(keys, key):
-        squares = est._SortedSquares(rows, False)
-        return squares.finish(squares.chunk(keys))[keys.index(key)]
+    def read(specs, spec):
+        return _chunk_of(est._SortedSquares(rows, False), specs, n)[specs.index(spec)]
 
     alone = read([target], target)
     # Standalone calls keep the per-spec contraction: equal up to rounding.
-    np.testing.assert_allclose(alone, estimate(EstimatorSpec(*target[:4]), rows), rtol=1e-13)
+    np.testing.assert_allclose(alone, estimate(target, rows), rtol=1e-13)
     for lane in range(W):
-        keys = others[: W - 1]
-        keys.insert(lane, target)
-        assert np.array_equal(read(keys, target), alone), lane
+        specs = others[: W - 1]
+        specs.insert(lane, target)
+        assert np.array_equal(read(specs, target), alone), lane
 
 
 def _grid(n, r, orders=(2.0, 3.0, 5.0, None)):
@@ -310,8 +327,7 @@ def _oracle_cells(config):
                     continue
                 for window in config.windows_for(kind, n):
                     spec = EstimatorSpec(kind, order, window)
-                    key = est._key(spec, n)
-                    lane = squares.finish(squares.chunk([key]))[0]
+                    lane = _chunk_of(squares, [spec], n)[0]
                     # The standalone contraction agrees up to rounding.
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")  # orders below 1

@@ -1,8 +1,11 @@
 """The package namespace is the union of its modules' ``__all__`` lists, and what it loads."""
 
+import importlib
 import os
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import wcrte
 
@@ -114,3 +117,29 @@ def test_gof_and_reference_load_no_thread_pool():
     done = subprocess.run([sys.executable, "-c", guard], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert done.returncode == 0, done.stderr
+
+
+def _tracing_module():
+    """``perfbench/tracing.py`` (standard library only), run from its source
+    without writing bytecode next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses resolve the module's names
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+def test_every_perfbench_hook_target_resolves():
+    """The benchmark tracer skips a hook whose target is gone, which would read
+    as a zero per-layer metric; every hooked name must still be a callable."""
+    tracing = _tracing_module()
+    assert tracing._HOOKS and tracing._STREAMS
+    for modname, attr, *_ in tracing._HOOKS:
+        target = getattr(importlib.import_module(modname), attr, None)
+        assert callable(target), f"{modname}.{attr}"
+    for attr, _ in tracing._STREAMS:
+        assert callable(getattr(wcrte.mc, attr, None)), f"wcrte.mc.{attr}"
