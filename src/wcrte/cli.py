@@ -34,11 +34,15 @@ through the columns stated next to the result type: ``mc.STUDY_COLUMNS``,
 holds. ``mc``, ``gof`` and ``reference`` are imported inside the commands
 that run them, so ``estimate`` starts without loading them. ``estimate``
 parses every ``--estimator`` before it reads the data file, so a malformed
-spec fails first. It then prepares its sample once (validated, sorted,
-squared) and passes that one prepared batch to every estimator and variance
+spec fails first. It then prepares its sample once (validated, sorted and
+squared in the array the file was read into, with no :class:`Sample` copy)
+and passes that one prepared batch to every estimator and variance
 companion it runs; an error in one spec names the spec's ``--estimator``
-text. ``--threads`` goes to the library as given, and its one rule is
-checked there before any work.
+text. A variance estimate that leaves the float range costs its line the
+interval, not the run. ``--threads`` (default: the CPUs this process may
+use) goes to the library as given, and its one rule is checked before any
+work; ``critical-values`` runs the sample sizes of its table mode on the
+pool itself, and its ``--data`` mode in the calling thread.
 
 Model, estimator and test specifications share one grammar: a
 case-insensitive head, then after a colon an optional positional token
@@ -61,14 +65,14 @@ from .distributions import _GRID_KEYS, DEFAULT_SEED, _convert, _integer, _json_o
 from .errors import DomainError, NumericError, ParseError
 from .estimators import (
     EstimatorKind,
-    _prepare,
+    _SortedSquares,
     estimate,
     heuristic_window,
     parse_estimator,
     wcre_lstat_variance,
     wcrte_lstat_variance,
 )
-from .sample import read_sample
+from .sample import _check_sorted, _read_values, read_sample
 
 __all__ = ["main", "build_parser"]
 
@@ -113,6 +117,14 @@ _CONVERTERS = {
     "out": _path,
 }
 
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 #: Values of the options that neither a flag nor the config sets; a
 #: subcommand overrides them with ``set_defaults(defaults=...)``.
 _DEFAULTS = {
@@ -120,7 +132,7 @@ _DEFAULTS = {
     "seed": DEFAULT_SEED,
     "gamma": 0.05,
     "format": "csv",
-    "threads": os.cpu_count() or 1,
+    "threads": _usable_cpus(),
 }
 
 _ALL_KINDS = ("empirical", "vasicek", "ebrahimi", "modified_n", "lstat")
@@ -185,9 +197,12 @@ def cmd_estimate(args) -> int:
     if not args.estimators:
         raise ParseError("estimate needs at least one --estimator")
     specs = [parse_estimator(text) for text in args.estimators]
-    # One validation, sort and squaring for every spec; the read sample is
-    # released once it is prepared.
-    x = _prepare(read_sample(args.data[0]))
+    # One validation, sort and squaring for every spec, all in the array the
+    # file was read into: its size was checked by the reader, and its values
+    # are checked once sorted, as a Sample's are.
+    values = _read_values(args.data[0])
+    values.sort()
+    x = _SortedSquares(_check_sorted(values[None]), True, overwrite=True)
     lines = []
     for text, spec in zip(args.estimators, specs):
         try:
@@ -208,10 +223,13 @@ def _estimate_line(spec, x) -> str:
     value = estimate(spec, x)
     line = f"{spec.label()}  estimate={value:.10g}  n={n}{note}"
     if spec.kind is EstimatorKind.LSTAT and n >= 3:
-        if spec.order is None:
-            sigma2 = wcre_lstat_variance(x)
-        else:
-            sigma2 = wcrte_lstat_variance(x, spec.order)
+        try:
+            if spec.order is None:
+                sigma2 = wcre_lstat_variance(x)
+            else:
+                sigma2 = wcrte_lstat_variance(x, spec.order)
+        except NumericError:
+            return line + "  (variance estimate leaves the float range; no interval)"
         if sigma2 > 0.0:
             se = math.sqrt(sigma2 / n)
             lo, hi = value - _Z_95 * se, value + _Z_95 * se
@@ -239,9 +257,11 @@ def cmd_mse_study(args) -> int:
 
 def cmd_critical_values(args) -> int:
     from .gof import CRITICAL_COLUMNS, GOF_COLUMNS, _critical_pairs, _uniformity_results
+    from .mc import _check_threads, _pool_map
 
     if args.data and args.n is not None:
         raise ParseError("give either --n (table mode) or --data (single-test mode), not both")
+    _check_threads(args.threads)
 
     if args.data:
         if len(args.data) != 1:
@@ -255,11 +275,11 @@ def cmd_critical_values(args) -> int:
 
     if args.n is None:
         raise ParseError("table mode needs --n (or use --data for single-test mode)")
-    pairs = [
-        pair
-        for n in args.n
-        for pair in _critical_pairs(n, args.alpha, args.gamma, args.replications, args.seed)
-    ]
+
+    def calibrate(n):
+        return _critical_pairs(n, args.alpha, args.gamma, args.replications, args.seed)
+
+    pairs = [pair for part in _pool_map(calibrate, args.n, args.threads) for pair in part]
     _write_rows(args, _table(CRITICAL_COLUMNS, pairs, args.seed), CRITICAL_COLUMNS)
     return 0
 
@@ -275,7 +295,8 @@ def cmd_power(args) -> int:
         cell
         for n in args.n
         for cell in power_study(
-            args.alternatives, n, args.tests, args.gamma, args.replications, args.seed
+            args.alternatives, n, args.tests, args.gamma, args.replications, args.seed,
+            threads=args.threads,
         )
     ]
     _write_rows(args, _table(POWER_COLUMNS, cells, args.seed), POWER_COLUMNS)
@@ -308,8 +329,8 @@ def _add_common(sub: argparse.ArgumentParser, *extra: str) -> None:
     if "format" in extra:
         sub.add_argument("--format", help="output format: csv or json (default csv)")
     if "threads" in extra:
-        sub.add_argument("--threads",
-                         help="worker threads (default: all cores); never changes results")
+        sub.add_argument("--threads", help="worker threads (default: the CPUs this process "
+                                           "may use); never changes results")
     if "gamma" in extra:
         sub.add_argument("--gamma", help="significance level (default 0.05)")
 
@@ -355,6 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     _repeatable(p, "--test", "tests",
                 "test spec for --data mode: wcrte:alpha=2, wcre, ks, cvm, ad, "
                 "ent, ent:m=5 (repeatable)")
+    p.add_argument("--threads",
+                   help="worker threads (default: the CPUs this process may use), one sample "
+                        "size of table mode each; --data mode runs in the calling thread; "
+                        "never changes results")
     _add_common(p, "replications", "format", "gamma")
     p.set_defaults(func=cmd_critical_values, defaults={"alpha": (None, 2.0, 5.0, 7.0, 10.0)})
 
@@ -363,6 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "alternative model spec, e.g. alt:A,j=2 (repeatable)")
     _repeatable(p, "--test", "tests", "test spec (repeatable)")
     p.add_argument("--n", help="sample sizes, comma separated (default 10,20,30)")
+    p.add_argument("--threads",
+                   help="worker threads (default: the CPUs this process may use), one "
+                        "alternative each after the calibration; never changes results")
     _add_common(p, "replications", "format", "gamma")
     p.set_defaults(func=cmd_power, defaults={"n": (10, 20, 30)})
 
@@ -370,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", type=int, choices=range(2, 9), required=True,
                    help="published table id (2-8)")
     p.add_argument("--threads",
-                   help="worker threads (default: all cores), sharing the (model, n) blocks "
-                        "of groups 2-6, the sample sizes of group 7 and the alternatives "
-                        "of group 8; never changes results")
+                   help="worker threads (default: the CPUs this process may use), sharing the "
+                        "(model, n) blocks of groups 2-6, the sample sizes of group 7 and the "
+                        "alternatives of group 8; never changes results")
     _add_common(p, "replications", "format")
     # No --reps recomputes each group at its published replication count.
     p.set_defaults(func=cmd_verify_tables, defaults={"replications": None})

@@ -34,12 +34,17 @@ is the one maker of coefficient rows, and the caller that knows its
 workload builds them once; the prepared batch (:class:`_SortedSquares`) is
 data only and contracts the rows it is handed. Every spacing kind of one
 order weighs the same tail weights (``1 - i/n``, then ``log`` or ``pow``),
-built once per (order, n) and shared through a ``tails`` dict.
+built once per (order, n) and shared through a ``tails`` dict that holds
+one (order, n) at a time.
 
-* A standalone call builds its own row from the batch's ``tails``, one
-  vector per order kept for every call made on that batch, and contracts it
-  by ``np.einsum``; ``wcrte estimate`` prepares its sample once and passes
-  that batch to every estimator and variance companion it runs.
+* A standalone call builds its own row from the batch's ``tails``, which
+  keep the last order's weights for the next call on that batch, and
+  contracts it by ``np.einsum``; ``wcrte estimate`` prepares its sample
+  once, in the array the file was read into, and passes that batch to every
+  estimator and variance companion it runs. An L-statistic row is built in
+  the buffer of its plotting positions, and the companion runs in two
+  (n - 1)-length buffers, so at most five n-length vectors are live at a
+  time, the batch's two included, beside blocks of ``_HEAD_BLOCK`` entries.
 * A Monte Carlo study builds every row before its workers start
   (:func:`_coefficient_rows`, keyed by ``(EstimatorSpec, n)``): one matrix
   per (kind, order, plotting position, n), one row per window. Each block
@@ -143,6 +148,8 @@ _CHUNK_WIDTH = 16
 #: product of at most 65536 * 4 on the calling thread, so a tile neither
 #: depends on the BLAS thread count nor competes with the study's workers.
 _TILE_MACS = 262_144
+#: Entries of i/n the variance companion makes at a time (16 KiB).
+_HEAD_BLOCK = 2048
 
 
 def _chunks(specs) -> list[list[EstimatorSpec]]:
@@ -171,10 +178,11 @@ class _SortedSquares:
     :func:`_build_coefficients`; a row of n entries weighs ``s2``, one of
     n - 1 entries weighs ``d``. A batch whose largest value reaches 2**511 is
     stored as the squares of ``x * 2**-shift``; :meth:`finish` scales results
-    back exactly. ``tails`` keeps the tail weights of each order for the
-    callers that build rows for this batch alone. With ``overwrite`` the
-    squares are taken in ``srt`` itself, which the caller then no longer
-    reads as sorted values.
+    back exactly. ``tails`` keeps the tail weights of one order at a time
+    for the callers that build rows for this batch alone (see
+    :func:`_tail_weights`). With ``overwrite`` the scaling and the squares
+    are taken in ``srt`` itself, which the caller then no longer reads as
+    sorted values.
     """
 
     __slots__ = ("s2", "d", "shift", "squeeze", "tails")
@@ -183,7 +191,7 @@ class _SortedSquares:
         top = float(srt[:, -1].max())
         self.shift = math.frexp(top)[1] if top >= _SQUARE_LIMIT else 0
         if self.shift:
-            srt = np.ldexp(srt, -self.shift)
+            srt = np.ldexp(srt, -self.shift, out=srt if overwrite else None)
         self.s2 = np.multiply(srt, srt, out=srt if overwrite or self.shift else None)
         self.d = np.diff(self.s2, axis=1)
         self.squeeze = squeeze
@@ -225,7 +233,8 @@ class _SortedSquares:
         """Undo the scaling of a result of degree ``power`` in ``s2``, in place.
 
         ``out`` is one estimator's vector or a chunk's rows, each row checked
-        on its own: an estimate that leaves the float range raises.
+        on its own: an estimate that leaves the float range raises. A result
+        of degree 2 is a variance estimate, and the message says so.
         """
         if self.shift:
             with np.errstate(over="ignore"):  # reported below
@@ -235,7 +244,8 @@ class _SortedSquares:
         with np.errstate(over="ignore", invalid="ignore"):
             total = np.add.reduce(out, axis=-1)
         if not np.isfinite(total).all() and not np.isfinite(out).all():
-            raise NumericError("the estimate is not finite: it leaves the float range")
+            what = "variance estimate" if power == 2 else "estimate"
+            raise NumericError(f"the {what} is not finite: it leaves the float range")
         return float(out[0]) if self.squeeze else out
 
 
@@ -341,10 +351,14 @@ def _tail_weights(tails: dict, order, n: int) -> np.ndarray:
 
     With t_i = 1 - i/n, w_i is -t_i log t_i or (t_i - t_i**order) / (order - 1);
     the i = n term of the windowed sums is always 0, so both stop at n - 1.
-    Every spacing kind weighs these, and none writes to them.
+    Every spacing kind weighs these, and none writes to them. ``tails`` holds
+    one (order, n) at a time: a new one clears it, so a caller that runs its
+    specs order by order builds each order's weights once and holds one
+    vector of them.
     """
     w = tails.get((order, n))
     if w is None:
+        tails.clear()
         tail = 1.0 - np.arange(1, n, dtype=float) / n
         if order is None:
             w = np.log(tail)
@@ -366,16 +380,28 @@ def _build_coefficients(kind: EstimatorKind, order, windows, plotting, n: int,
     weighs rows built here. ``windows`` lists a spacing kind's windows, each
     checked against n; a kind without a window takes ``(None,)`` and gets
     one row. Spacing kinds take their order's tail weights from ``tails``
-    (see :func:`_tail_weights`).
+    (see :func:`_tail_weights`). The L-statistic row is built in place in
+    the buffer of its plotting positions.
     """
     if kind is EstimatorKind.LSTAT:
         # The plotting default: i/(n+1) for the WCRE, i/n for other orders.
         plotting = plotting or ("n+1" if order is None else "n")
-        p = np.arange(1, n + 1, dtype=float) / (n if plotting == "n" else n + 1)
+        c = np.arange(1, n + 1, dtype=float)
+        c /= n if plotting == "n" else n + 1  # p_i
+        np.subtract(1.0, c, out=c)
         if order is not None:
-            return ((1.0 - order * (1.0 - p) ** (order - 1.0)) / (2.0 * (order - 1.0) * n))[None]
+            # (1 - order * (1 - p)**(order - 1)) / (2 (order - 1) n)
+            c **= order - 1.0
+            c *= order
+            np.subtract(1.0, c, out=c)
+            c /= 2.0 * (order - 1.0) * n
+            return c[None]
+        # -(1 + log(1 - p)) / (2n)
         with np.errstate(divide="ignore"):
-            c = -(1.0 + np.log(1.0 - p)) / (2.0 * n)
+            np.log(c, out=c)
+        c += 1.0
+        np.negative(c, out=c)
+        c /= 2.0 * n
         if plotting == "n":
             c[-1] = 0.0  # the log(0) term is dropped
         return c[None]
@@ -411,15 +437,17 @@ def _coefficient_rows(keys) -> dict:
     """The coefficient row of each ``(EstimatorSpec, n)`` of ``keys``, keyed by it.
 
     One matrix is built per (kind, order, plotting, n), with one row per
-    window its specs use, and one tail-weight vector per (order, n); each
-    row is a row of a matrix.
+    window its specs use, and one tail-weight vector per (order, n), each
+    kept in its own ``tails`` dict; each row is a row of a matrix.
     """
     groups: dict[tuple, list[EstimatorSpec]] = {}
     for spec, n in dict.fromkeys(keys):
         groups.setdefault((spec.kind, spec.order, spec.plotting, n), []).append(spec)
     rows, tails = {}, {}
     for (kind, order, plotting, n), specs in groups.items():
-        built = _build_coefficients(kind, order, [s.window for s in specs], plotting, n, tails)
+        windows = [s.window for s in specs]
+        built = _build_coefficients(kind, order, windows, plotting, n,
+                                    tails.setdefault((order, n), {}))
         rows.update(((spec, n), row) for spec, row in zip(specs, built))
     return rows
 
@@ -492,15 +520,18 @@ def _lstat_variance(x, order):
 
     The double sum over ordered index pairs is evaluated in O(n) via a
     cumulative sum; a literal O(n^2) version is kept in the test suite as an
-    oracle. Each step writes into a buffer it no longer needs or frees one
-    first, so the companion holds at most three n-length vectors beside the
-    batch.
+    oracle. The companion holds two (n - 1)-length buffers beside the batch:
+    the tail t_i = 1 - i/n, then its coefficient c(t_i) beside it, is turned
+    into t_i c(t_i) in the first; the second turns c(t_i) into c(t_i) i/n
+    with i/n made in blocks of ``_HEAD_BLOCK`` entries. Both are multiplied
+    by the spacings ``d`` in place (a batch of more rows gets new products),
+    and the cumulative sum and the pair product follow in place.
     """
     sq = _prepare(x)
     n = _check_size(sq.s2.shape[1], 3)
-    head = np.arange(1, n, dtype=float)
-    head /= n  # i/n for the spacing index i = 1..n-1
-    tail = 1.0 - head
+    tail = np.arange(1, n, dtype=float)
+    tail /= n  # i/n for the spacing index i = 1..n-1
+    np.subtract(1.0, tail, out=tail)
     if order is None:
         coef = np.log(tail)
         coef += 1.0
@@ -517,12 +548,17 @@ def _lstat_variance(x, order):
         # estimate.
         denominator = 2.0 * (order - 1.0) ** 2
     tail *= coef  # the factor carrying the larger index
-    head *= coef  # the factor carrying the smaller index
-    del coef
-    upper = tail * sq.d
+    for lo in range(0, n - 1, _HEAD_BLOCK):  # the factor carrying the smaller index
+        hi = min(lo + _HEAD_BLOCK, n - 1)
+        head = np.arange(lo + 1, hi + 1, dtype=float)
+        head /= n
+        coef[lo:hi] *= head
+        del head  # before the next block is made
+    own = sq.d.shape[0] == 1  # one row: the products fit the buffers
+    upper = np.multiply(tail[None], sq.d, out=tail[None] if own else None)
     del tail
-    cum = head * sq.d
-    del head
+    cum = np.multiply(coef[None], sq.d, out=coef[None] if own else None)
+    del coef
     cum = np.cumsum(cum, axis=1, out=cum)
     # A product overflows only when the variance itself is out of range,
     # which finish() reports.

@@ -99,12 +99,23 @@ def _check_sorted(rows: np.ndarray) -> np.ndarray:
 
 
 def read_sample(path: str | os.PathLike) -> Sample:
-    """Read one observation per line; blank lines and ``#`` comments are skipped.
+    """The observations of a text file (see :func:`_read_values`) as a :class:`Sample`.
+
+    Raises ParseError as :func:`_read_values` does, and DomainError for
+    negative or non-finite values, which parse fine but are out of domain.
+    """
+    return Sample(_read_values(path))
+
+
+def _read_values(path: str | os.PathLike) -> np.ndarray:
+    """One observation per line, into a new float array; blanks and ``#`` comments are skipped.
 
     Raises ParseError naming the offending line for non-numeric content,
     naming the file for content that is not UTF-8 text, and also for files
     that end up with fewer than two observations (the command line treats a
-    too-short file as malformed input).
+    too-short file as malformed input). The values are not checked further:
+    the caller owns the array, and ``wcrte estimate`` sorts and squares it
+    in place instead of copying it into a :class:`Sample`.
 
     A file of plain numbers is parsed in one pass over its bytes. Any line
     that pass cannot parse (a comment, a bad token, a lone-CR line ending,
@@ -116,14 +127,12 @@ def read_sample(path: str | os.PathLike) -> Sample:
         with open(path, "rb") as fh:
             values = np.fromiter(map(float, filter(bytes.strip, fh)), dtype=float)
     except ValueError:
-        values = _read_lines(path)
+        values = np.array(_read_lines(path), dtype=float)
     try:
         _check_size(len(values))
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    # Negative or non-finite values parsed fine but are out of domain, so the
-    # DomainError from the constructor is allowed through unchanged.
-    return Sample(values)
+    return values
 
 
 def _read_lines(path) -> list[float]:

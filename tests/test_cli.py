@@ -17,7 +17,6 @@ from wcrte import (
     EstimatorKind,
     Exponential,
     NumericError,
-    Sample,
     cli,
     critical_values,
     derive_stream,
@@ -180,7 +179,7 @@ def test_numeric_failures_use_exit_code_four(five_points, capsys, monkeypatch):
     def boom(path):
         raise NumericError("synthetic numerical failure")
 
-    monkeypatch.setattr("wcrte.cli.read_sample", boom)
+    monkeypatch.setattr("wcrte.cli._read_values", boom)
     code, _, err = run_cli(
         ["estimate", "--data", five_points, "--estimator", "wcre:e"], capsys
     )
@@ -248,13 +247,14 @@ def test_estimate_prints_the_bits_of_standalone_calls(tmp_path, capsys, n, top):
         assert out == "".join(_standalone_line(text, x) for text in TEN_SPECS)
 
 
-def test_estimate_holds_at_most_eight_vectors_beside_its_sample(monkeypatch, capsys):
-    """At n = 200 000 the estimation phase of the ten specs (the prepared
-    squares and spacings, one tail-weight vector per order and the variance
-    companion's buffers) stays within eight n-length vectors."""
+def test_estimate_holds_at_most_four_and_a_half_vectors_beside_its_array(monkeypatch, capsys):
+    """At n = 200 000 the ten specs run beside the array the file was read
+    into, which is sorted and squared in place, within 4.5 more n-length
+    vectors: the spacings, one order's tail weights, and a coefficient row
+    or the variance companion's two buffers."""
     n = 200_000
-    sample = Sample(Exponential(1.0).quantile(derive_stream(19, n).random(n)))
-    monkeypatch.setattr(cli, "read_sample", lambda path: sample)
+    values = [Exponential(1.0).quantile(derive_stream(19, n).random(n))]
+    monkeypatch.setattr(cli, "_read_values", lambda path: values.pop())
     argv = ["estimate", "--data", "unused.txt"]
     for text in TEN_SPECS:
         argv += ["--estimator", text]
@@ -266,7 +266,30 @@ def test_estimate_holds_at_most_eight_vectors_beside_its_sample(monkeypatch, cap
         tracemalloc.stop()
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == len(TEN_SPECS)
-    assert peak <= 8 * 8 * n, peak / (8 * n)
+    assert peak <= 4.5 * 8 * n, peak / (8 * n)
+
+
+def test_a_variance_out_of_float_range_drops_only_its_interval(tmp_path, capsys):
+    """A sample scaled by 2**508 has finite estimates, but the L-statistic's
+    variance, of degree 2 in the squares, overflows: its line prints without
+    an interval, and every other spec prints as usual."""
+    x = Exponential(1.0).quantile(derive_stream(17, 2001).random(2001)) * 2.0**508
+    path = tmp_path / "huge.txt"
+    path.write_text("".join(f"{float(v)!r}\n" for v in x))
+    texts = ["wcre:e", "wcrte:l,alpha=2", "wcre:v"]
+    code, out, err = run_cli(
+        ["estimate", "--data", str(path), *(a for t in texts for a in ("--estimator", t))], capsys
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == len(texts)
+    value = estimate(parse_estimator("wcrte:l,alpha=2"), x)
+    assert lines[1] == (f"wcrte:lstat,alpha=2  estimate={value:.10g}  n=2001"
+                        "  (variance estimate leaves the float range; no interval)")
+    assert lines[0].startswith("wcre:empirical  estimate=") and "e+30" in lines[0]
+    assert lines[2].endswith("(window chosen automatically)")
+    with pytest.raises(NumericError, match="^the variance estimate is not finite: it leaves"):
+        wcrte_lstat_variance(x, 2.0)
 
 
 def test_estimate_errors_name_the_failing_spec(tmp_path, capsys):
@@ -300,7 +323,7 @@ def test_estimate_parses_every_spec_before_reading_the_data(tmp_path, capsys, mo
     assert (code, out, err) == (2, "", want)
     code, out, err = run_cli(["estimate", "--data", str(tmp_path / "missing.txt"), *specs], capsys)
     assert (code, out, err) == (2, "", want)
-    monkeypatch.setattr(cli, "read_sample", lambda path: pytest.fail("read before parsing"))
+    monkeypatch.setattr(cli, "_read_values", lambda path: pytest.fail("read before parsing"))
     code, out, err = run_cli(["estimate", "--data", str(path), *specs], capsys)
     assert (code, out, err) == (2, "", want)
     code, out, err = run_cli(
@@ -315,6 +338,8 @@ def test_estimate_parses_every_spec_before_reading_the_data(tmp_path, capsys, mo
     [
         ["mse-study", "--model", "exp:lambda=1", "--n", "10", "--reps", "10"],
         ["verify-tables", "--table", "8", "--reps", "1000"],
+        ["power", "--alternative", "alt:A,j=2", "--test", "ks", "--n", "10", "--reps", "100"],
+        ["critical-values", "--n", "10,20", "--reps", "1000"],
     ],
 )
 def test_a_thread_count_below_one_exits_three_before_any_draw(argv, capsys, monkeypatch):
@@ -568,6 +593,22 @@ def test_critical_values_draw_one_null_batch_per_n(tmp_path, monkeypatch, capsys
     code, out, _ = run_cli(base + [arg for t in tests for arg in ("--test", t)], capsys)
     assert code == 0 and draws == [25]
     assert out.splitlines()[1:] == alone
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical-values", "--n", "10,20,30", "--alpha", "1,2", "--reps", "1000"],
+        ["power", "--alternative", "alt:A,j=2", "--alternative", "alt:B,j=2",
+         "--alternative", "uniform:theta=1", "--test", "ks", "--test", "wcrte:alpha=2",
+         "--test", "ent", "--n", "10,20", "--reps", "200"],
+    ],
+)
+def test_table_output_is_byte_identical_at_one_and_two_threads(argv, capsys):
+    code1, out1, _ = run_cli([*argv, "--threads", "1"], capsys)
+    code2, out2, _ = run_cli([*argv, "--threads", "2"], capsys)
+    assert (code1, code2) == (0, 0)
+    assert out1 == out2 and len(out1.splitlines()) > 1
 
 
 def test_critical_values_mode_conflicts(exp30, capsys):
@@ -844,8 +885,10 @@ def test_option_strings_of_every_subcommand():
         "estimate": ["--data", "--estimator"],
         "mse-study": ["--model", "--estimator", "--n", "--alpha", "--m", "--reps", "--format",
                       "--threads"],
-        "critical-values": ["--n", "--alpha", "--data", "--test", "--reps", "--format", "--gamma"],
-        "power": ["--alternative", "--test", "--n", "--reps", "--format", "--gamma"],
+        "critical-values": ["--n", "--alpha", "--data", "--test", "--threads", "--reps",
+                            "--format", "--gamma"],
+        "power": ["--alternative", "--test", "--n", "--threads", "--reps", "--format",
+                  "--gamma"],
         "verify-tables": ["--table", "--threads", "--reps", "--format"],
     }
     assert list(subparsers.choices) == list(expected)

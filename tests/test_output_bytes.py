@@ -50,7 +50,7 @@ def _results(x, tests, gamma, replications, seed):
     ]
 
 
-def _power(alternatives, n, tests, gamma, replications, seed):
+def _power(alternatives, n, tests, gamma, replications, seed, threads=None):
     return [
         PowerCell(alternative="alt:A,j=2", n=n, test=test, order=order, m=m, power=power,
                   replications=replications)
