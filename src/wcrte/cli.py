@@ -32,7 +32,9 @@ through the columns stated next to the result type: ``mc.STUDY_COLUMNS``,
 ``gof.CRITICAL_COLUMNS``, ``gof.GOF_COLUMNS``, ``gof.POWER_COLUMNS`` and
 ``reference.REPORT_FIELDS``; the master seed is the one column no result
 holds. ``mc``, ``gof`` and ``reference`` are imported inside the commands
-that run them, so ``estimate`` starts without loading them. ``estimate``
+that run them, and ``json`` and ``csv`` inside the branches of
+``_write_rows`` that write JSON or CSV, so an ``estimate`` launch, which
+prints lines of text, loads neither writer. ``estimate``
 parses every ``--estimator`` before it reads the data file, so a malformed
 spec fails first. It then prepares its sample once (validated, sorted and
 squared in the array the file was read into, with no :class:`Sample` copy)
@@ -53,9 +55,6 @@ comma separated; keys are case-insensitive and a repeated key is an error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import os
 import sys
@@ -173,8 +172,13 @@ def _write_rows(args, rows, fields=None) -> None:
     if fields is None:
         text = "".join(f"{row}\n" for row in rows)
     elif args.format == "json":
+        import json
+
         text = json.dumps(rows, indent=2) + "\n"
     else:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fields)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 
@@ -12,17 +13,32 @@ __all__ = ["Sample", "read_sample"]
 
 
 class Sample:
-    """A batch of nonnegative observations, kept in draw order.
+    """One sample of nonnegative observations, kept in draw order.
 
     The sorted copy is computed once up front because every estimator in this
     package works on order statistics; the estimators use it instead of
     validating and sorting again. Both arrays are marked read-only.
+    ``Sample(values)`` copies what it is given; an input of more than one
+    dimension raises DomainError rather than being flattened, since the
+    estimators read a 2-D array as a batch of samples.
     """
 
     __slots__ = ("values", "sorted_values")
 
     def __init__(self, values) -> None:
-        arr = np.asarray(values, dtype=float).reshape(-1).copy()
+        arr = np.array(values, dtype=float)
+        if arr.ndim > 1:
+            raise DomainError(f"a Sample holds one sample, got shape {arr.shape}")
+        self._hold(arr.reshape(-1))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> Sample:
+        """A Sample holding the 1-D float array ``arr`` itself, for a caller that owns it."""
+        sample = cls.__new__(cls)
+        sample._hold(arr)
+        return sample
+
+    def _hold(self, arr: np.ndarray) -> None:
         srt = _sorted_rows(arr)[0][0]
         arr.setflags(write=False)
         srt.setflags(write=False)
@@ -101,10 +117,12 @@ def _check_sorted(rows: np.ndarray) -> np.ndarray:
 def read_sample(path: str | os.PathLike) -> Sample:
     """The observations of a text file (see :func:`_read_values`) as a :class:`Sample`.
 
-    Raises ParseError as :func:`_read_values` does, and DomainError for
+    The Sample holds the array the file was read into, uncopied, so the read
+    keeps two n-length vectors: the values in file order and their sorted
+    copy. Raises ParseError as :func:`_read_values` does, and DomainError for
     negative or non-finite values, which parse fine but are out of domain.
     """
-    return Sample(_read_values(path))
+    return Sample._adopt(_read_values(path))
 
 
 def _read_values(path: str | os.PathLike) -> np.ndarray:
@@ -117,22 +135,51 @@ def _read_values(path: str | os.PathLike) -> np.ndarray:
     the caller owns the array, and ``wcrte estimate`` sorts and squares it
     in place instead of copying it into a :class:`Sample`.
 
-    A file of plain numbers is parsed in one pass over its bytes. Any line
-    that pass cannot parse (a comment, a bad token, a lone-CR line ending,
-    non-ASCII text) sends the whole file through :func:`_read_lines`, which
-    defines the format and reports every error; a file the fast pass accepts
-    is ASCII, so it parses to the same values in either pass.
+    A file is parsed first by numpy's C text reader (:func:`_read_column`).
+    Whatever that reader does not take goes through :func:`_read_lines`,
+    which defines the format and reports every error, so both give the same
+    values for every file either accepts.
     """
-    try:
-        with open(path, "rb") as fh:
-            values = np.fromiter(map(float, filter(bytes.strip, fh)), dtype=float)
-    except ValueError:
+    values = _read_column(path)
+    if values is None:
         values = np.array(_read_lines(path), dtype=float)
     try:
         _check_size(len(values))
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return values
+
+
+#: The suffixes ``np.loadtxt`` decompresses instead of reading as text.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _read_column(path) -> np.ndarray | None:
+    """The file's values as numpy's C text reader parses them, or None for the line reader.
+
+    ``np.loadtxt`` gets ``,`` as its delimiter, so ``1 2`` stays one field
+    that fails to parse, and its result counts only when it is one column
+    (a file whose one line is ``1,2`` is one row of two, not two values).
+    None is returned for a field the C reader rejects (a bad token, or a
+    ``1_000``, a non-ASCII digit or a whitespace-only line that the format
+    accepts), content that is not UTF-8, comma-separated fields, a path that
+    is not a regular file or cannot be opened (so ``open`` names it in the
+    error as given), and a name with a suffix ``np.loadtxt`` would
+    decompress. The reader gets the absolute path, which numpy never takes
+    for a URL. Its "input contained no data" warning for an empty or
+    comment-only file is silenced: the size rule reports that file.
+    """
+    name = os.path.abspath(os.fsdecode(path))
+    if not os.path.isfile(name) or name.endswith(_COMPRESSED):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(name, dtype=float, comments="#", delimiter=",",
+                               encoding="utf-8", ndmin=2)
+    except (ValueError, OSError):
+        return None
+    return table[:, 0] if table.shape[1] == 1 else None
 
 
 def _read_lines(path) -> list[float]:

@@ -1,5 +1,6 @@
 """Estimators against hand values, the literal oracle, and their invariants."""
 
+import gzip
 import math
 import tracemalloc
 import warnings
@@ -39,6 +40,7 @@ from wcrte import (
     wcrte_modified_n,
     wcrte_vasicek,
 )
+from wcrte import sample as sample_module
 from wcrte.estimators import _build_coefficients, _coefficient_rows, _SortedSquares
 
 
@@ -624,6 +626,26 @@ def test_sample_is_immutable_and_sorted():
         s.values[0] = 9.0
 
 
+def test_sample_copies_what_its_caller_passes():
+    arr = np.array([3.0, 1.0, 2.0])
+    s = Sample(arr)
+    arr[:] = -1.0
+    assert list(s.values) == [3.0, 1.0, 2.0]
+    assert list(s.sorted_values) == [1.0, 2.0, 3.0]
+    assert arr.flags.writeable
+
+
+def test_sample_rejects_a_batch_naming_its_shape():
+    """A 2-D batch is one sample per row to the estimators; a Sample holds one."""
+    with pytest.raises(DomainError, match=r"shape \(2, 2\)"):
+        Sample([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(DomainError, match=r"shape \(1, 3\)"):
+        Sample(np.ones((1, 3)))
+    assert list(Sample(np.array([2.0, 1.0])).values) == [2.0, 1.0]
+    with pytest.raises(DomainError, match="n >= 2, got 1"):
+        Sample(np.float64(2.0))
+
+
 def test_sample_validation():
     with pytest.raises(DomainError):
         Sample([1.0])
@@ -670,6 +692,8 @@ _LINES = st.one_of(
     st.sampled_from(["", "   ", "# comment", "  # indented comment"]),
     st.sampled_from(["\x1c", "\u20031.5", "\ufeff2.5", "\u0661\u0662", "\u0663.\u0665",
                      "1_0", "nan", "1 2", "banana", "-1.0"]),
+    st.sampled_from(["1,2", "1,", ",", "1;2", '"1.5"', "'1.5'", "\x00", "\x85", "\x0b", "\x0c",
+                     "-nan", "Infinity", "1e-400", "4.9e-324", "+.5"]),
 )
 
 
@@ -685,9 +709,56 @@ def _outcome(read):
     lines=st.lists(_LINES, max_size=10),
     ends=st.lists(st.sampled_from(["\n", "\r\n", "\r", ""]), min_size=10, max_size=10),
 )
+@example(lines=["1,2"], ends=["\n"] * 10)  # numpy reads this file as one row of two
 def test_read_sample_matches_the_line_by_line_reference(tmp_path_factory, lines, ends):
     """Same values bit for bit, or the same exception and message, as the literal reader."""
     path = tmp_path_factory.getbasetemp() / "differential.txt"
     path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode("utf-8"))
     want = _outcome(lambda: Sample(naive.read_sample(path)))
     assert _outcome(lambda: read_sample(path)) == want
+
+
+def test_a_file_with_a_header_comment_takes_the_c_reader(tmp_path, monkeypatch):
+    path = tmp_path / "obs.txt"
+    path.write_text("# header comment\n1.5\n2.5  # trailing note\n\n0\n")
+    monkeypatch.setattr(sample_module, "_read_lines", lambda path: pytest.fail("line reader"))
+    assert list(read_sample(path).values) == [1.5, 2.5, 0.0]
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "\n# two\n# comments\n"])
+def test_a_file_without_values_fails_the_size_rule_and_warns_nothing(tmp_path, text):
+    path = tmp_path / "obs.txt"
+    path.write_text(text)
+    filters = list(warnings.filters)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="obs.txt: need n >= 2, got 0"):
+            read_sample(path)
+    assert warnings.filters == filters
+
+
+def test_the_line_reader_reads_what_numpy_would_open_otherwise(tmp_path):
+    """Names numpy decompresses are read as text; a missing file fails as ``open`` does."""
+    gz = tmp_path / "obs.gz"
+    gz.write_bytes(gzip.compress(b"1.5\n2.5\n"))
+    with pytest.raises(ParseError, match="obs.gz: not UTF-8 text"):
+        read_sample(gz)
+    gz.write_text("1.5\n2.5\n")
+    assert list(read_sample(gz).values) == [1.5, 2.5]
+    missing = tmp_path / "missing.txt"
+    (tmp_path / "missing.txt.gz").write_bytes(gzip.compress(b"1.5\n2.5\n"))
+    with pytest.raises(FileNotFoundError) as caught:
+        read_sample(missing)
+    assert str(caught.value) == f"[Errno 2] No such file or directory: {str(missing)!r}"
+
+
+def test_read_sample_keeps_the_read_array_uncopied(tmp_path):
+    """At n = 200 000 the read plus the Sample peak at 2.25 n-length vectors:
+    the values in file order and their sorted copy."""
+    n = 200_000
+    path = tmp_path / "obs.txt"
+    values = Exponential(1.0).quantile(derive_stream(20, n).random(n))
+    path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    s, peak = _traced_peak(lambda: read_sample(path))
+    assert s.values.tobytes() == values.tobytes()
+    assert peak <= 2.25 * 8 * n, peak / (8 * n)

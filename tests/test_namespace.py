@@ -91,7 +91,7 @@ with open(path, "w") as fh:
     fh.write("".join(f"{0.1 * k!r}\\n" for k in range(1, 41)))
 assert cli.main(["estimate", "--data", path, "--estimator", "wcrte:l,alpha=2",
                  "--estimator", "wcre:v"]) == 0
-unused = sorted({"wcrte.mc", "wcrte.gof", "wcrte.reference", "concurrent.futures"}
+unused = sorted({"wcrte.mc", "wcrte.gof", "wcrte.reference", "concurrent.futures", "json", "csv"}
                 & set(sys.modules))
 assert not unused, unused
 assert wcrte.McStudyConfig is wcrte.mc.McStudyConfig
@@ -101,7 +101,8 @@ assert not missing, missing
 
 
 def test_estimate_loads_only_what_it_runs(tmp_path):
-    """`estimate` loads neither mc, gof, reference nor a thread pool; the namespace still builds."""
+    """`estimate` loads neither mc, gof, reference, a thread pool nor the JSON and CSV
+    writers; the namespace still builds."""
     done = subprocess.run([sys.executable, "-c", ESTIMATE_GUARD, str(tmp_path / "x.txt"), *PUBLIC],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
