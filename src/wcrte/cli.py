@@ -134,9 +134,6 @@ _DEFAULTS = {
     "threads": _usable_cpus(),
 }
 
-_ALL_KINDS = ("empirical", "vasicek", "ebrahimi", "modified_n", "lstat")
-
-
 def _apply_config(args: argparse.Namespace) -> None:
     """Fill unset options from ``--config``, convert every value, then fill defaults."""
     doc = {}
@@ -206,7 +203,7 @@ def cmd_estimate(args) -> int:
     # are checked once sorted, as a Sample's are.
     values = _read_values(args.data[0])
     values.sort()
-    x = _SortedSquares(_check_sorted(values[None]), True, overwrite=True)
+    x = _SortedSquares(_check_sorted(values))
     lines = []
     for text, spec in zip(args.estimators, specs):
         try:
@@ -219,7 +216,7 @@ def cmd_estimate(args) -> int:
 
 def _estimate_line(spec, x) -> str:
     """The printed line of ``spec`` on the prepared sample ``x``."""
-    n = x.s2.shape[1]
+    n = x.s2.shape[-1]
     note = ""
     if spec.kind.needs_window and spec.window is None:
         spec = replace(spec, window=heuristic_window(spec.kind, n))
@@ -250,7 +247,7 @@ def cmd_mse_study(args) -> int:
         raise ParseError("mse-study needs at least one --model")
     doc = {key: getattr(args, key) for key in _STUDY_KEYS}
     if doc["estimators"] is None:
-        doc["estimators"] = _ALL_KINDS
+        doc["estimators"] = tuple(EstimatorKind)
     config = study_config_from_json({k: v for k, v in doc.items() if v is not None})
     result = run_study(config, threads=args.threads)
     for message in result.skipped:

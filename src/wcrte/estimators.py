@@ -180,26 +180,26 @@ class _SortedSquares:
     stored as the squares of ``x * 2**-shift``; :meth:`finish` scales results
     back exactly. ``tails`` keeps the tail weights of one order at a time
     for the callers that build rows for this batch alone (see
-    :func:`_tail_weights`). With ``overwrite`` the scaling and the squares
-    are taken in ``srt`` itself, which the caller then no longer reads as
-    sorted values.
+    :func:`_tail_weights`). ``srt`` is one sorted sample (1-D) or a batch of
+    them (2-D), and ``s2`` and ``d`` keep its shape. The scaling and the
+    squares are taken in ``srt`` itself unless it is read-only, so a caller
+    hands over a writeable array it no longer reads as sorted values.
     """
 
-    __slots__ = ("s2", "d", "shift", "squeeze", "tails")
+    __slots__ = ("s2", "d", "shift", "tails")
 
-    def __init__(self, srt: np.ndarray, squeeze: bool, overwrite: bool = False) -> None:
-        top = float(srt[:, -1].max())
+    def __init__(self, srt: np.ndarray) -> None:
+        top = float(srt[..., -1].max())
         self.shift = math.frexp(top)[1] if top >= _SQUARE_LIMIT else 0
         if self.shift:
-            srt = np.ldexp(srt, -self.shift, out=srt if overwrite else None)
-        self.s2 = np.multiply(srt, srt, out=srt if overwrite or self.shift else None)
-        self.d = np.diff(self.s2, axis=1)
-        self.squeeze = squeeze
+            srt = np.ldexp(srt, -self.shift, out=srt if srt.flags.writeable else None)
+        self.s2 = np.multiply(srt, srt, out=srt if srt.flags.writeable else None)
+        self.d = np.diff(self.s2)
         self.tails = {}
 
     def _weighed(self, coef: np.ndarray) -> np.ndarray:
-        """What ``coef`` weighs: ``s2`` for n entries, the spacings ``d`` for n - 1."""
-        return self.s2 if coef.shape[-1] == self.s2.shape[1] else self.d
+        """What ``coef`` weighs, as rows: ``s2`` for n entries, the spacings ``d`` for n - 1."""
+        return np.atleast_2d(self.s2 if coef.shape[-1] == self.s2.shape[-1] else self.d)
 
     def contract(self, coefs) -> np.ndarray:
         """Rows of (len(coefs), R), row ``j`` contracted with ``coefs[j]``, before :meth:`finish`.
@@ -207,7 +207,7 @@ class _SortedSquares:
         Each row is its own ``einsum`` written in place, so a coefficient row
         gives the same bits alone or among others.
         """
-        out = np.empty((len(coefs), self.s2.shape[0]))
+        out = np.empty((len(coefs), np.atleast_2d(self.s2).shape[0]))
         for row, coef in zip(out, coefs):
             np.einsum("ij,j->i", self._weighed(coef), coef, out=row)
         return out
@@ -234,7 +234,8 @@ class _SortedSquares:
 
         ``out`` is one estimator's vector or a chunk's rows, each row checked
         on its own: an estimate that leaves the float range raises. A result
-        of degree 2 is a variance estimate, and the message says so.
+        of degree 2 is a variance estimate, and the message says so. The
+        result of a 1-D sample is returned as a float.
         """
         if self.shift:
             with np.errstate(over="ignore"):  # reported below
@@ -246,7 +247,7 @@ class _SortedSquares:
         if not np.isfinite(total).all() and not np.isfinite(out).all():
             what = "variance estimate" if power == 2 else "estimate"
             raise NumericError(f"the {what} is not finite: it leaves the float range")
-        return float(out[0]) if self.squeeze else out
+        return float(out[0]) if self.s2.ndim == 1 else out
 
 
 def _prepare(x) -> _SortedSquares:
@@ -258,7 +259,7 @@ def _prepare(x) -> _SortedSquares:
     """
     if isinstance(x, _SortedSquares):
         return x
-    return _SortedSquares(*_sorted_rows(x))
+    return _SortedSquares(_sorted_rows(x))
 
 
 def max_window(n: int) -> int:
@@ -311,8 +312,8 @@ def clamp_order_stat(sample, i) -> float:
     sample minimum or maximum, which is the convention the windowed
     estimators use near the edges.
     """
-    rows, single = _sorted_rows(sample, min_n=1)
-    if not single:
+    srt = _sorted_rows(sample, min_n=1)
+    if srt.ndim != 1:
         raise DomainError("need a nonempty 1-D sample")
     try:
         ii = int(i)
@@ -320,8 +321,7 @@ def clamp_order_stat(sample, i) -> float:
         raise DomainError(f"index must be an integer, got {i!r}") from None
     if ii != i:
         raise DomainError(f"index must be an integer, got {i!r}")
-    n = rows.shape[1]
-    return float(rows[0, max(1, min(n, ii)) - 1])
+    return float(srt[max(1, min(srt.size, ii)) - 1])
 
 
 def ebrahimi_weights(n: int, m) -> np.ndarray:
@@ -472,7 +472,7 @@ def _evaluate(spec: EstimatorSpec, x):
     """``spec`` on ``x``; every public estimator ends here."""
     _warn_order(spec, stacklevel=3)
     sq = _prepare(x)
-    n = sq.s2.shape[1]
+    n = sq.s2.shape[-1]
     coef = _build_coefficients(spec.kind, spec.order, (spec.window,), spec.plotting, n, sq.tails)
     return sq.finish(sq.contract(coef)[0])
 
@@ -528,7 +528,7 @@ def _lstat_variance(x, order):
     and the cumulative sum and the pair product follow in place.
     """
     sq = _prepare(x)
-    n = _check_size(sq.s2.shape[1], 3)
+    n = _check_size(sq.s2.shape[-1], 3)
     tail = np.arange(1, n, dtype=float)
     tail /= n  # i/n for the spacing index i = 1..n-1
     np.subtract(1.0, tail, out=tail)
@@ -554,10 +554,11 @@ def _lstat_variance(x, order):
         head /= n
         coef[lo:hi] *= head
         del head  # before the next block is made
-    own = sq.d.shape[0] == 1  # one row: the products fit the buffers
-    upper = np.multiply(tail[None], sq.d, out=tail[None] if own else None)
+    d = np.atleast_2d(sq.d)
+    own = d.shape[0] == 1  # one row: the products fit the buffers
+    upper = np.multiply(tail[None], d, out=tail[None] if own else None)
     del tail
-    cum = np.multiply(coef[None], sq.d, out=coef[None] if own else None)
+    cum = np.multiply(coef[None], d, out=coef[None] if own else None)
     del coef
     cum = np.cumsum(cum, axis=1, out=cum)
     # A product overflows only when the variance itself is out of range,

@@ -53,10 +53,11 @@ import numpy as np
 
 from . import estimators as est
 from .distributions import (
+    Uniform,
     _check_order_above_one,
     _parse_number,
     _split_spec,
-    check_order,
+    closed_wcrte,
     order_label,
     parse_model,
 )
@@ -115,21 +116,19 @@ def statistic_bound(order=None) -> float:
 def null_statistic_value(order=None) -> float:
     """Population value of the statistic under uniformity.
 
-    (a+4)/(6(a+1)(a+2)) for order a; 5/36 for the WCRE limit.
+    (a+4)/(6(a+1)(a+2)) for order a; 5/36 for the WCRE limit: the closed
+    form of the uniform law on (0, 1).
     """
-    if order is None:
-        return 5.0 / 36.0
-    a = check_order(order)
-    return (a + 4.0) / (6.0 * (a + 1.0) * (a + 2.0))
+    return closed_wcrte(Uniform(1.0), order)
 
 
 def test_statistic_wcrte(x, order):
     """Plug-in statistic of the given order for a [0, 1] sample."""
-    return est.wcrte_empirical(est._SortedSquares(*_sorted_rows(x, upper=1.0)), order)
+    return est.wcrte_empirical(est._SortedSquares(_sorted_rows(x, upper=1.0)), order)
 
 
 def test_statistic_wcre(x):
-    return est.wcre_empirical(est._SortedSquares(*_sorted_rows(x, upper=1.0)))
+    return est.wcre_empirical(est._SortedSquares(_sorted_rows(x, upper=1.0)))
 
 
 def default_spacing_window(n: int) -> int:
@@ -224,9 +223,9 @@ def competitor_statistic(name: str, x, m: int | None = None):
     test = GofTest(name=name, m=m)
     if test.is_entropy_band:
         raise DomainError(f"unknown competitor {name!r} (known: ks, cvm, ad, ent)")
-    rows, single = _sorted_rows(x, min_n=1, upper=1.0)
-    out = _competitor_null_stats(test.resolved(rows.shape[1]), rows)
-    return float(out[0]) if single else out
+    srt = _sorted_rows(x, min_n=1, upper=1.0)
+    out = _competitor_null_stats(test.resolved(srt.shape[-1]), np.atleast_2d(srt))
+    return float(out[0]) if srt.ndim == 1 else out
 
 
 # --- test descriptors ----------------------------------------------------------
@@ -387,11 +386,12 @@ def _band_rows(tests, n: int) -> list[np.ndarray]:
     return [rows[(spec, n)] for spec in specs]
 
 
-def _score_rows(rows: np.ndarray, tests, band_rows, overwrite: bool = False) -> np.ndarray:
+def _score_rows(rows: np.ndarray, tests, band_rows) -> np.ndarray:
     """Statistics of the resolved ``tests`` on sorted [0, 1] ``rows``: row k for ``tests[k]``.
 
     The competitors read the sorted rows first. Then, if an entropy-band test
-    is scored, the rows are squared once (in place with ``overwrite``), each
+    is scored, the rows are squared once (in place, unless they are
+    read-only: a caller that reads them afterwards passes a copy), each
     such test is one row of one :meth:`~wcrte.estimators._SortedSquares.contract`
     with its row of ``band_rows`` (see :func:`_band_rows`), and all of them
     get a single ``finish``: the contraction and checks of a standalone
@@ -405,7 +405,7 @@ def _score_rows(rows: np.ndarray, tests, band_rows, overwrite: bool = False) -> 
         else:
             out[k] = _competitor_null_stats(test, rows)
     if band:
-        squares = est._SortedSquares(rows, False, overwrite)
+        squares = est._SortedSquares(rows)
         out[band] = squares.finish(squares.contract(band_rows))
     return out
 
@@ -426,7 +426,7 @@ def _score(stream, n: int, replications: int, tests, quantile=None) -> np.ndarra
         if quantile is not None:
             rows = quantile(rows)
         rows.sort(axis=1)
-        out[:, lo:hi] = _score_rows(rows, tests, band_rows, overwrite=True)
+        out[:, lo:hi] = _score_rows(rows, tests, band_rows)
     return out
 
 
@@ -584,13 +584,13 @@ def _uniformity_results(x, tests, gamma, replications, seed) -> list[GofResult]:
         if isinstance(test, str):
             test = parse_test(test)
         if not scored:
-            rows, single = _sorted_rows(x, upper=1.0)
-            if not single:
+            srt = _sorted_rows(x, upper=1.0)
+            if srt.ndim != 1:
                 raise DomainError("uniformity_test takes a single 1-D sample")
-            n, g, reps = _check_null_grid(rows.shape[1], gamma, replications)
+            n, g, reps = _check_null_grid(srt.size, gamma, replications)
         scored.append(test.resolved(n))
     bands = _null_bands(n, scored, g, reps, seed)
-    stats = _score_rows(rows, scored, _band_rows(scored, n))
+    stats = _score_rows(np.atleast_2d(srt), scored, _band_rows(scored, n))
     return [
         GofResult(
             test=test.name, n=n, order=test.order, m=test.m, gamma=g,

@@ -286,7 +286,7 @@ def _run_block(block: _BlockPlan, replications: int, seed: int, rows: dict) -> l
     # array itself; the cells' coefficient rows (from ``rows``) are then
     # contracted with it and reduced one chunk at a time.
     xs.sort(axis=1)
-    squares = est._SortedSquares(_check_sorted(xs), False, overwrite=True)
+    squares = est._SortedSquares(_check_sorted(xs))
     truths = {cell.estimator: cell.truth for cell in block.specs}
     model = block.model.spec_string()
     where = f"{model} at n={block.n}"

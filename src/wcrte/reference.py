@@ -116,8 +116,6 @@ def _verify_bias_mse(table_id: int, group: dict, reps, seed, threads) -> list[di
             ref.get("estimator", ref.get("kind")),
             int(ref["m"]) if "m" in ref else None,
         )
-        if key[2] in ("empirical", "lstat"):
-            key = key[:3] + (None,)
         cell = computed[key]
         model, n, kind, m = key
         for metric in ("bias", "mse"):

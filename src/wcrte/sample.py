@@ -39,7 +39,7 @@ class Sample:
         return sample
 
     def _hold(self, arr: np.ndarray) -> None:
-        srt = _sorted_rows(arr)[0][0]
+        srt = _sorted_rows(arr)
         arr.setflags(write=False)
         srt.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -79,39 +79,42 @@ def _check_size(n, min_n: int = 2, name: str = "n") -> int:
     return k
 
 
-def _sorted_rows(x, min_n: int = 2, upper: float | None = None) -> tuple[np.ndarray, bool]:
+def _sorted_rows(x, min_n: int = 2, upper: float | None = None) -> np.ndarray:
     """Validate observations and sort them: the one input check of the package.
 
     ``x`` is a :class:`Sample`, one sample (1-D) or a batch of samples (2-D,
-    one per row). Returns the rows sorted ascending, shape (B, n), and
-    whether ``x`` was a single sample. Raises DomainError unless every row
-    holds at least ``min_n`` finite, nonnegative values, none above ``upper``.
+    one per row); a scalar is a batch of one sample of one value. Returns
+    the values sorted ascending in the shape they came in: a Sample's
+    read-only ``sorted_values``, otherwise a new array the caller owns.
+    Raises DomainError unless every sample holds at least ``min_n`` finite,
+    nonnegative values, none above ``upper``.
     """
     if isinstance(x, Sample):
-        rows, single = x.sorted_values[np.newaxis], True
+        srt = x.sorted_values
     else:
         arr = np.asarray(x, dtype=float)
-        if arr.ndim > 2:
+        if arr.ndim == 0:
+            arr = arr.reshape(1, 1)
+        elif arr.ndim > 2:
             raise DomainError(f"sample must be 1-D or 2-D, got shape {arr.shape}")
-        rows, single = np.atleast_2d(arr), arr.ndim == 1
-        _check_size(rows.shape[1], min_n)
-        rows = _check_sorted(np.sort(rows, axis=1))
-    if upper is not None and rows[:, -1].max() > upper:
+        _check_size(arr.shape[-1], min_n)
+        srt = _check_sorted(np.sort(arr, axis=-1))
+    if upper is not None and srt[..., -1].max() > upper:
         raise DomainError(f"sample values must not exceed {upper:g}")
-    return rows, single
+    return srt
 
 
-def _check_sorted(rows: np.ndarray) -> np.ndarray:
-    """The checks of :func:`_sorted_rows` on rows already sorted ascending; returns them.
+def _check_sorted(srt: np.ndarray) -> np.ndarray:
+    """The checks of :func:`_sorted_rows` on a sample or batch sorted ascending; returns it.
 
     Sorting moves NaN and +inf to the end of a row and -inf to its start, so
     the row ends decide.
     """
-    if not (np.isfinite(rows[:, 0]).all() and np.isfinite(rows[:, -1]).all()):
+    if not (np.isfinite(srt[..., 0]).all() and np.isfinite(srt[..., -1]).all()):
         raise DomainError("sample contains non-finite values")
-    if rows[:, 0].min() < 0.0:
+    if srt[..., 0].min() < 0.0:
         raise DomainError("sample values must be nonnegative")
-    return rows
+    return srt
 
 
 def read_sample(path: str | os.PathLike) -> Sample:
@@ -157,17 +160,17 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 def _read_column(path) -> np.ndarray | None:
     """The file's values as numpy's C text reader parses them, or None for the line reader.
 
-    ``np.loadtxt`` gets ``,`` as its delimiter, so ``1 2`` stays one field
-    that fails to parse, and its result counts only when it is one column
-    (a file whose one line is ``1,2`` is one row of two, not two values).
-    None is returned for a field the C reader rejects (a bad token, or a
-    ``1_000``, a non-ASCII digit or a whitespace-only line that the format
-    accepts), content that is not UTF-8, comma-separated fields, a path that
-    is not a regular file or cannot be opened (so ``open`` names it in the
-    error as given), and a name with a suffix ``np.loadtxt`` would
-    decompress. The reader gets the absolute path, which numpy never takes
-    for a URL. Its "input contained no data" warning for an empty or
-    comment-only file is silenced: the size rule reports that file.
+    ``np.loadtxt`` splits fields on whitespace, so it skips blank and
+    whitespace-only lines as the format does, and its result counts only
+    when it is one column (a line ``1 2`` is two fields, not two values).
+    None is returned for a field the C reader rejects (a bad token such as
+    ``1,2``, or a ``1_000`` or a non-ASCII digit that the format accepts),
+    content that is not UTF-8, a line of several fields, a path that is not
+    a regular file or cannot be opened (so ``open`` names it in the error as
+    given), and a name with a suffix ``np.loadtxt`` would decompress. The
+    reader gets the absolute path, which numpy never takes for a URL. Its
+    "input contained no data" warning for an empty or comment-only file is
+    silenced: the size rule reports that file.
     """
     name = os.path.abspath(os.fsdecode(path))
     if not os.path.isfile(name) or name.endswith(_COMPRESSED):
@@ -175,8 +178,7 @@ def _read_column(path) -> np.ndarray | None:
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(name, dtype=float, comments="#", delimiter=",",
-                               encoding="utf-8", ndmin=2)
+            table = np.loadtxt(name, dtype=float, comments="#", encoding="utf-8", ndmin=2)
     except (ValueError, OSError):
         return None
     return table[:, 0] if table.shape[1] == 1 else None

@@ -368,7 +368,7 @@ def score_rows(rows, tests):
     for test in tests:
         if test.is_entropy_band:
             if squares is None:
-                squares = est._SortedSquares(rows, False)
+                squares = est._SortedSquares(rows.copy())
             spec = est.EstimatorSpec(est.EstimatorKind.EMPIRICAL, test.order)
             out.append(est.estimate(spec, squares))
         else:

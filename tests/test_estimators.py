@@ -235,7 +235,7 @@ def test_each_contracted_row_is_the_plain_einsum_of_its_key():
         specs.append(EstimatorSpec(EstimatorKind.LSTAT, 2.0))
         if n >= 3:
             specs.append(EstimatorSpec(EstimatorKind.VASICEK, 2.0, 1))
-        squares = _SortedSquares(srt, False)
+        squares = _SortedSquares(srt)
         coefs = [_one_row(spec, n) for spec in specs]
         got = squares.contract(coefs)
         assert got.shape == (len(specs), r)
@@ -484,7 +484,7 @@ def test_variance_companion_holds_two_vectors_beside_its_batch(order):
     vectors at most, and gives the bits of a call on the raw sample."""
     n = 200_000
     x = Exponential(1.0).quantile(derive_stream(23, n).random(n))
-    sq = _SortedSquares(np.sort(x)[None], True, overwrite=True)
+    sq = _SortedSquares(np.sort(x))
     if order is None:
         got, peak = _traced_peak(lambda: wcre_lstat_variance(sq))
         want = wcre_lstat_variance(x)
@@ -657,6 +657,46 @@ def test_sample_validation():
         Sample([1.0, float("inf")])
 
 
+def test_sorted_rows_keep_the_shape_they_are_given():
+    """One sample comes back 1-D and a batch 2-D, a scalar as a 1 x 1 batch;
+    a Sample gives its read-only sorted values, anything else a sorted copy."""
+    sample = Sample([3.0, 1.0, 2.0])
+    assert sample_module._sorted_rows(sample) is sample.sorted_values
+    one = np.array([3.0, 1.0, 2.0])
+    srt = sample_module._sorted_rows(one)
+    assert srt.shape == (3,) and srt.flags.writeable and not np.shares_memory(srt, one)
+    assert sample_module._sorted_rows(np.ones((4, 3))).shape == (4, 3)
+    assert sample_module._sorted_rows(2.0, min_n=1).shape == (1, 1)
+    assert isinstance(wcrte_empirical(one, 2.0), float)
+    assert wcrte_empirical(one[np.newaxis], 2.0).shape == (1,)
+
+
+def test_estimators_leave_a_sample_and_a_callers_array_unchanged():
+    """Squares are taken in the sorted copy a call makes, never in the
+    caller's array nor in a Sample's sorted values, scaled samples included."""
+    x = Exponential(1.0).quantile(derive_stream(29, 40).random(40))
+    big = x / x.max() * 2.0**511  # squared through the exact scaling
+    calls = (lambda v: wcrte_empirical(v, 2.0), lambda v: wcre_vasicek(v, 3),
+             lambda v: wcrte_lstat(v, 2.0), lambda v: wcrte_modified_n(v, 2.0, 4))
+    for arr in (x, np.sort(x), big, np.stack([x, big]), Sample(x), Sample(big)):
+        seen = arr.sorted_values if isinstance(arr, Sample) else arr
+        kept = seen.copy()
+        for call in calls:
+            call(arr)
+        assert np.array_equal(seen, kept)
+
+
+def test_a_standalone_batch_call_squares_in_its_sorted_copy():
+    """At 10 000 x 50 a batch call peaks at its sorted copy, squared in
+    place, and the spacings: 2.01 batch-sized arrays (3.01 with separate
+    squares)."""
+    x = derive_stream(37, 50).random((10_000, 50))
+    wcrte_empirical(x, 2.0)  # first-call allocations
+    got, peak = _traced_peak(lambda: wcrte_empirical(x, 2.0))
+    assert peak <= 2.1 * x.nbytes, peak / x.nbytes
+    assert got.shape == (10_000,)
+
+
 def test_read_sample(tmp_path):
     path = tmp_path / "obs.txt"
     path.write_text("# header comment\n1.5\n\n2.5  # trailing note\n0\n")
@@ -710,6 +750,7 @@ def _outcome(read):
     ends=st.lists(st.sampled_from(["\n", "\r\n", "\r", ""]), min_size=10, max_size=10),
 )
 @example(lines=["1,2"], ends=["\n"] * 10)  # numpy reads this file as one row of two
+@example(lines=["1.5", "   ", "2.5", " \t "], ends=["\n"] * 10)  # whitespace-only lines
 def test_read_sample_matches_the_line_by_line_reference(tmp_path_factory, lines, ends):
     """Same values bit for bit, or the same exception and message, as the literal reader."""
     path = tmp_path_factory.getbasetemp() / "differential.txt"
@@ -721,6 +762,13 @@ def test_read_sample_matches_the_line_by_line_reference(tmp_path_factory, lines,
 def test_a_file_with_a_header_comment_takes_the_c_reader(tmp_path, monkeypatch):
     path = tmp_path / "obs.txt"
     path.write_text("# header comment\n1.5\n2.5  # trailing note\n\n0\n")
+    monkeypatch.setattr(sample_module, "_read_lines", lambda path: pytest.fail("line reader"))
+    assert list(read_sample(path).values) == [1.5, 2.5, 0.0]
+
+
+def test_a_whitespace_only_line_keeps_the_c_reader(tmp_path, monkeypatch):
+    path = tmp_path / "obs.txt"
+    path.write_text("   \n1.5\n\t\n2.5  # trailing note\n \t \n0\n")
     monkeypatch.setattr(sample_module, "_read_lines", lambda path: pytest.fail("line reader"))
     assert list(read_sample(path).values) == [1.5, 2.5, 0.0]
 

@@ -58,6 +58,15 @@ def test_null_statistic_hand_values():
     assert null_statistic_value(None) == pytest.approx(5.0 / 36.0, abs=1e-15)
 
 
+def test_null_statistic_value_is_the_uniform_closed_form_bit_for_bit():
+    """The null value is the closed form of Uniform(0, 1): the bits of
+    (a+4)/(6(a+1)(a+2)), and of 5/36 at the WCRE limit."""
+    assert null_statistic_value(None) == 5.0 / 36.0
+    orders = [1e-9, 1e300, *np.random.default_rng(21).uniform(0.01, 50.0, 2009).tolist()]
+    for a in orders:
+        assert null_statistic_value(a) == (a + 4.0) / (6.0 * (a + 1.0) * (a + 2.0)), a
+
+
 def test_order_centered_is_the_half_bound_crossing():
     # The constant is where the null value sits exactly at half the bound.
     # The exported figure keeps the reference rounding, which is about 2e-5
@@ -277,6 +286,17 @@ def test_competitor_critical_value_sides():
 # --- single-sample testing ----------------------------------------------------------
 
 
+def test_uniformity_test_leaves_a_sample_and_a_callers_array_unchanged():
+    u = derive_stream(31, 20).random(20)
+    sample = Sample(u)
+    kept, sorted_kept = u.copy(), sample.sorted_values.copy()
+    for x in (u, sample):
+        uniformity_test(x, "wcrte:alpha=2", replications=1000)
+        uniformity_test(x, "ks", replications=1000)
+    assert np.array_equal(u, kept)
+    assert np.array_equal(sample.sorted_values, sorted_kept)
+
+
 ALL_TESTS = ["wcre", "wcrte:alpha=2", "ks", "cvm", "ad", "ent"]
 
 
@@ -446,10 +466,11 @@ def test_verify_tables_draw_each_null_batch_once(null_draws):
 
 
 def test_critical_pairs_hold_two_batches_at_peak():
-    # Each tile of draws is squared in place, so the peak is one tile's
-    # squares and their spacings plus the statistic vectors, where sorted
-    # rows, squares and spacings would be three tiles (about 1.2 MB against
-    # 1.7 MB here; the bound is two and a half whole batches).
+    # Each tile of draws (655 rows of 100) is squared in place, so the peak
+    # is about one tile's squares and their spacings plus the statistic
+    # vectors: 1.25 MB, or 1.56 whole batches, with numpy 2.4. Squares kept
+    # beside the sorted tile would add one more tile (0.52 MB). The bound is
+    # two and a half whole batches.
     n, reps = 100, 1000
     orders = (None, 2.0, 5.0, 7.0, 10.0)
     gof._critical_pairs(n, orders, 0.05, reps, 3)  # first-call allocations
@@ -526,7 +547,7 @@ def test_one_row_tile_gives_the_bits_of_the_batch():
         scored = [t.resolved(n) for t in tests]
         band = gof._band_rows(scored, n)
         rows = np.sort(derive_stream(8, n).random((5, n)), axis=1)
-        whole = gof._score_rows(rows, scored, band)
+        whole = gof._score_rows(rows.copy(), scored, band)
         for k in range(len(rows)):
             alone = gof._score_rows(rows[k : k + 1], scored, band)
             for test, got, want in zip(scored, alone, whole):
@@ -540,7 +561,8 @@ def test_one_row_tile_gives_the_bits_of_the_batch():
 
 def test_one_pass_tile_scoring_matches_the_per_test_scorer():
     """All entropy-band tests of a tile in one pass give the bits of one
-    public estimate per test, in place or not, down to one-row tiles."""
+    public estimate per test, in place or on a read-only tile, down to
+    one-row tiles."""
     names = ("wcrte:alpha=2", "ks", "wcre", "cvm", "wcrte:alpha=7", "ad", "ent", "wcrte:alpha=1.5")
     tests = [parse_test(t) for t in names]
     rng = np.random.default_rng(15)
@@ -550,15 +572,18 @@ def test_one_pass_tile_scoring_matches_the_per_test_scorer():
         full = max(1, gof._TILE_VALUES // n)
         for r in sorted({1, 2, 7, full}):
             rows = np.sort(rng.random((r, n)), axis=1)
+            read_only = rows.copy()
+            read_only.setflags(write=False)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 want = naive.score_rows(rows, scored)
-                got = gof._score_rows(rows.copy(), scored, band)
-                in_place = gof._score_rows(rows.copy(), scored, band, overwrite=True)
-            assert got.shape == in_place.shape == (len(scored), r)
+                in_place = gof._score_rows(rows.copy(), scored, band)
+                copied = gof._score_rows(read_only, scored, band)
+            assert in_place.shape == copied.shape == (len(scored), r)
+            assert np.array_equal(read_only, rows)
             for k, test in enumerate(scored):
-                assert np.array_equal(got[k], want[k]), (n, r, test.label())
                 assert np.array_equal(in_place[k], want[k]), (n, r, test.label())
+                assert np.array_equal(copied[k], want[k]), (n, r, test.label())
 
 
 def test_ent_row_sums_match_the_reference_on_both_branches():

@@ -263,7 +263,7 @@ def test_a_spec_alone_in_its_chunk_equals_it_in_every_lane(kind, n, r):
     target, *others = _lane_specs(kind)
 
     def read(specs, spec):
-        return _chunk_of(est._SortedSquares(rows, False), specs, n)[specs.index(spec)]
+        return _chunk_of(est._SortedSquares(rows.copy()), specs, n)[specs.index(spec)]
 
     alone = read([target], target)
     # Standalone calls keep the per-spec contraction: equal up to rounding.
@@ -319,7 +319,7 @@ def _oracle_cells(config):
     want = []
     for n in config.sample_sizes:
         rows = np.sort(model.quantile(wcrte.mc.mc_stream(config.seed, 0, n).random((r, n))), axis=1)
-        squares = est._SortedSquares(rows, False)
+        squares = est._SortedSquares(rows.copy())
         for order in config.orders:
             truth = closed_wcre(model) if order is None else closed_wcrte(model, order)
             for kind in config.kinds:
