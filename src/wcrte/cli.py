@@ -44,7 +44,8 @@ text. A variance estimate that leaves the float range costs its line the
 interval, not the run. ``--threads`` (default: the CPUs this process may
 use) goes to the library as given, and its one rule is checked before any
 work; ``critical-values`` runs the sample sizes of its table mode on the
-pool itself, and its ``--data`` mode in the calling thread.
+pool itself, largest first, and its ``--data`` mode in the calling thread;
+``power`` runs all its sample sizes on one pool.
 
 Model, estimator and test specifications share one grammar: a
 case-insensitive head, then after a colon an optional positional token
@@ -280,26 +281,21 @@ def cmd_critical_values(args) -> int:
     def calibrate(n):
         return _critical_pairs(n, args.alpha, args.gamma, args.replications, args.seed)
 
-    pairs = [pair for part in _pool_map(calibrate, args.n, args.threads) for pair in part]
+    parts = _pool_map(calibrate, args.n, args.threads, cost=lambda n: n)
+    pairs = [pair for part in parts for pair in part]
     _write_rows(args, _table(CRITICAL_COLUMNS, pairs, args.seed), CRITICAL_COLUMNS)
     return 0
 
 
 def cmd_power(args) -> int:
-    from .gof import POWER_COLUMNS, power_study
+    from .gof import POWER_COLUMNS, _power_cells
 
     if not args.alternatives:
         raise ParseError("power needs at least one --alternative")
     if not args.tests:
         raise ParseError("power needs at least one --test")
-    cells = [
-        cell
-        for n in args.n
-        for cell in power_study(
-            args.alternatives, n, args.tests, args.gamma, args.replications, args.seed,
-            threads=args.threads,
-        )
-    ]
+    cells = _power_cells(args.alternatives, args.n, args.tests, args.gamma, args.replications,
+                         args.seed, args.threads)
     _write_rows(args, _table(POWER_COLUMNS, cells, args.seed), POWER_COLUMNS)
     return 0
 
@@ -390,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     _repeatable(p, "--test", "tests", "test spec (repeatable)")
     p.add_argument("--n", help="sample sizes, comma separated (default 10,20,30)")
     p.add_argument("--threads",
-                   help="worker threads (default: the CPUs this process may use), one "
-                        "alternative each after the calibration; never changes results")
+                   help="worker threads (default: the CPUs this process may use), sharing the "
+                        "null calibration of every sample size, then every (sample size, "
+                        "alternative); never changes results")
     _add_common(p, "replications", "format", "gamma")
     p.set_defaults(func=cmd_power, defaults={"n": (10, 20, 30)})
 

@@ -19,7 +19,13 @@ and squared once and every test reads it: all orders of one n in
 ``verify_table(7)`` and in ``wcrte critical-values`` table mode, all
 ``--test`` flags of its single-test mode, and all tests of one
 :func:`power_study` call, which also sorts and squares each alternative's
-draws once. Nothing is kept between calls.
+draws once. Nothing is kept between calls. A power study over several sample
+sizes (``wcrte power``, ``verify_table(8)``) runs on one pool: every size's
+calibration first, then every (size, alternative), larger sizes first; an
+alternative scores its draws, then waits for its size's critical values and
+keeps only its cells. A critical value is numpy's default (``linear``)
+quantile, taken from one ``np.partition`` at its rank (``_quantile``) with
+``np.quantile``'s bits.
 
 Every scoring path takes its tests resolved at the batch's n
 (:meth:`GofTest.resolved`: ``ent`` with its window filled in), so a test's
@@ -46,6 +52,7 @@ CvM and AD keep each row's own contiguous sum.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -441,6 +448,28 @@ def _competitor_null_stats(test: GofTest, sorted_null: np.ndarray) -> np.ndarray
     return _ent_stat(sorted_null, test.m)
 
 
+def _quantile(stats: np.ndarray, q: float) -> float:
+    """``np.quantile(stats, q)`` (numpy's default ``linear`` rule), from one partition.
+
+    ``np.quantile`` partitions on several ranks at once; this one needs only
+    rank k = floor((R - 1) q), whose successor is the least value above it,
+    and it interpolates as numpy does, so the bits are numpy's. NaN, or a
+    rank at the top end, goes to ``np.quantile`` itself. ``q`` lies in (0, 1).
+    """
+    r = stats.size
+    v = (r - 1) * q
+    k = math.floor(v)
+    if k < r - 1:
+        part = np.partition(stats, k)
+        a, b = part[k], part[k + 1 :].min()
+        # NaN sorts last, so any NaN is at rank k or above it.
+        if not (math.isnan(a) or math.isnan(b)):
+            t = v - k
+            diff = b - a
+            return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return float(np.quantile(stats, q))
+
+
 def _calibrate(test: GofTest, stats: np.ndarray, g: float):
     """Critical values ``(lo, hi)`` of ``test`` at level ``g`` from its null ``stats``.
 
@@ -449,11 +478,10 @@ def _calibrate(test: GofTest, stats: np.ndarray, g: float):
     rejects.
     """
     if test.is_entropy_band:
-        lo, hi = np.quantile(stats, [g / 2.0, 1.0 - g / 2.0])
-        return float(lo), float(hi)
+        return _quantile(stats, g / 2.0), _quantile(stats, 1.0 - g / 2.0)
     if test.rejects_low:
-        return float(np.quantile(stats, g)), None
-    return None, float(np.quantile(stats, 1.0 - g))
+        return _quantile(stats, g), None
+    return None, _quantile(stats, 1.0 - g)
 
 
 def _null_bands(n: int, tests, g: float, replications: int, seed: int) -> list[tuple]:
@@ -640,32 +668,66 @@ def power_study(
     whose largest draw, ``quantile(nextafter(1, 0))``, exceeds 1 raises
     DomainError before anything is drawn.
 
-    After the calibration each alternative is one task on ``threads`` worker
-    threads (``None`` or 1 runs in the calling thread). The cells come back
-    one per (alternative, test), alternatives outermost, and no value
-    depends on the thread count.
+    The calibration and each alternative are tasks on ``threads`` worker
+    threads (``None`` or 1 runs them in the calling thread), the
+    calibration first; an alternative scores its draws, then waits for the
+    calibration. The cells come back one per (alternative, test),
+    alternatives outermost, and no value depends on the thread count.
+    """
+    return _power_cells(alternatives, (n,), tests, gamma, replications, seed, threads)
+
+
+def _power_cells(alternatives, sizes, tests, gamma, replications, seed, threads) -> list[PowerCell]:
+    """:func:`power_study` at each n of ``sizes`` in turn, all on one pool.
+
+    The specs are checked as one call per n, in order, would check them,
+    all before anything is drawn. Then the null calibration of every n and
+    every (n, alternative) are tasks on ``threads`` worker threads: the
+    calibrations first, then the alternatives, each group largest n first.
+    An alternative's task scores its batch, then takes its n's bands,
+    waiting while that n's calibration runs (or making it, if no task has
+    started it), and reduces its statistics to cells; so no more than
+    ``threads`` alternatives' statistic vectors are held at once. Each null
+    batch is drawn once. The cells come back n by n, each n as
+    :func:`power_study` gives them.
     """
     _check_threads(threads)
-    n, g, reps = _check_null_grid(n, gamma, replications, min_replications=100)
-    tests = [parse_test(t) if isinstance(t, str) else t for t in tests]
-    alternatives = [parse_model(a) if isinstance(a, str) else a for a in alternatives]
-    if not tests or not alternatives:
-        raise DomainError("need at least one test and one alternative")
-    for model in alternatives:
-        # The largest uniform draw is nextafter(1, 0), so this bounds every draw.
-        top = model.quantile(np.nextafter(1.0, 0.0))
-        if not top <= 1.0:
-            raise DomainError(
-                f"alternative {model.spec_string()} draws values up to {top:g}; "
-                "sample values must not exceed 1"
-            )
-    tests = [test.resolved(n) for test in tests]
-    bands = _null_bands(n, tests, g, reps, seed)
+    grids = []
+    for n in sizes:
+        n, g, reps = _check_null_grid(n, gamma, replications, min_replications=100)
+        if not grids:
+            tests = [parse_test(t) if isinstance(t, str) else t for t in tests]
+            alternatives = [parse_model(a) if isinstance(a, str) else a for a in alternatives]
+            if not tests or not alternatives:
+                raise DomainError("need at least one test and one alternative")
+            for model in alternatives:
+                # The largest uniform draw is nextafter(1, 0), so this bounds every draw.
+                top = model.quantile(np.nextafter(1.0, 0.0))
+                if not top <= 1.0:
+                    raise DomainError(
+                        f"alternative {model.spec_string()} draws values up to {top:g}; "
+                        "sample values must not exceed 1"
+                    )
+        grids.append((n, [test.resolved(n) for test in tests]))
 
-    def cells(item) -> list[PowerCell]:
-        ai, model = item
-        stream = gof_alternative_stream(seed, n, ai)
-        stats = _score(stream, n, reps, tests, model.quantile)
+    bands: dict[int, list[tuple]] = {}
+    locks = [threading.Lock() for _ in grids]
+
+    def bands_of(j: int) -> list[tuple]:
+        with locks[j]:
+            if j not in bands:
+                n, scored = grids[j]
+                bands[j] = _null_bands(n, scored, g, reps, seed)
+            return bands[j]
+
+    def run(task) -> list[PowerCell]:
+        j, ai = task
+        if ai is None:
+            bands_of(j)
+            return []
+        n, scored = grids[j]
+        model = alternatives[ai]
+        stats = _score(gof_alternative_stream(seed, n, ai), n, reps, scored, model.quantile)
         return [
             PowerCell(
                 alternative=model.spec_string(),
@@ -676,7 +738,12 @@ def power_study(
                 power=float(_reject(row, lo, hi).mean()),
                 replications=reps,
             )
-            for test, (lo, hi), row in zip(tests, bands, stats)
+            for test, (lo, hi), row in zip(scored, bands_of(j), stats)
         ]
 
-    return [cell for part in _pool_map(cells, enumerate(alternatives), threads) for cell in part]
+    # Calibrations before alternatives, then larger n first; the serial run
+    # takes the tasks in this list's order, which also puts calibrations first.
+    tasks = [(j, None) for j in range(len(grids))]
+    tasks += [(j, ai) for j in range(len(grids)) for ai in range(len(alternatives))]
+    parts = _pool_map(run, tasks, threads, cost=lambda t: (t[1] is None, grids[t[0]][0]))
+    return [cell for part in parts for cell in part]

@@ -8,8 +8,9 @@ those common draws. Sharing draws is what makes the bias/MSE columns and the
 window sweeps directly comparable: two estimators differ because of how they
 treat the same samples, not because of draw noise.
 
-Worker threads parallelize across (model, n) blocks and the reduction happens
-in grid order, which keeps output bit-identical for any thread count.
+Worker threads parallelize across (model, n) blocks, the largest (n times
+lanes) started first, and the reduction happens in grid order, which keeps
+output bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -323,26 +324,40 @@ def _check_threads(threads: int | None) -> None:
         raise DomainError(f"threads must be positive, got {threads!r}")
 
 
-def _pool_map(fn, items, threads: int | None = None) -> list:
+def _pool_map(fn, items, threads: int | None = None, cost=None) -> list:
     """``[fn(item) for item in items]``, on ``threads`` worker threads when more than one.
 
     Results come back in item order, so no output depends on the thread
-    count; ``threads=None`` or 1 runs in the calling thread.
+    count; ``threads=None`` or 1 runs in the calling thread, in item order.
+    On the pool, tasks start largest ``cost(item)`` first (any values that
+    order; tasks of equal cost, or all of them without ``cost``, in item
+    order), so the longest tasks do not start last. The pool takes tasks in
+    the order they were submitted.
     """
     _check_threads(threads)
     if threads is None or int(threads) == 1:
         return [fn(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor
 
+    items = list(items)
+    order = range(len(items))
+    if cost is not None:
+        # A stable sort: reverse=True keeps tasks of equal cost in item order.
+        order = sorted(order, key=lambda i: cost(items[i]), reverse=True)
     with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, items))
+        futures = {i: pool.submit(fn, items[i]) for i in order}
+        try:
+            return [futures[i].result() for i in range(len(items))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # tasks not yet started are dropped
+            raise
 
 
 def run_study(config: McStudyConfig, threads: int | None = None) -> McStudyResult:
     """Run every cell of the grid; deterministic for a fixed config and seed.
 
     ``threads=None`` or 1 runs serially; larger values parallelize across
-    (model, n) blocks without changing any output bit.
+    (model, n) blocks, largest first, without changing any output bit.
     """
     _check_threads(threads)
     blocks, skipped = _plan_blocks(config)
@@ -354,7 +369,9 @@ def run_study(config: McStudyConfig, threads: int | None = None) -> McStudyResul
     def run(b: _BlockPlan) -> list[McCell]:
         return _run_block(b, config.replications, config.seed, rows)
 
-    cells = [cell for part in _pool_map(run, blocks, threads) for cell in part]
+    # A block's work grows with its size times its lanes; the largest start first.
+    parts = _pool_map(run, blocks, threads, cost=lambda b: b.n * len(b.specs))
+    cells = [cell for part in parts for cell in part]
     return McStudyResult(
         cells=tuple(cells),
         skipped=tuple(skipped),

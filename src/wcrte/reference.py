@@ -25,7 +25,7 @@ from importlib import resources
 
 from .distributions import order_from_label, order_label, parse_model
 from .errors import DomainError
-from .gof import _TEST_PARAM_COLUMNS, _critical_pairs, power_study
+from .gof import _TEST_PARAM_COLUMNS, _critical_pairs, _power_cells
 from .mc import DEFAULT_SEED, McStudyConfig, _check_threads, _pool_map, run_study
 
 __all__ = [
@@ -132,7 +132,8 @@ def _verify_bias_mse(table_id: int, group: dict, reps, seed, threads) -> list[di
 
 def _verify_critical_values(table_id: int, group: dict, reps, seed, threads) -> list[dict]:
     gamma = float(group["gamma"])
-    # One null batch per n calibrates every order of that n; each n is a task.
+    # One null batch per n calibrates every order of that n; each n is a task,
+    # the largest started first.
     orders_by_n: dict[int, list] = {}
     for ref in group["rows"]:
         orders_by_n.setdefault(int(ref["n"]), []).append(order_from_label(ref["alpha"]))
@@ -140,11 +141,8 @@ def _verify_critical_values(table_id: int, group: dict, reps, seed, threads) -> 
     def calibrate(item):
         return _critical_pairs(*item, gamma, reps, seed)
 
-    pairs = {
-        (pair.n, pair.order): pair
-        for part in _pool_map(calibrate, orders_by_n.items(), threads)
-        for pair in part
-    }
+    parts = _pool_map(calibrate, orders_by_n.items(), threads, cost=lambda item: item[0])
+    pairs = {(pair.n, pair.order): pair for part in parts for pair in part}
 
     report: list[dict] = []
     for ref in group["rows"]:
@@ -164,12 +162,10 @@ def _verify_power(table_id: int, group: dict, reps, seed, threads) -> list[dict]
     alternatives = tuple(dict.fromkeys(r["alternative"] for r in rows))
     sizes = tuple(dict.fromkeys(int(r["n"]) for r in rows))
 
-    # Cells come back one per (alternative, test), alternatives outermost, and
-    # are keyed by the group's own (n, alternative, test) strings.
-    computed = {}
-    for n in sizes:
-        cells = power_study(alternatives, n, tests, gamma, reps, seed, threads)
-        computed.update(zip(itertools.product([n], alternatives, tests), cells, strict=True))
+    # Cells come back one per (n, alternative, test), in that nesting, and are
+    # keyed by the group's own (n, alternative, test) strings.
+    cells = _power_cells(alternatives, sizes, tests, gamma, reps, seed, threads)
+    computed = dict(zip(itertools.product(sizes, alternatives, tests), cells, strict=True))
 
     report: list[dict] = []
     for ref in rows:
@@ -195,10 +191,11 @@ def verify_table(
 
     ``replications`` defaults to the group's published count (``None``);
     any other value goes through the package's size rule, so 0 or 1000.7
-    raises DomainError. ``threads`` worker threads share each group: the
-    (model, n) blocks of groups 2-6, the sample sizes of group 7, and the
-    alternatives of each sample size of group 8, after that size's null
-    calibration. No value depends on the thread count. Rows follow
+    raises DomainError. ``threads`` worker threads share each group, the
+    largest tasks started first: the (model, n) blocks of groups 2-6, the
+    sample sizes of group 7, and one pool for group 8 that runs the null
+    calibration of every sample size, then every (sample size,
+    alternative). No value depends on the thread count. Rows follow
     :data:`REPORT_FIELDS`; ``abs_diff`` compares absolute values when the
     published sign is flagged as suspect.
     """

@@ -245,6 +245,50 @@ def test_each_contracted_row_is_the_plain_einsum_of_its_key():
             assert row.tobytes() == want.tobytes(), (n, r, spec)
 
 
+def _batches():
+    """Sorted batches for the spacing kernels: one row, n = 2 and 1, wide, and shifted."""
+    rng = np.random.default_rng(43)
+    for r, n in ((1, 10), (5, 2), (4, 1), (301, 13), (7, 500), (1000, 50)):
+        yield np.sort(rng.random((r, n)), axis=1)
+    yield np.sort(rng.random((6, 9)), axis=1) * 2.0**520  # stored shifted
+
+
+def test_batch_spacings_equal_np_diff_of_the_squares():
+    """A batch's ``d``, a view of one flat subtraction, has the bits of
+    ``np.diff`` on its (possibly shifted) squares, read-only input included."""
+    for srt in _batches():
+        for readonly in (False, True):
+            rows = srt.copy()
+            rows.flags.writeable = not readonly
+            squares = _SortedSquares(rows)
+            scaled = np.ldexp(srt, -squares.shift)
+            want = np.diff(scaled * scaled)
+            assert squares.d.shape == want.shape, srt.shape
+            assert squares.d.tobytes() == want.tobytes(), (srt.shape, readonly)
+            assert (squares.shift > 0) == (srt.max() >= 2.0**511)
+
+
+def test_contractions_over_the_spacing_view_equal_a_contiguous_copy():
+    """``chunk`` and ``contract`` give the same bits on the strided ``d`` as on
+    a C-contiguous copy of it."""
+    for srt in _batches():
+        n = srt.shape[1]
+        if n < 3:
+            continue
+        specs = [EstimatorSpec(EstimatorKind.VASICEK, 2.0, 1),
+                 EstimatorSpec(EstimatorKind.EBRAHIMI, None, max_window(n)),
+                 EstimatorSpec(EstimatorKind.EMPIRICAL, 7.0)]
+        coefs = [_one_row(spec, n) for spec in specs]
+        squares = _SortedSquares(srt.copy())
+        assert squares.d.flags.c_contiguous == (len(srt) == 1)
+        copy = _SortedSquares(srt.copy())
+        copy.d = np.ascontiguousarray(copy.d)
+        for method in ("chunk", "contract"):
+            got = getattr(squares, method)(coefs)
+            want = getattr(copy, method)(coefs)
+            assert got.tobytes() == want.tobytes(), (srt.shape, method)
+
+
 @pytest.mark.parametrize("n", [2, 3, 10, 31])
 def test_constant_samples_give_exact_zero(n):
     rows = np.array([np.full(n, v) for v in (0.0, 1e-300, 3.0, 1e200, 1.7e308)])

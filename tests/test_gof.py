@@ -2,6 +2,9 @@
 
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -432,6 +435,54 @@ def test_power_of_entropy_tests_does_not_depend_on_competitors():
     assert alone == [c for c in mixed if c.test != "ks"]
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_power_over_sizes_equals_one_power_study_per_size(threads, null_draws):
+    """The one pool for a list of sizes gives, bit for bit and in the same
+    order, the cells of one ``power_study`` call per size, and draws each
+    size's null batch once."""
+    alternatives = ["alt:A,j=2", "uniform:theta=1", "alt:C,j=1.5"]
+    tests = ["wcre", "wcrte:alpha=2", "ks", "ad", "ent"]
+    sizes = (20, 10, 30, 10)
+    cells = gof._power_cells(alternatives, sizes, tests, 0.05, 300, 11, threads)
+    assert sorted(null_draws) == sorted((11, n) for n in sizes)
+    want = [cell for n in sizes for cell in power_study(alternatives, n, tests, replications=300,
+                                                        seed=11)]
+    assert cells == want
+
+
+def test_power_over_sizes_under_thread_switching_draws_each_null_once(null_draws, monkeypatch):
+    """Six threads, switching every microsecond, with calibrations slower
+    than the alternatives: every alternative waits for the one calibration
+    of its size, and the run finishes."""
+    alternatives = ["alt:A,j=2", "alt:B,j=2", "alt:C,j=2", "uniform:theta=1"]
+    sizes = (10, 12, 14, 16, 18, 20)
+    want = gof._power_cells(alternatives, sizes, ["wcre", "ks"], 0.05, 100, 5, 1)
+    null_draws.clear()
+    bands = gof._null_bands
+    monkeypatch.setattr(gof, "_null_bands", lambda *a: time.sleep(0.05) or bands(*a))
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: got.append(
+            gof._power_cells(alternatives, sizes, ["wcre", "ks"], 0.05, 100, 5, 6)))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert got == [want]
+    assert sorted(null_draws) == [(5, n) for n in sizes]
+
+
+def test_power_over_sizes_checks_every_size_before_any_draw(null_draws):
+    """A window that a later size does not admit fails before any size is
+    drawn, with the error one call per size would raise."""
+    with pytest.raises(DomainError, match="m=5 for n=10"):
+        gof._power_cells(["alt:A,j=2"], (30, 10), ["ent:m=5"], 0.05, 300, 11, 2)
+    assert null_draws == []
+
+
 # --- one null batch per call -------------------------------------------------------
 
 
@@ -460,7 +511,7 @@ def test_verify_tables_draw_each_null_batch_once(null_draws):
     verify_table(7, replications=1000)
     assert len(null_draws) == len(set(null_draws)) == 14
     null_draws.clear()
-    # One power_study call per n = 10, 20, 30, each calibrating every test.
+    # One null batch per n = 10, 20, 30, each calibrating every test.
     verify_table(8, replications=1000)
     assert len(null_draws) == 3
 
@@ -468,7 +519,7 @@ def test_verify_tables_draw_each_null_batch_once(null_draws):
 def test_critical_pairs_hold_two_batches_at_peak():
     # Each tile of draws (655 rows of 100) is squared in place, so the peak
     # is about one tile's squares and their spacings plus the statistic
-    # vectors: 1.25 MB, or 1.56 whole batches, with numpy 2.4. Squares kept
+    # vectors: 1.15 MB, or 1.44 whole batches, with numpy 2.4. Squares kept
     # beside the sorted tile would add one more tile (0.52 MB). The bound is
     # two and a half whole batches.
     n, reps = 100, 1000
@@ -523,6 +574,41 @@ def test_competitor_kernels_match_the_reference_bits():
                 ]
             for k, (got, want) in enumerate(pairs):
                 assert np.array_equal(got, want), (n, rows.shape, k)
+
+
+QUANTILE_LEVELS = (0.0005, 0.005, 0.025, 0.05, 0.1, 0.5, 0.9, 0.95, 0.975, 0.9995)
+
+
+def test_one_rank_quantile_has_the_bits_of_np_quantile():
+    """One partition and numpy's linear rule give ``np.quantile``'s bits, at
+    sizes 1 to 20 000, with and without ties, at the levels the tests use."""
+    rng = np.random.default_rng(7)
+    sizes = (1, 2, 3, 4, 5, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 4096, 9999, 10_000, 20_000)
+    cases = 0
+    for r in sizes:
+        for values in (rng.random(r), rng.integers(0, 7, r) / 8.0, np.full(r, 0.25)):
+            for q in QUANTILE_LEVELS:
+                got = gof._quantile(values, q)
+                want = float(np.quantile(values, q))
+                assert got.hex() == want.hex(), (r, q)
+                cases += 1
+            lo, hi = np.quantile(values, [0.025, 0.975])  # one call for a band, as before
+            assert (gof._quantile(values, 0.025), gof._quantile(values, 0.975)) == (lo, hi)
+    assert cases == len(sizes) * 3 * len(QUANTILE_LEVELS)
+
+
+def test_one_rank_quantile_leaves_nan_to_np_quantile(monkeypatch):
+    values = np.random.default_rng(8).random(1000)
+    values[[17, 400]] = np.nan
+    called = []
+    quantile = np.quantile
+    monkeypatch.setattr(gof.np, "quantile", lambda a, q: called.append(q) or quantile(a, q))
+    for q in (0.025, 0.975):
+        assert math.isnan(gof._quantile(values, q))
+    assert called == [0.025, 0.975]
+    # No NaN: one partition, no call.
+    assert gof._quantile(values[:17], 0.5) == quantile(values[:17], 0.5)
+    assert called == [0.025, 0.975]
 
 
 def test_stephens_quantile_matches_the_two_branch_bits():
@@ -659,6 +745,7 @@ def test_score_builds_each_band_row_once_per_call(monkeypatch):
 @pytest.mark.parametrize(
     "run",
     [
+        pytest.param(lambda threads: verify_table(3, replications=1000, threads=threads), id="3"),
         pytest.param(lambda threads: verify_table(7, replications=1000, threads=threads), id="7"),
         pytest.param(lambda threads: verify_table(8, replications=1000, threads=threads), id="8"),
         pytest.param(
@@ -671,7 +758,32 @@ def test_score_builds_each_band_row_once_per_call(monkeypatch):
     ],
 )
 def test_verify_groups_do_not_depend_on_threads(run):
-    assert run(2) == run(1)
+    assert run(3) == run(2) == run(1)
+
+
+def test_power_holds_two_alternatives_statistics_at_two_threads():
+    """An alternative reduces its statistics to cells in its own task, so at
+    two threads the peak is at most twice one thread's working set (tiles and
+    one task's statistic vectors) plus the statistics of two alternatives and
+    one calibration, not those of every alternative."""
+    tests = ["wcre", "wcrte:alpha=2", "ks", "cvm", "ad", "ent"]
+    alternatives = ["alt:A,j=1.5", "alt:A,j=2", "alt:B,j=1.5", "alt:B,j=2", "alt:C,j=2"]
+    reps = 20_000
+    vectors = len(tests) * reps * 8
+    peaks = {}
+    for threads in (1, 2):
+        # First-call allocations.
+        gof._power_cells(alternatives[:1], (50,), tests, 0.05, reps, 3, threads)
+        tracemalloc.start()
+        try:
+            gof._power_cells(alternatives, (50, 40), tests, 0.05, reps, 3, threads)
+            peaks[threads] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # One thread: one task's statistics and a few tile-sized arrays (0.5 MB
+    # each); the statistics of all ten alternatives would be 9.6 MB.
+    assert peaks[1] <= vectors + 6 * gof._TILE_VALUES * 8, peaks[1] / vectors
+    assert peaks[2] <= 2 * (peaks[1] - vectors) + 3 * vectors, (peaks[1], peaks[2], vectors)
 
 
 def test_power_study_peak_grows_only_by_its_statistic_vectors():

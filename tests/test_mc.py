@@ -406,6 +406,40 @@ def test_thread_count_is_checked_before_any_stream_is_derived(run, monkeypatch):
     assert derived == []
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("cost", [None, lambda item: item % 4], ids=["no cost", "cost"])
+def test_pool_map_returns_results_in_item_order(threads, cost):
+    items = list(range(23))
+    assert wcrte.mc._pool_map(lambda i: i * i, iter(items), threads, cost) == [i * i for i in items]
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_pool_map_starts_the_largest_cost_first(threads, monkeypatch):
+    """Tasks go to the pool largest cost first, equal costs in item order; the
+    pool starts them in that order. The calling thread keeps item order."""
+    import concurrent.futures
+
+    submitted = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    class Recording(executor):
+        def submit(self, fn, item):
+            submitted.append(item)
+            return super().submit(fn, item)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    items = ["b1", "a2", "c3", "d1", "e3", "f2", "g1"]
+    started = []
+    out = wcrte.mc._pool_map(lambda s: started.append(s) or s.upper(), items, threads,
+                             cost=lambda s: int(s[1]))
+    assert out == [s.upper() for s in items]
+    assert submitted == ["c3", "e3", "a2", "f2", "b1", "d1", "g1"]
+    assert sorted(started) == sorted(items)
+    started.clear()
+    wcrte.mc._pool_map(started.append, items, 1, cost=lambda s: int(s[1]))
+    assert started == items
+
+
 def test_a_grid_listing_an_order_twice_gives_equal_duplicate_cells():
     once = run_study(_grid(21, 301, orders=(2.0, None))).cells
     twice = run_study(_grid(21, 301, orders=(2.0, None, 2.0))).cells

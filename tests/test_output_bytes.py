@@ -50,10 +50,11 @@ def _results(x, tests, gamma, replications, seed):
     ]
 
 
-def _power(alternatives, n, tests, gamma, replications, seed, threads=None):
+def _power(alternatives, sizes, tests, gamma, replications, seed, threads=None):
     return [
         PowerCell(alternative="alt:A,j=2", n=n, test=test, order=order, m=m, power=power,
                   replications=replications)
+        for n in sizes
         for test, order, m, power in (("wcre", None, None, 0.5), ("wcrte", 2.0, None, 0.125),
                                       ("ent", None, 4, 1.0))
     ]
@@ -142,7 +143,7 @@ def fixed_results(monkeypatch, tmp_path):
     monkeypatch.setattr(mc, "run_study", lambda config, threads=None: study)
     monkeypatch.setattr(gof, "_critical_pairs", _pairs)
     monkeypatch.setattr(gof, "_uniformity_results", _results)
-    monkeypatch.setattr(gof, "power_study", _power)
+    monkeypatch.setattr(gof, "_power_cells", _power)
     path = tmp_path / "unit.txt"
     path.write_text("0.25\n0.5\n")
     return str(path)
