@@ -183,10 +183,10 @@ class _SortedSquares:
     :func:`_tail_weights`). ``srt`` is one sorted sample (1-D) or a batch of
     them (2-D), and ``s2`` and ``d`` keep its shape. The scaling and the
     squares are taken in ``srt`` itself unless it is read-only, so a caller
-    hands over a writeable array it no longer reads as sorted values. The
-    ``d`` of a batch is a view, the first n - 1 columns of an (R, n)
-    buffer filled by one subtraction over the flattened squares; its values
-    are those of ``np.diff(s2)``.
+    hands over a writeable array it no longer reads as sorted values. ``d``
+    is a view, the first n - 1 columns of a buffer shaped like ``s2`` and
+    filled by one subtraction over the flattened squares; its values are
+    those of ``np.diff(s2)``.
     """
 
     __slots__ = ("s2", "d", "shift", "tails")
@@ -197,17 +197,13 @@ class _SortedSquares:
         if self.shift:
             srt = np.ldexp(srt, -self.shift, out=srt if srt.flags.writeable else None)
         self.s2 = np.multiply(srt, srt, out=srt if srt.flags.writeable else None)
-        if self.s2.ndim == 1:
-            self.d = np.diff(self.s2)
-        else:
-            # One subtraction over the flattened rows (np.diff would run one
-            # short loop per row); each row's last entry spans two rows and
-            # is left out of the view.
-            r, n = self.s2.shape
-            flat = self.s2.reshape(-1)
-            spacings = np.empty((r, n))
-            np.subtract(flat[1:], flat[:-1], out=spacings.reshape(-1)[:-1])
-            self.d = spacings[:, :-1]
+        # One subtraction over the flattened rows (np.diff would run one
+        # short loop per row); each row's last entry spans two rows and is
+        # left out of the view.
+        flat = self.s2.reshape(-1)
+        spacings = np.empty(self.s2.shape)
+        np.subtract(flat[1:], flat[:-1], out=spacings.reshape(-1)[:-1])
+        self.d = spacings[..., :-1]
         self.tails = {}
 
     def _weighed(self, coef: np.ndarray) -> np.ndarray:

@@ -324,14 +324,14 @@ def _check_threads(threads: int | None) -> None:
         raise DomainError(f"threads must be positive, got {threads!r}")
 
 
-def _pool_map(fn, items, threads: int | None = None, cost=None) -> list:
+def _pool_map(fn, items, threads: int | None, cost) -> list:
     """``[fn(item) for item in items]``, on ``threads`` worker threads when more than one.
 
     Results come back in item order, so no output depends on the thread
     count; ``threads=None`` or 1 runs in the calling thread, in item order.
     On the pool, tasks start largest ``cost(item)`` first (any values that
-    order; tasks of equal cost, or all of them without ``cost``, in item
-    order), so the longest tasks do not start last. The pool takes tasks in
+    order; tasks of equal cost in item order), so the longest tasks do not
+    start last. The pool takes tasks in
     the order they were submitted.
     """
     _check_threads(threads)
@@ -340,10 +340,8 @@ def _pool_map(fn, items, threads: int | None = None, cost=None) -> list:
     from concurrent.futures import ThreadPoolExecutor
 
     items = list(items)
-    order = range(len(items))
-    if cost is not None:
-        # A stable sort: reverse=True keeps tasks of equal cost in item order.
-        order = sorted(order, key=lambda i: cost(items[i]), reverse=True)
+    # A stable sort: reverse=True keeps tasks of equal cost in item order.
+    order = sorted(range(len(items)), key=lambda i: cost(items[i]), reverse=True)
     with ThreadPoolExecutor(max_workers=int(threads)) as pool:
         futures = {i: pool.submit(fn, items[i]) for i in order}
         try:

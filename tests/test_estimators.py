@@ -254,9 +254,10 @@ def _batches():
 
 
 def test_batch_spacings_equal_np_diff_of_the_squares():
-    """A batch's ``d``, a view of one flat subtraction, has the bits of
-    ``np.diff`` on its (possibly shifted) squares, read-only input included."""
-    for srt in _batches():
+    """``d``, a view of one flat subtraction, has the bits of ``np.diff`` on
+    the (possibly shifted) squares of a batch or of its first row alone,
+    read-only input included."""
+    for srt in (b for batch in _batches() for b in (batch, batch[0])):
         for readonly in (False, True):
             rows = srt.copy()
             rows.flags.writeable = not readonly

@@ -407,10 +407,10 @@ def test_thread_count_is_checked_before_any_stream_is_derived(run, monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
-@pytest.mark.parametrize("cost", [None, lambda item: item % 4], ids=["no cost", "cost"])
-def test_pool_map_returns_results_in_item_order(threads, cost):
+def test_pool_map_returns_results_in_item_order(threads):
     items = list(range(23))
-    assert wcrte.mc._pool_map(lambda i: i * i, iter(items), threads, cost) == [i * i for i in items]
+    out = wcrte.mc._pool_map(lambda i: i * i, iter(items), threads, lambda item: item % 4)
+    assert out == [i * i for i in items]
 
 
 @pytest.mark.parametrize("threads", [2, 3])
