@@ -43,9 +43,9 @@ companion it runs; an error in one spec names the spec's ``--estimator``
 text. A variance estimate that leaves the float range costs its line the
 interval, not the run. ``--threads`` (default: the CPUs this process may
 use) goes to the library as given, and its one rule is checked before any
-work; ``critical-values`` runs the sample sizes of its table mode on the
-pool itself, largest first, and its ``--data`` mode in the calling thread;
-``power`` runs all its sample sizes on one pool.
+work. ``critical-values`` table mode and ``power`` each pass all their sizes
+to one library call, which checks every size before any draw and runs them
+on one pool; ``critical-values --data`` runs in the calling thread.
 
 Model, estimator and test specifications share one grammar: a
 case-insensitive head, then after a colon an optional positional token
@@ -259,7 +259,7 @@ def cmd_mse_study(args) -> int:
 
 def cmd_critical_values(args) -> int:
     from .gof import CRITICAL_COLUMNS, GOF_COLUMNS, _critical_pairs, _uniformity_results
-    from .mc import _check_threads, _pool_map
+    from .mc import _check_threads
 
     if args.data and args.n is not None:
         raise ParseError("give either --n (table mode) or --data (single-test mode), not both")
@@ -277,12 +277,8 @@ def cmd_critical_values(args) -> int:
 
     if args.n is None:
         raise ParseError("table mode needs --n (or use --data for single-test mode)")
-
-    def calibrate(n):
-        return _critical_pairs(n, args.alpha, args.gamma, args.replications, args.seed)
-
-    parts = _pool_map(calibrate, args.n, args.threads, cost=lambda n: n)
-    pairs = [pair for part in parts for pair in part]
+    pairs = _critical_pairs(args.n, args.alpha, args.gamma, args.replications, args.seed,
+                            args.threads)
     _write_rows(args, _table(CRITICAL_COLUMNS, pairs, args.seed), CRITICAL_COLUMNS)
     return 0
 

@@ -15,17 +15,17 @@ budget as the entropy tests, so the power columns are size-matched.
 Null draws are keyed by (seed, n) only: a critical pair computed standalone
 is identical to the one computed inside a sweep over orders or test kinds.
 Within one call, each (seed, n, replications) null batch is drawn, sorted
-and squared once and every test reads it: all orders of one n in
-``verify_table(7)`` and in ``wcrte critical-values`` table mode, all
-``--test`` flags of its single-test mode, and all tests of one
+and squared once and every test reads it: all orders of one n, all
+``--test`` flags of single-test mode, and all tests of one
 :func:`power_study` call, which also sorts and squares each alternative's
-draws once. Nothing is kept between calls. A power study over several sample
-sizes (``wcrte power``, ``verify_table(8)``) runs on one pool: every size's
-calibration first, then every (size, alternative), larger sizes first; an
-alternative scores its draws, then waits for its size's critical values and
-keeps only its cells. A critical value is numpy's default (``linear``)
-quantile, taken from one ``np.partition`` at its rank (``_quantile``) with
-``np.quantile``'s bits.
+draws once. Nothing is kept between calls. Critical values and power over
+several sample sizes (``wcrte critical-values`` and ``verify_table(7)``;
+``wcrte power`` and ``verify_table(8)``) check every size, then run on one
+pool, larger sizes first: each size's calibration, then for power each
+(size, alternative), which scores its draws, waits for its size's critical
+values and keeps only its cells. A critical value is numpy's default
+(``linear``) quantile, taken from one ``np.partition`` at its rank
+(``_quantile``) with ``np.quantile``'s bits.
 
 Every scoring path takes its tests resolved at the batch's n
 (:meth:`GofTest.resolved`: ``ent`` with its window filled in), so a test's
@@ -508,18 +508,30 @@ def critical_values(
     ``replications`` uniform samples of size ``n``. The draws depend only on
     (seed, n), so pairs for different orders share them.
     """
-    return _critical_pairs(n, (order,), gamma, replications, seed)[0]
+    return _critical_pairs((n,), (order,), gamma, replications, seed)[0]
 
 
-def _critical_pairs(n, orders, gamma, replications, seed) -> list[CriticalPair]:
-    """:func:`critical_values` for each of ``orders``, all on one null batch."""
-    n, g, reps = _check_null_grid(n, gamma, replications)
-    tests = [GofTest(name="wcre") if a is None else GofTest(name="wcrte", order=a) for a in orders]
-    bands = _null_bands(n, tests, g, reps, seed)
-    return [
-        CriticalPair(n=n, order=test.order, gamma=g, lower=lower, upper=upper, replications=reps)
-        for test, (lower, upper) in zip(tests, bands)
-    ]
+def _critical_pairs(sizes, orders, gamma, replications, seed, threads=None) -> list[CriticalPair]:
+    """:func:`critical_values` at each n of ``sizes`` in turn, for each of ``orders``.
+
+    Checked as one call per n would be, before any draw. Each n's null batch,
+    scored by every order, is a task on ``threads`` threads, largest n first.
+    """
+    checked = []
+    for n in sizes:
+        n, g, reps = _check_null_grid(n, gamma, replications)
+        if not checked:
+            tests = [GofTest(name="wcre" if a is None else "wcrte", order=a) for a in orders]
+        checked.append(n)
+
+    def calibrate(n: int) -> list[CriticalPair]:
+        return [
+            CriticalPair(n=n, order=t.order, gamma=g, lower=lo, upper=hi, replications=reps)
+            for t, (lo, hi) in zip(tests, _null_bands(n, tests, g, reps, seed))
+        ]
+
+    parts = _pool_map(calibrate, checked, threads, cost=lambda n: n)
+    return [pair for part in parts for pair in part]
 
 
 def competitor_critical_value(

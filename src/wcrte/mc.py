@@ -124,7 +124,7 @@ class McStudyConfig:
         if self.windows == "auto":
             return (heuristic_window(kind, n),)
         if self.windows == "sweep":
-            return tuple(range(1, est.max_window(n) + 1))
+            return tuple(range(1, est.max_window(_check_size(n, 3)) + 1))
         return self.windows
 
 
@@ -319,8 +319,8 @@ def _run_block(block: _BlockPlan, replications: int, seed: int, rows: dict) -> l
 
 
 def _check_threads(threads: int | None) -> None:
-    """The thread-count rule (None or a positive count), checked before any work."""
-    if threads is not None and int(threads) < 1:
+    """The thread-count rule (None, or an integral count >= 1), checked before any work."""
+    if threads is not None and _check_size(threads, -math.inf, "threads") < 1:
         raise DomainError(f"threads must be positive, got {threads!r}")
 
 

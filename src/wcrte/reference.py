@@ -26,7 +26,7 @@ from importlib import resources
 from .distributions import order_from_label, order_label, parse_model
 from .errors import DomainError
 from .gof import _TEST_PARAM_COLUMNS, _critical_pairs, _power_cells
-from .mc import DEFAULT_SEED, McStudyConfig, _check_threads, _pool_map, run_study
+from .mc import DEFAULT_SEED, McStudyConfig, _check_threads, run_study
 
 __all__ = [
     "load_reference_tables",
@@ -132,26 +132,19 @@ def _verify_bias_mse(table_id: int, group: dict, reps, seed, threads) -> list[di
 
 def _verify_critical_values(table_id: int, group: dict, reps, seed, threads) -> list[dict]:
     gamma = float(group["gamma"])
-    # One null batch per n calibrates every order of that n; each n is a task,
-    # the largest started first.
-    orders_by_n: dict[int, list] = {}
-    for ref in group["rows"]:
-        orders_by_n.setdefault(int(ref["n"]), []).append(order_from_label(ref["alpha"]))
-
-    def calibrate(item):
-        return _critical_pairs(*item, gamma, reps, seed)
-
-    parts = _pool_map(calibrate, orders_by_n.items(), threads, cost=lambda item: item[0])
-    pairs = {(pair.n, pair.order): pair for part in parts for pair in part}
+    rows = group["rows"]
+    # The rows hold the full grid of their n and orders; each looks its pair up.
+    sizes = tuple(dict.fromkeys(int(r["n"]) for r in rows))
+    orders = tuple(dict.fromkeys(order_from_label(r["alpha"]) for r in rows))
+    pairs = {(pair.n, pair.order): pair
+             for pair in _critical_pairs(sizes, orders, gamma, reps, seed, threads)}
 
     report: list[dict] = []
-    for ref in group["rows"]:
-        n = int(ref["n"])
-        order = order_from_label(ref["alpha"])
-        pair = pairs[(n, order)]
+    for ref in rows:
+        pair = pairs[(int(ref["n"]), order_from_label(ref["alpha"]))]
         for metric in ("lower", "upper"):
             report.append(_row(table_id, ref[metric], getattr(pair, metric),
-                               n=n, alpha=order_label(order), metric=metric))
+                               n=pair.n, alpha=order_label(pair.order), metric=metric))
     return report
 
 
@@ -192,12 +185,11 @@ def verify_table(
     ``replications`` defaults to the group's published count (``None``);
     any other value goes through the package's size rule, so 0 or 1000.7
     raises DomainError. ``threads`` worker threads share each group, the
-    largest tasks started first: the (model, n) blocks of groups 2-6, the
-    sample sizes of group 7, and one pool for group 8 that runs the null
-    calibration of every sample size, then every (sample size,
-    alternative). No value depends on the thread count. Rows follow
-    :data:`REPORT_FIELDS`; ``abs_diff`` compares absolute values when the
-    published sign is flagged as suspect.
+    largest tasks started first: the (model, n) blocks of groups 2-6; the
+    calibration of each sample size of groups 7 and 8, then for group 8
+    each (sample size, alternative). No value depends on the thread count.
+    Rows follow :data:`REPORT_FIELDS`; ``abs_diff`` compares absolute values
+    when the published sign is flagged as suspect.
     """
     _check_threads(threads)
     tables = load_reference_tables()["tables"]

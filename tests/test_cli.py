@@ -348,6 +348,14 @@ def test_a_thread_count_below_one_exits_three_before_any_draw(argv, capsys, monk
     assert (code, out, err) == (3, "", "error: threads must be positive, got 0\n")
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_critical_values_check_every_size_before_any_draw(threads, capsys, monkeypatch):
+    monkeypatch.setattr("wcrte.mc.derive_stream", lambda *key: pytest.fail(f"drew {key}"))
+    code, out, err = run_cli(["critical-values", "--n", "30,1", "--reps", "1000",
+                              "--threads", threads], capsys)
+    assert (code, out, err) == (3, "", "error: need n >= 2, got 1\n")
+
+
 def test_study_moments_never_print_inf_or_nan(capsys):
     argv = ["mse-study", "--n", "10", "--alpha", "2", "--estimator", "empirical", "--reps", "200"]
     code, out, _ = run_cli([*argv, "--model", "uniform:theta=1e40"], capsys)

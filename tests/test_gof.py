@@ -503,8 +503,18 @@ def null_draws(monkeypatch):
 @pytest.mark.parametrize("n", [10, 37, 100])
 def test_critical_pairs_equal_one_order_calls(n):
     orders = (None, 1.5, 2.0, 10.0)
-    pairs = gof._critical_pairs(n, orders, 0.05, 1000, 17)
+    pairs = gof._critical_pairs((n,), orders, 0.05, 1000, 17)
     assert pairs == [critical_values(n, a, 0.05, 1000, 17) for a in orders]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_critical_pairs_over_sizes_equal_one_call_per_pair(threads, null_draws):
+    """Several sizes on one pool give, n by n, the pairs of one
+    critical_values call each, and draw each size's null batch once."""
+    sizes, orders = (20, 10, 30), (None, 1.5, 7.0)
+    pairs = gof._critical_pairs(sizes, orders, 0.05, 1000, 17, threads)
+    assert sorted(null_draws) == [(17, n) for n in sorted(sizes)]
+    assert pairs == [critical_values(n, a, 0.05, 1000, 17) for n in sizes for a in orders]
 
 
 def test_verify_tables_draw_each_null_batch_once(null_draws):
@@ -524,10 +534,10 @@ def test_critical_pairs_hold_two_batches_at_peak():
     # two and a half whole batches.
     n, reps = 100, 1000
     orders = (None, 2.0, 5.0, 7.0, 10.0)
-    gof._critical_pairs(n, orders, 0.05, reps, 3)  # first-call allocations
+    gof._critical_pairs((n,), orders, 0.05, reps, 3)  # first-call allocations
     tracemalloc.start()
     try:
-        gof._critical_pairs(n, orders, 0.05, reps, 3)
+        gof._critical_pairs((n,), orders, 0.05, reps, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

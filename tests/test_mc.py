@@ -132,6 +132,17 @@ def test_windows_for_modes():
     assert fixed.windows_for(EstimatorKind.VASICEK, 10) == (2, 4)
 
 
+def test_a_sweep_below_n_three_raises_as_auto_does():
+    """A spacing kind at n = 2 raises the rule of the heuristic window under
+    "sweep" too, rather than dropping the kind's cells without a word."""
+    for windows in ("auto", "sweep"):
+        cfg = McStudyConfig(models=(EXP1,), sample_sizes=(2, 10), orders=(2.0,),
+                            kinds=(EstimatorKind.VASICEK, EstimatorKind.EMPIRICAL),
+                            windows=windows, replications=10)
+        with pytest.raises(DomainError, match="^need n >= 3, got 2$"):
+            run_study(cfg)
+
+
 # --- running studies --------------------------------------------------------------
 
 
@@ -403,6 +414,27 @@ def test_thread_count_is_checked_before_any_stream_is_derived(run, monkeypatch):
     monkeypatch.setattr(wcrte.mc, "derive_stream", lambda *a: derived.append(a))
     with pytest.raises(DomainError, match="threads must be positive, got 0"):
         run()
+    assert derived == []
+
+
+@pytest.mark.parametrize("threads", [2.5, "x"])
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda threads: run_study(McStudyConfig(
+            models=(EXP1,), sample_sizes=(10,), orders=(2.0,), kinds=(EstimatorKind.EMPIRICAL,),
+            replications=100), threads=threads), id="run_study"),
+        pytest.param(lambda threads: power_study(["alt:A,j=2"], 20, ["wcre"], replications=100,
+                                                 threads=threads), id="power_study"),
+        pytest.param(lambda threads: verify_table(7, threads=threads), id="verify_table"),
+    ],
+)
+def test_a_thread_count_goes_through_the_size_rule(run, threads, monkeypatch):
+    """A count of threads is integral, as sizes are: 2.5 is not run on two."""
+    derived = []
+    monkeypatch.setattr(wcrte.mc, "derive_stream", lambda *a: derived.append(a))
+    with pytest.raises(DomainError, match=f"^threads must be an integer, got {threads!r}$"):
+        run(threads)
     assert derived == []
 
 

@@ -29,10 +29,11 @@ CELLS = (
 )
 
 
-def _pairs(n, orders, gamma, replications, seed):
+def _pairs(sizes, orders, gamma, replications, seed, threads=None):
     return [
         CriticalPair(n=n, order=a, gamma=gamma, lower=0.1 if a is None else 0.05,
                      upper=0.15 if a is None else 0.1, replications=replications)
+        for n in sizes
         for a in orders
     ]
 
