@@ -42,10 +42,12 @@ and passes that one prepared batch to every estimator and variance
 companion it runs; an error in one spec names the spec's ``--estimator``
 text. A variance estimate that leaves the float range costs its line the
 interval, not the run. ``--threads`` (default: the CPUs this process may
-use) goes to the library as given, and its one rule is checked before any
-work. ``critical-values`` table mode and ``power`` each pass all their sizes
-to one library call, which checks every size before any draw and runs them
-on one pool; ``critical-values --data`` runs in the calling thread.
+use) is declared once, in ``_add_common``, and goes to the library as
+given; the library's pool checks it after the specs and sizes and before
+any draw. ``critical-values --data`` runs in the calling thread and checks
+it itself. ``critical-values`` table mode and ``power`` each pass all their
+sizes to one library call, which checks every size before any draw and runs
+them on one pool.
 
 Model, estimator and test specifications share one grammar: a
 case-insensitive head, then after a colon an optional positional token
@@ -247,8 +249,6 @@ def cmd_mse_study(args) -> int:
     if not args.models:
         raise ParseError("mse-study needs at least one --model")
     doc = {key: getattr(args, key) for key in _STUDY_KEYS}
-    if doc["estimators"] is None:
-        doc["estimators"] = tuple(EstimatorKind)
     config = study_config_from_json({k: v for k, v in doc.items() if v is not None})
     result = run_study(config, threads=args.threads)
     for message in result.skipped:
@@ -263,9 +263,10 @@ def cmd_critical_values(args) -> int:
 
     if args.data and args.n is not None:
         raise ParseError("give either --n (table mode) or --data (single-test mode), not both")
-    _check_threads(args.threads)
 
     if args.data:
+        # This mode reaches no pool, so it checks the thread count itself.
+        _check_threads(args.threads)
         if len(args.data) != 1:
             raise ParseError("single-test mode takes exactly one --data file")
         if not args.tests:
@@ -354,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m",
                    help="windows: auto, sweep, or a comma separated list (default auto)")
     _add_common(p, "replications", "format", "threads")
-    p.set_defaults(func=cmd_mse_study)
+    p.set_defaults(func=cmd_mse_study,
+                   defaults={"estimators": [kind.value for kind in EstimatorKind]})
 
     p = sub.add_parser(
         "critical-values",
@@ -365,15 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="orders, comma separated; 1 selects the WCRE limit "
                         "(default 1,2,5,7,10)")
     _repeatable(p, "--data", "data",
-                "data file of [0,1] observations: run single tests instead")
+                "data file of [0,1] observations: run single tests instead, in the "
+                "calling thread")
     _repeatable(p, "--test", "tests",
                 "test spec for --data mode: wcrte:alpha=2, wcre, ks, cvm, ad, "
                 "ent, ent:m=5 (repeatable)")
-    p.add_argument("--threads",
-                   help="worker threads (default: the CPUs this process may use), one sample "
-                        "size of table mode each; --data mode runs in the calling thread; "
-                        "never changes results")
-    _add_common(p, "replications", "format", "gamma")
+    _add_common(p, "replications", "format", "threads", "gamma")
     p.set_defaults(func=cmd_critical_values, defaults={"alpha": (None, 2.0, 5.0, 7.0, 10.0)})
 
     p = sub.add_parser("power", help="power study against alternatives")
@@ -381,21 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
                 "alternative model spec, e.g. alt:A,j=2 (repeatable)")
     _repeatable(p, "--test", "tests", "test spec (repeatable)")
     p.add_argument("--n", help="sample sizes, comma separated (default 10,20,30)")
-    p.add_argument("--threads",
-                   help="worker threads (default: the CPUs this process may use), sharing the "
-                        "null calibration of every sample size, then every (sample size, "
-                        "alternative); never changes results")
-    _add_common(p, "replications", "format", "gamma")
+    _add_common(p, "replications", "format", "threads", "gamma")
     p.set_defaults(func=cmd_power, defaults={"n": (10, 20, 30)})
 
     p = sub.add_parser("verify-tables", help="compare against bundled published values")
     p.add_argument("--table", type=int, choices=range(2, 9), required=True,
                    help="published table id (2-8)")
-    p.add_argument("--threads",
-                   help="worker threads (default: the CPUs this process may use), sharing the "
-                        "(model, n) blocks of groups 2-6, the sample sizes of group 7 and the "
-                        "alternatives of group 8; never changes results")
-    _add_common(p, "replications", "format")
+    _add_common(p, "replications", "format", "threads")
     # No --reps recomputes each group at its published replication count.
     p.set_defaults(func=cmd_verify_tables, defaults={"replications": None})
 

@@ -70,8 +70,7 @@ from .distributions import (
 )
 from .errors import DomainError, ParseError
 from .mc import (
-    _RUN_COLUMNS, DEFAULT_SEED, _check_threads, _columns, _pool_map, gof_alternative_stream,
-    gof_null_stream,
+    _RUN_COLUMNS, DEFAULT_SEED, _columns, _pool_map, gof_alternative_stream, gof_null_stream,
 )
 from .sample import _check_size, _sorted_rows
 
@@ -514,8 +513,9 @@ def critical_values(
 def _critical_pairs(sizes, orders, gamma, replications, seed, threads=None) -> list[CriticalPair]:
     """:func:`critical_values` at each n of ``sizes`` in turn, for each of ``orders``.
 
-    Checked as one call per n would be, before any draw. Each n's null batch,
-    scored by every order, is a task on ``threads`` threads, largest n first.
+    Checked as one call per n would be, then ``threads`` (by the pool), all
+    before any draw. Each n's null batch, scored by every order, is a task on
+    ``threads`` threads, largest n first.
     """
     checked = []
     for n in sizes:
@@ -678,7 +678,8 @@ def power_study(
     uniform model as an alternative estimates the empirical size, since its
     draws are independent of the null calibration draws. An alternative
     whose largest draw, ``quantile(nextafter(1, 0))``, exceeds 1 raises
-    DomainError before anything is drawn.
+    DomainError before anything is drawn. The specs and n are checked
+    first, then ``threads``, all before any draw.
 
     The calibration and each alternative are tasks on ``threads`` worker
     threads (``None`` or 1 runs them in the calling thread), the
@@ -693,17 +694,16 @@ def _power_cells(alternatives, sizes, tests, gamma, replications, seed, threads)
     """:func:`power_study` at each n of ``sizes`` in turn, all on one pool.
 
     The specs are checked as one call per n, in order, would check them,
-    all before anything is drawn. Then the null calibration of every n and
-    every (n, alternative) are tasks on ``threads`` worker threads: the
-    calibrations first, then the alternatives, each group largest n first.
-    An alternative's task scores its batch, then takes its n's bands,
-    waiting while that n's calibration runs (or making it, if no task has
-    started it), and reduces its statistics to cells; so no more than
-    ``threads`` alternatives' statistic vectors are held at once. Each null
-    batch is drawn once. The cells come back n by n, each n as
-    :func:`power_study` gives them.
+    then ``threads`` (by the pool), all before anything is drawn. Then the
+    null calibration of every n and every (n, alternative) are tasks on
+    ``threads`` worker threads: the calibrations first, then the
+    alternatives, each group largest n first. An alternative's task scores
+    its batch, then takes its n's bands, waiting while that n's calibration
+    runs (or making it, if no task has started it), and reduces its
+    statistics to cells; so no more than ``threads`` alternatives' statistic
+    vectors are held at once. Each null batch is drawn once. The cells come
+    back n by n, each n as :func:`power_study` gives them.
     """
-    _check_threads(threads)
     grids = []
     for n in sizes:
         n, g, reps = _check_null_grid(n, gamma, replications, min_replications=100)

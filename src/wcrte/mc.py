@@ -319,7 +319,7 @@ def _run_block(block: _BlockPlan, replications: int, seed: int, rows: dict) -> l
 
 
 def _check_threads(threads: int | None) -> None:
-    """The thread-count rule (None, or an integral count >= 1), checked before any work."""
+    """The thread-count rule: None, or an integral count >= 1."""
     if threads is not None and _check_size(threads, -math.inf, "threads") < 1:
         raise DomainError(f"threads must be positive, got {threads!r}")
 
@@ -327,11 +327,13 @@ def _check_threads(threads: int | None) -> None:
 def _pool_map(fn, items, threads: int | None, cost) -> list:
     """``[fn(item) for item in items]``, on ``threads`` worker threads when more than one.
 
-    Results come back in item order, so no output depends on the thread
-    count; ``threads=None`` or 1 runs in the calling thread, in item order.
-    On the pool, tasks start largest ``cost(item)`` first (any values that
-    order; tasks of equal cost in item order), so the longest tasks do not
-    start last. The pool takes tasks in
+    This is the library's one check of ``threads``, made before any task
+    runs; every pooled path calls it after checking its specs and sizes and
+    before deriving any stream. Results come back in item order, so no
+    output depends on the thread count; ``threads=None`` or 1 runs in the
+    calling thread, in item order. On the pool, tasks start largest
+    ``cost(item)`` first (any values that order; tasks of equal cost in item
+    order), so the longest tasks do not start last. The pool takes tasks in
     the order they were submitted.
     """
     _check_threads(threads)
@@ -355,9 +357,10 @@ def run_study(config: McStudyConfig, threads: int | None = None) -> McStudyResul
     """Run every cell of the grid; deterministic for a fixed config and seed.
 
     ``threads=None`` or 1 runs serially; larger values parallelize across
-    (model, n) blocks, largest first, without changing any output bit.
+    (model, n) blocks, largest first, without changing any output bit. The
+    grid is planned (each window checked against its n) before ``threads``
+    is checked, and both before any draw.
     """
-    _check_threads(threads)
     blocks, skipped = _plan_blocks(config)
     # Every coefficient row is built here, before any worker starts, as a
     # row of one matrix per (kind, order, plotting, n); the blocks then only

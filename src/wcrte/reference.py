@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from functools import lru_cache
 from importlib import resources
 
 from .distributions import order_from_label, order_label, parse_model
 from .errors import DomainError
 from .gof import _TEST_PARAM_COLUMNS, _critical_pairs, _power_cells
-from .mc import DEFAULT_SEED, McStudyConfig, _check_threads, run_study
+from .mc import DEFAULT_SEED, McStudyConfig, run_study
+from .sample import _check_size
 
 __all__ = [
     "load_reference_tables",
@@ -182,21 +184,24 @@ def verify_table(
 ) -> list[dict]:
     """Recompute one bundled reference group and compare cell by cell.
 
-    ``replications`` defaults to the group's published count (``None``);
-    any other value goes through the package's size rule, so 0 or 1000.7
-    raises DomainError. ``threads`` worker threads share each group, the
-    largest tasks started first: the (model, n) blocks of groups 2-6; the
-    calibration of each sample size of groups 7 and 8, then for group 8
-    each (sample size, alternative). No value depends on the thread count.
-    Rows follow :data:`REPORT_FIELDS`; ``abs_diff`` compares absolute values
-    when the published sign is flagged as suspect.
+    ``table_id`` goes through the package's size rule, so 2.5 raises
+    DomainError rather than running table 2, and an integral id without a
+    bundled group raises ``unknown table id``. ``replications`` defaults to
+    the group's published count (``None``); any other value goes through the
+    size rule too, so 0 or 1000.7 raises DomainError. The group's grid is
+    checked, then ``threads``, all before any draw. ``threads`` worker
+    threads share each group, the largest tasks started first: the (model,
+    n) blocks of groups 2-6; the calibration of each sample size of groups 7
+    and 8, then for group 8 each (sample size, alternative). No value
+    depends on the thread count. Rows follow :data:`REPORT_FIELDS`;
+    ``abs_diff`` compares absolute values when the published sign is flagged
+    as suspect.
     """
-    _check_threads(threads)
     tables = load_reference_tables()["tables"]
-    key = str(int(table_id))
+    key = str(_check_size(table_id, -math.inf, "table"))
     if key not in tables:
         raise DomainError(
-            f"unknown table id {table_id!r} (available: "
+            f"unknown table id {key} (available: "
             f"{', '.join(str(t) for t in available_tables())})"
         )
     group = tables[key]

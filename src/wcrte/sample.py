@@ -26,7 +26,7 @@ class Sample:
     __slots__ = ("values", "sorted_values")
 
     def __init__(self, values) -> None:
-        arr = np.array(values, dtype=float)
+        arr = _real_array(values, copy=True)
         if arr.ndim > 1:
             raise DomainError(f"a Sample holds one sample, got shape {arr.shape}")
         self._hold(arr.reshape(-1))
@@ -86,13 +86,14 @@ def _sorted_rows(x, min_n: int = 2, upper: float | None = None) -> np.ndarray:
     one per row); a scalar is a batch of one sample of one value. Returns
     the values sorted ascending in the shape they came in: a Sample's
     read-only ``sorted_values``, otherwise a new array the caller owns.
-    Raises DomainError unless every sample holds at least ``min_n`` finite,
-    nonnegative values, none above ``upper``.
+    Raises DomainError unless ``x`` holds real numbers (:func:`_real_array`)
+    and every sample holds at least ``min_n`` finite, nonnegative values,
+    none above ``upper``.
     """
     if isinstance(x, Sample):
         srt = x.sorted_values
     else:
-        arr = np.asarray(x, dtype=float)
+        arr = _real_array(x)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim > 2:
@@ -102,6 +103,22 @@ def _sorted_rows(x, min_n: int = 2, upper: float | None = None) -> np.ndarray:
     if upper is not None and srt[..., -1].max() > upper:
         raise DomainError(f"sample values must not exceed {upper:g}")
     return srt
+
+
+def _real_array(x, copy: bool = False) -> np.ndarray:
+    """``x`` as a float array, a new one when ``copy``.
+
+    Raises DomainError for what is not an array of real numbers: a string
+    that is not a number, a ragged nesting, a complex value (which numpy
+    would cast to its real part).
+    """
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind != "c":
+            return arr.astype(float, copy=copy)
+    except (TypeError, ValueError):
+        pass
+    raise DomainError("sample values must be real numbers")
 
 
 def _check_sorted(srt: np.ndarray) -> np.ndarray:

@@ -340,9 +340,15 @@ def test_estimate_parses_every_spec_before_reading_the_data(tmp_path, capsys, mo
         ["verify-tables", "--table", "8", "--reps", "1000"],
         ["power", "--alternative", "alt:A,j=2", "--test", "ks", "--n", "10", "--reps", "100"],
         ["critical-values", "--n", "10,20", "--reps", "1000"],
+        ["critical-values", "--data", "u5", "--test", "ks", "--reps", "1000"],
     ],
 )
-def test_a_thread_count_below_one_exits_three_before_any_draw(argv, capsys, monkeypatch):
+def test_a_thread_count_below_one_exits_three_before_any_draw(argv, capsys, monkeypatch,
+                                                              tmp_path):
+    """``--data`` mode reaches no pool, and checks the count all the same."""
+    u5 = tmp_path / "u5.txt"
+    u5.write_text("0.1\n0.3\n0.5\n0.7\n0.9\n")
+    argv = [str(u5) if a == "u5" else a for a in argv]
     monkeypatch.setattr("wcrte.mc.derive_stream", lambda *key: pytest.fail(f"drew {key}"))
     code, out, err = run_cli([*argv, "--threads", "0"], capsys)
     assert (code, out, err) == (3, "", "error: threads must be positive, got 0\n")

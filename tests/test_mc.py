@@ -417,6 +417,29 @@ def test_thread_count_is_checked_before_any_stream_is_derived(run, monkeypatch):
     assert derived == []
 
 
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        pytest.param(lambda: run_study(McStudyConfig(
+            models=(EXP1,), sample_sizes=(2,), orders=(2.0,), kinds=(EstimatorKind.VASICEK,),
+            windows="sweep", replications=100), threads=0), "^need n >= 3, got 2$",
+            id="run_study"),
+        pytest.param(lambda: power_study(["alt:A,j=2"], 1, ["ks"], replications=100, threads=0),
+                     "^need n >= 2, got 1$", id="power_study"),
+        pytest.param(lambda: verify_table(99, threads=0), "^unknown table id 99 ",
+                     id="verify_table"),
+    ],
+)
+def test_specs_and_sizes_are_checked_before_the_thread_count(run, message, monkeypatch):
+    """Every entry point checks its specs and sizes, then the thread count
+    (where the pool starts), all before any stream is derived."""
+    derived = []
+    monkeypatch.setattr(wcrte.mc, "derive_stream", lambda *a: derived.append(a))
+    with pytest.raises(DomainError, match=message):
+        run()
+    assert derived == []
+
+
 @pytest.mark.parametrize("threads", [2.5, "x"])
 @pytest.mark.parametrize(
     "run",

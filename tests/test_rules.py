@@ -31,6 +31,7 @@ from wcrte import (
     statistic_bound,
     study_config_from_json,
     uniformity_test,
+    verify_table,
     wcre_ebrahimi,
     wcre_empirical,
     wcre_lstat,
@@ -225,6 +226,7 @@ COUNT_ENTRIES = {
     "McStudyConfig seed": (
         lambda: McStudyConfig(EXP, (10,), (2.0,), (L,), seed=10.7), "seed", 10.7),
     "derive_stream seed": (lambda: derive_stream(10.7, 1), "seed", 10.7),
+    "verify_table table": (lambda: verify_table(2.5), "table", 2.5),
 }
 
 
@@ -232,6 +234,29 @@ COUNT_ENTRIES = {
 def test_sizes_and_counts_must_be_integral(entry):
     call, name, value = entry
     with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
+        call()
+
+
+REAL = "sample values must be real numbers"
+
+REAL_ENTRIES = {
+    "wcrte_empirical string": lambda: wcrte_empirical("abc", 2.0),
+    "wcrte_empirical ragged": lambda: wcrte_empirical([[1, 2], [3]], 2.0),
+    "wcrte_empirical complex": lambda: wcrte_empirical([1 + 2j, 3], 2.0),
+    "wcre_lstat complex array": lambda: wcre_lstat(np.array([1 + 2j, 3.0, 4.0])),
+    "Sample string": lambda: Sample("abc"),
+    "Sample dict": lambda: Sample({"a": 1}),
+    "uniformity_test": lambda: uniformity_test([1, "x"], "ks", replications=1000),
+    "competitor_statistic": lambda: competitor_statistic("ks", [0.5, 1j]),
+}
+
+
+@pytest.mark.parametrize("call", REAL_ENTRIES.values(), ids=REAL_ENTRIES)
+def test_samples_must_hold_real_numbers(call):
+    """What numpy cannot read as real floats is the one input check's
+    DomainError, not numpy's ValueError or TypeError, and a complex value is
+    not cast to its real part."""
+    with pytest.raises(DomainError, match=f"^{REAL}$"):
         call()
 
 
