@@ -39,8 +39,11 @@ parses every ``--estimator`` before it reads the data file, so a malformed
 spec fails first. It then prepares its sample once (validated, sorted and
 squared in the array the file was read into, with no :class:`Sample` copy)
 and passes that one prepared batch to every estimator and variance
-companion it runs; an error in one spec names the spec's ``--estimator``
-text. A variance estimate that leaves the float range costs its line the
+companion it runs. The L-statistic estimates run first, since the first
+spacing estimate turns the squares into spacings in place; the lines, and
+the first error reported, keep the command line's order, and an error in
+one spec names the spec's ``--estimator`` text. A variance estimate that
+leaves the float range costs its line the
 interval, not the run. ``--threads`` (default: the CPUs this process may
 use) is declared once, in ``_add_common``, and goes to the library as
 given; the library's pool checks it after the specs and sizes and before
@@ -207,24 +210,41 @@ def cmd_estimate(args) -> int:
     values = _read_values(args.data[0])
     values.sort()
     x = _SortedSquares(_check_sorted(values))
+    # The L-statistics weigh the squares, which the first spacing estimate or
+    # variance turns into spacings in place, so their estimates come first;
+    # the lines, and the first error, keep the command line's order.
+    first = {}
+    for i, spec in enumerate(specs):
+        if spec.kind is EstimatorKind.LSTAT:
+            try:
+                first[i] = estimate(spec, x)
+            except (DomainError, NumericError) as exc:
+                first[i] = exc
     lines = []
-    for text, spec in zip(args.estimators, specs):
+    for i, (text, spec) in enumerate(zip(args.estimators, specs)):
         try:
-            lines.append(_estimate_line(spec, x))
+            lines.append(_estimate_line(spec, x, first.get(i)))
         except (DomainError, NumericError) as exc:
             raise type(exc)(f"{text}: {exc}") from None
     _write_rows(args, lines)
     return 0
 
 
-def _estimate_line(spec, x) -> str:
-    """The printed line of ``spec`` on the prepared sample ``x``."""
-    n = x.s2.shape[-1]
+def _estimate_line(spec, x, value=None) -> str:
+    """The printed line of ``spec`` on the prepared sample ``x``.
+
+    ``value`` is the spec's estimate, or the error it raised, when it was
+    made before; otherwise it is made here.
+    """
+    if isinstance(value, Exception):
+        raise value
+    n = x.shape[-1]
     note = ""
     if spec.kind.needs_window and spec.window is None:
         spec = replace(spec, window=heuristic_window(spec.kind, n))
         note = "  (window chosen automatically)"
-    value = estimate(spec, x)
+    if value is None:
+        value = estimate(spec, x)
     line = f"{spec.label()}  estimate={value:.10g}  n={n}{note}"
     if spec.kind is EstimatorKind.LSTAT and n >= 3:
         try:

@@ -121,16 +121,30 @@ def _ret(out: np.ndarray):
 
 
 def _check_u(u) -> np.ndarray:
-    """Validate quantile arguments: u in [0, 1).
+    """Validate quantile arguments, u in [0, 1), into a new float array.
 
     Zero is allowed (uniform generators draw from [0, 1) and every bundled
     quantile extends continuously to 0); one is not, since several supports
     are unbounded.
     """
-    v = np.asarray(u, dtype=float)
+    v = np.array(u, dtype=float)
     # NaN fails both comparisons, so it is rejected too.
     if v.size and not (v.min() >= 0.0 and v.max() < 1.0):
         raise DomainError("quantile argument must lie in [0, 1)")
+    return v
+
+
+def _power(v: np.ndarray, exponent: float) -> np.ndarray:
+    """``v **= exponent`` in place; a 0-d ``v`` takes numpy's scalar pow (libm's).
+
+    An out-of-place expression turns a 0-d argument into a numpy scalar at
+    its first step, so its pow is the scalar one; the in-place formulas keep
+    those bits.
+    """
+    if v.ndim:
+        v **= exponent
+    else:
+        v[()] = v[()] ** exponent
     return v
 
 
@@ -159,8 +173,20 @@ class Model(ABC):
         ...
 
     @abstractmethod
+    def _transform(self, v: np.ndarray) -> np.ndarray:
+        """The quantile formula, mapping the owned float array ``v`` of [0, 1) values in place.
+
+        Returns ``v``. A caller that drew ``v`` from a uniform generator
+        passes it without the checks of :meth:`quantile`.
+        """
+
     def quantile(self, u):
-        ...
+        """The quantile function at ``u`` in [0, 1), which is never modified.
+
+        ``u`` is checked and copied, and the family's one in-place formula
+        (:meth:`_transform`) maps the copy; a 0-d argument gives a float.
+        """
+        return _ret(self._transform(_check_u(u)))
 
     @abstractmethod
     def quantile_slope(self, u):
@@ -179,7 +205,7 @@ class Model(ABC):
 
     def sample(self, n: int, stream: np.random.Generator):
         """Draw ``n`` observations by inverse-cdf transform of ``stream``."""
-        return self.quantile(stream.random(_check_size(n, 1)))
+        return self._transform(stream.random(_check_size(n, 1)))
 
     # Hooks of the measure evaluators, at order ``a`` (1.0 for the WCRE): the
     # parametric families give their closed form, and a family whose measure
@@ -204,8 +230,9 @@ class Uniform(Model):
         arr = np.asarray(x, dtype=float)
         return _ret(np.clip(arr / self.theta, 0.0, 1.0))
 
-    def quantile(self, u):
-        return _ret(_check_u(u) * self.theta)
+    def _transform(self, v):
+        v *= self.theta
+        return v
 
     def quantile_slope(self, u):
         v = _check_u(u)
@@ -230,9 +257,13 @@ class Exponential(Model):
         arr = np.asarray(x, dtype=float)
         return _ret(np.exp(-self.rate * np.maximum(arr, 0.0)))
 
-    def quantile(self, u):
-        v = _check_u(u)
-        return _ret(-np.log1p(-v) / self.rate)
+    def _transform(self, v):
+        # -log1p(-v) / rate
+        np.negative(v, out=v)
+        np.log1p(v, out=v)
+        np.negative(v, out=v)
+        v /= self.rate
+        return v
 
     def quantile_slope(self, u):
         v = _check_u(u)
@@ -260,9 +291,14 @@ class Rayleigh(Model):
         z = np.maximum(arr, 0.0) / self.sigma
         return _ret(np.exp(-0.5 * z * z))
 
-    def quantile(self, u):
-        v = _check_u(u)
-        return _ret(self.sigma * np.sqrt(-2.0 * np.log1p(-v)))
+    def _transform(self, v):
+        # sigma * sqrt(-2 log1p(-v))
+        np.negative(v, out=v)
+        np.log1p(v, out=v)
+        v *= -2.0
+        np.sqrt(v, out=v)
+        v *= self.sigma
+        return v
 
     def quantile_slope(self, u):
         v = _check_u(u)
@@ -296,9 +332,12 @@ class ParetoOne(Model):
         ratio = self.scale / np.maximum(arr, self.scale)
         return _ret(ratio**self.shape)
 
-    def quantile(self, u):
-        v = _check_u(u)
-        return _ret(self.scale * (1.0 - v) ** (-1.0 / self.shape))
+    def _transform(self, v):
+        # scale * (1 - v)**(-1/shape)
+        np.subtract(1.0, v, out=v)
+        _power(v, -1.0 / self.shape)
+        v *= self.scale
+        return v
 
     def quantile_slope(self, u):
         v = _check_u(u)
@@ -336,9 +375,14 @@ class Weibull(Model):
         z = self.rate * np.maximum(arr, 0.0)
         return _ret(np.exp(-(z**self.shape)))
 
-    def quantile(self, u):
-        v = _check_u(u)
-        return _ret((-np.log1p(-v)) ** (1.0 / self.shape) / self.rate)
+    def _transform(self, v):
+        # (-log1p(-v))**(1/shape) / rate
+        np.negative(v, out=v)
+        np.log1p(v, out=v)
+        np.negative(v, out=v)
+        _power(v, 1.0 / self.shape)
+        v /= self.rate
+        return v
 
     def quantile_slope(self, u):
         v = _check_u(u)
@@ -408,29 +452,32 @@ class StephensAlternative(Model):
             )
         return _ret(out)
 
-    def quantile(self, u):
-        v = _check_u(u)
+    def _transform(self, v):
         j = self.j
         c = 2.0 ** (j - 1.0)
         if self.family == "A":
-            return _ret(1.0 - (1.0 - v) ** (1.0 / j))
+            # 1 - (1 - v)**(1/j)
+            np.subtract(1.0, v, out=v)
+            _power(v, 1.0 / j)
+            np.subtract(1.0, v, out=v)
+            return v
         # Both halves in one pass: r = (w / c)**(1/j) with w the distance to
         # the nearer end (B) or to the center (C), signed toward the half of v;
         # B then gives r below one half and 1 - r above, C gives 0.5 +- r. One
-        # half itself takes the lower branch: its sign is +0 and r is 0. Arrays
-        # are updated in place; a 0-d argument becomes a numpy scalar at the
-        # first step, so its pow stays libm's, as in the two-branch form.
+        # half itself takes the lower branch: its sign is +0 and r is 0.
         if self.family == "B":
+            offset = v > 0.5  # one above one half
             sign = 0.5 - v
-            w = np.minimum(v, 1.0 - v)
+            np.minimum(v, 1.0 - v, out=v)
         else:
+            offset = 0.5
             sign = v - 0.5
-            w = np.abs(sign)
-        w /= c
-        w **= 1.0 / j
-        w = np.copysign(w, sign)
-        w += (v > 0.5) if self.family == "B" else 0.5
-        return _ret(w)
+            np.abs(sign, out=v)
+        v /= c
+        _power(v, 1.0 / j)
+        np.copysign(v, sign, out=v)
+        v += offset
+        return v
 
     def quantile_slope(self, u):
         raise DomainError(

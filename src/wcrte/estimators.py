@@ -29,10 +29,12 @@ cumulative sum. No spacing coefficient is negative, so tied samples give
 exactly 0 and no spacing estimate is negative.
 
 A batch is thus validated, sorted and squared once, and each estimator is
-one contraction with its O(n) coefficient row. :func:`_build_coefficients`
-is the one maker of coefficient rows, and the caller that knows its
-workload builds them once; the prepared batch (:class:`_SortedSquares`) is
-data only and contracts the rows it is handed. Every spacing kind of one
+one contraction with its O(n) coefficient row. The batch holds one buffer:
+the first contraction that weighs spacings turns the squares into their
+spacings in place, so the rows that weigh ``s2`` go first.
+:func:`_build_coefficients` is the one maker of coefficient rows, and the
+caller that knows its workload builds them once; the prepared batch
+(:class:`_SortedSquares`) is data only and contracts the rows it is handed. Every spacing kind of one
 order weighs the same tail weights (``1 - i/n``, then ``log`` or ``pow``),
 built once per (order, n) and shared through a ``tails`` dict that holds
 one (order, n) at a time.
@@ -41,23 +43,25 @@ one (order, n) at a time.
   keep the last order's weights for the next call on that batch, and
   contracts it by ``np.einsum``; ``wcrte estimate`` prepares its sample
   once, in the array the file was read into, and passes that batch to every
-  estimator and variance companion it runs. An L-statistic row is built in
-  the buffer of its plotting positions, and the companion runs in two
-  (n - 1)-length buffers, so at most five n-length vectors are live at a
-  time, the batch's two included, beside blocks of ``_HEAD_BLOCK`` entries.
+  estimator and variance companion it runs, its L-statistic estimates
+  first. An L-statistic row is built in the buffer of its plotting
+  positions, and the companion runs in two (n - 1)-length buffers, so at
+  most four n-length vectors are live at a time, the batch's one included,
+  beside blocks of ``_HEAD_BLOCK`` or ``_SPACING_BLOCK`` entries.
 * A Monte Carlo study builds every row before its workers start
   (:func:`_coefficient_rows`, keyed by ``(EstimatorSpec, n)``): one matrix
   per (kind, order, plotting position, n), one row per window. Each block
-  contracts its rows in chunks of W = 16, one BLAS product ``tile @ C.T`` per
-  tile of rows, lanes along the product's columns.
+  contracts its rows in chunks of W = 16 (:func:`_chunks`, the L-statistic
+  chunks first), one BLAS product ``tile @ C.T`` per tile of rows, lanes
+  along the product's columns.
 * A uniformity-test scorer (:mod:`wcrte.gof`) builds the rows of its
   entropy-band tests once per call, before its first tile, and contracts
   them by ``np.einsum`` as a standalone call does.
-The harness then reduces a whole chunk at once: it finishes the (lanes, R)
-product with the one scaling rule and the one finiteness rule of
-:meth:`_SortedSquares.finish`, forms the errors in the product itself, and
-takes every lane's moments by row reductions along axis 1, which give the
-bits of a 1-D reduction of each row.
+The harness then reduces a whole chunk at once: it undoes the scaling of
+the (lanes, R) product with :meth:`_SortedSquares.unscale`, forms the errors
+in the product itself, and takes every lane's moments by row reductions
+along axis 1, which give the bits of a 1-D reduction of each row; a bias or
+mse out of the float range is its one finiteness check.
 The harness promises that adding cells or threads never moves a cell, and
 BLAS may round differently with the shape, so every chunk product has the
 same shape. Each rule below was measured with OpenBLAS 0.3.31 (Haswell
@@ -71,7 +75,7 @@ kernels):
 * a tile holds at most 262 144 / (W * K) rows, so OpenBLAS runs it on the
   calling thread, whatever its thread count;
 * a block computes one chunk at a time and releases it before the next
-  product is allocated, so it holds its prepared batch and one chunk.
+  product is allocated, so it holds its one R x n buffer and one chunk.
 """
 
 from __future__ import annotations
@@ -150,65 +154,83 @@ _CHUNK_WIDTH = 16
 _TILE_MACS = 262_144
 #: Entries of i/n the variance companion makes at a time (16 KiB).
 _HEAD_BLOCK = 2048
+#: Spacings a batch makes over its squares at a time (256 KiB).
+_SPACING_BLOCK = 32768
 
 
 def _chunks(specs) -> list[list[EstimatorSpec]]:
     """The distinct ``specs`` in chunks of at most W that weigh one row kind.
 
     Spacing specs and L-statistic specs fill separate chunks, each in order
-    of first appearance; a repeated spec keeps its first lane.
+    of first appearance; a repeated spec keeps its first lane. The
+    L-statistic chunks come first: they weigh the squares, which the first
+    spacing chunk turns into spacings (see :class:`_SortedSquares`).
     """
-    chunks: list[list[EstimatorSpec]] = []
-    open_chunks: dict[bool, list[EstimatorSpec]] = {}
+    chunks: dict[bool, list[list[EstimatorSpec]]] = {True: [], False: []}
     for spec in dict.fromkeys(specs):
-        lstat = spec.kind is EstimatorKind.LSTAT
-        chunk = open_chunks.get(lstat)
-        if chunk is None or len(chunk) == _CHUNK_WIDTH:
-            chunk = open_chunks[lstat] = []
-            chunks.append(chunk)
-        chunk.append(spec)
-    return chunks
+        group = chunks[spec.kind is EstimatorKind.LSTAT]
+        if not group or len(group[-1]) == _CHUNK_WIDTH:
+            group.append([])
+        group[-1].append(spec)
+    return chunks[True] + chunks[False]
 
 
 class _SortedSquares:
-    """Sorted squares ``s2`` of validated samples and their spacings ``d``.
+    """Sorted squares ``s2`` of validated samples, or, once read, their spacings ``d``.
 
     The batch is data only: it builds no coefficients. :meth:`contract` and
     :meth:`chunk` take the coefficient rows the caller built with
     :func:`_build_coefficients`; a row of n entries weighs ``s2``, one of
     n - 1 entries weighs ``d``. A batch whose largest value reaches 2**511 is
-    stored as the squares of ``x * 2**-shift``; :meth:`finish` scales results
-    back exactly. ``tails`` keeps the tail weights of one order at a time
-    for the callers that build rows for this batch alone (see
-    :func:`_tail_weights`). ``srt`` is one sorted sample (1-D) or a batch of
-    them (2-D), and ``s2`` and ``d`` keep its shape. The scaling and the
-    squares are taken in ``srt`` itself unless it is read-only, so a caller
-    hands over a writeable array it no longer reads as sorted values. ``d``
-    is a view, the first n - 1 columns of a buffer shaped like ``s2`` and
-    filled by one subtraction over the flattened squares; its values are
-    those of ``np.diff(s2)``.
+    stored as the squares of ``x * 2**-shift``; :meth:`unscale` and
+    :meth:`finish` scale results back exactly. ``tails`` keeps the tail
+    weights of one order at a time for the callers that build rows for this
+    batch alone (see :func:`_tail_weights`). ``srt`` is one sorted sample
+    (1-D) or a batch of them (2-D), and ``shape`` is its shape. The scaling
+    and the squares are taken in ``srt`` itself unless it is read-only or
+    not contiguous, so a caller hands over an array it no longer reads as
+    sorted values.
+
+    The batch holds one buffer. The first read of ``d`` turns the squares
+    into their spacings in it, in place, and ``s2`` is gone after that
+    (reading it is an internal error), so a caller contracts every row that
+    weighs ``s2`` first. ``d`` is a view, the first n - 1 columns of the
+    buffer; its values are those of ``np.diff(s2)``.
     """
 
-    __slots__ = ("s2", "d", "shift", "tails")
+    __slots__ = ("s2", "d", "shape", "shift", "tails")
 
     def __init__(self, srt: np.ndarray) -> None:
         top = float(srt[..., -1].max())
         self.shift = math.frexp(top)[1] if top >= _SQUARE_LIMIT else 0
+        own = srt.flags.writeable and srt.flags.c_contiguous
         if self.shift:
-            srt = np.ldexp(srt, -self.shift, out=srt if srt.flags.writeable else None)
-        self.s2 = np.multiply(srt, srt, out=srt if srt.flags.writeable else None)
-        # One subtraction over the flattened rows (np.diff would run one
-        # short loop per row); each row's last entry spans two rows and is
-        # left out of the view.
-        flat = self.s2.reshape(-1)
-        spacings = np.empty(self.s2.shape)
-        np.subtract(flat[1:], flat[:-1], out=spacings.reshape(-1)[:-1])
-        self.d = spacings[..., :-1]
+            srt = np.ldexp(srt, -self.shift, out=srt if own else None)
+            own = True
+        self.s2 = np.multiply(srt, srt, out=srt if own else None)
+        self.shape = srt.shape
         self.tails = {}
+
+    def __getattr__(self, name: str):
+        """``d`` on its first read, made over ``s2``; only an unset slot comes here."""
+        if name != "d":
+            raise AttributeError(f"{type(self).__name__} has no {name!r}"
+                                 + (" once its spacings are read" if name == "s2" else ""))
+        # One subtraction over the flattened rows (np.diff would run one short
+        # loop per row), a block at a time: each spacing is written over the
+        # square it subtracts, and numpy copies the block of next squares it
+        # reads. Each row's last entry spans two rows and is left out of the view.
+        flat = self.s2.reshape(-1)
+        for lo in range(0, flat.size - 1, _SPACING_BLOCK):
+            hi = min(lo + _SPACING_BLOCK, flat.size - 1)
+            np.subtract(flat[lo + 1 : hi + 1], flat[lo:hi], out=flat[lo:hi])
+        self.d = self.s2[..., :-1]
+        del self.s2
+        return self.d
 
     def _weighed(self, coef: np.ndarray) -> np.ndarray:
         """What ``coef`` weighs, as rows: ``s2`` for n entries, the spacings ``d`` for n - 1."""
-        return np.atleast_2d(self.s2 if coef.shape[-1] == self.s2.shape[-1] else self.d)
+        return np.atleast_2d(self.s2 if coef.shape[-1] == self.shape[-1] else self.d)
 
     def contract(self, coefs) -> np.ndarray:
         """Rows of (len(coefs), R), row ``j`` contracted with ``coefs[j]``, before :meth:`finish`.
@@ -216,13 +238,13 @@ class _SortedSquares:
         Each row is its own ``einsum`` written in place, so a coefficient row
         gives the same bits alone or among others.
         """
-        out = np.empty((len(coefs), np.atleast_2d(self.s2).shape[0]))
+        out = np.empty((len(coefs), math.prod(self.shape[:-1])))
         for row, coef in zip(out, coefs):
             np.einsum("ij,j->i", self._weighed(coef), coef, out=row)
         return out
 
     def chunk(self, coefs) -> np.ndarray:
-        """Rows of (len(coefs), R) for one chunk (see :func:`_chunks`), before :meth:`finish`.
+        """Rows of (len(coefs), R) for one chunk (see :func:`_chunks`), before :meth:`unscale`.
 
         Lane ``j`` is contracted with ``coefs[j]``; all of them weigh one row
         kind. Each tile of rows is one product ``tile @ C.T`` of fixed shape,
@@ -238,17 +260,25 @@ class _SortedSquares:
             out[:, lo : lo + step] = (rows[lo : lo + step] @ coef.T).T
         return out[: len(coefs)]
 
-    def finish(self, out: np.ndarray, power: int = 1):
-        """Undo the scaling of a result of degree ``power`` in ``s2``, in place.
+    def unscale(self, out: np.ndarray, power: int = 1) -> np.ndarray:
+        """Undo the scaling of ``out``, a result of degree ``power`` in ``s2``, in place.
 
-        ``out`` is one estimator's vector or a chunk's rows, each row checked
-        on its own: an estimate that leaves the float range raises. A result
-        of degree 2 is a variance estimate, and the message says so. The
-        result of a 1-D sample is returned as a float.
+        A value scaled back past the float range becomes inf, for the
+        caller's finiteness check. Returns ``out``.
         """
         if self.shift:
-            with np.errstate(over="ignore"):  # reported below
+            with np.errstate(over="ignore"):
                 np.ldexp(out, 2 * power * self.shift, out=out)
+        return out
+
+    def finish(self, out: np.ndarray, power: int = 1):
+        """:meth:`unscale` ``out``, then check it: one estimator's vector or a chunk's rows.
+
+        Each row is checked on its own: an estimate that leaves the float
+        range raises. A result of degree 2 is a variance estimate, and the
+        message says so. The result of a 1-D sample is returned as a float.
+        """
+        self.unscale(out, power)
         # A finite row sum proves every entry of the row finite; only a sum
         # that is not finite (an entry that is not, or an overflow) needs the scan.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -256,7 +286,7 @@ class _SortedSquares:
         if not np.isfinite(total).all() and not np.isfinite(out).all():
             what = "variance estimate" if power == 2 else "estimate"
             raise NumericError(f"the {what} is not finite: it leaves the float range")
-        return float(out[0]) if self.s2.ndim == 1 else out
+        return float(out[0]) if len(self.shape) == 1 else out
 
 
 def _prepare(x) -> _SortedSquares:
@@ -481,7 +511,7 @@ def _evaluate(spec: EstimatorSpec, x):
     """``spec`` on ``x``; every public estimator ends here."""
     _warn_order(spec, stacklevel=3)
     sq = _prepare(x)
-    n = sq.s2.shape[-1]
+    n = sq.shape[-1]
     coef = _build_coefficients(spec.kind, spec.order, (spec.window,), spec.plotting, n, sq.tails)
     return sq.finish(sq.contract(coef)[0])
 
@@ -537,7 +567,7 @@ def _lstat_variance(x, order):
     and the cumulative sum and the pair product follow in place.
     """
     sq = _prepare(x)
-    n = _check_size(sq.s2.shape[-1], 3)
+    n = _check_size(sq.shape[-1], 3)
     tail = np.arange(1, n, dtype=float)
     tail /= n  # i/n for the spacing index i = 1..n-1
     np.subtract(1.0, tail, out=tail)

@@ -33,9 +33,9 @@ window lives in the test alone. A batch is drawn and scored in tiles of rows
 (``_score``): the coefficient row of each entropy-band test is built once
 per call, before the first tile (``_band_rows``, through
 :func:`wcrte.estimators._coefficient_rows`); then each tile is drawn, mapped
-through the alternative's quantile if any, sorted, scored by every
-competitor, then squared in place if an entropy-band test reads it, and
-only each test's vector of statistics spans the whole batch. The
+in place by the alternative's quantile formula if any, sorted, scored by
+every competitor, then squared in place if an entropy-band test reads it,
+and only each test's vector of statistics spans the whole batch. The
 entropy-band tests of a tile are scored in one pass (``_score_rows``): each
 is its own contraction of the tile's spacings with its row, written into
 one row of a (tests, rows) array, and one ``finish`` checks them all; that
@@ -416,21 +416,21 @@ def _score_rows(rows: np.ndarray, tests, band_rows) -> np.ndarray:
     return out
 
 
-def _score(stream, n: int, replications: int, tests, quantile=None) -> np.ndarray:
+def _score(stream, n: int, replications: int, tests, transform=None) -> np.ndarray:
     """Statistics of a (replications, n) batch of ``stream``: row k for ``tests[k]``.
 
     The band rows are built once, before the first tile. Each tile of draws
-    is mapped through ``quantile`` (an alternative's; None keeps the uniform
-    null), sorted and scored; the tile is this call's own, so it is squared
-    in place. Draws, transforms, sorts and row statistics act row by row, so
-    tiles give the bits of one whole batch.
+    is mapped by ``transform`` (an alternative's in-place quantile formula;
+    None keeps the uniform null), sorted and scored; the tile is this call's
+    own, so it is mapped and squared in place. Draws, transforms, sorts and row statistics act row by
+    row, so tiles give the bits of one whole batch.
     """
     out = np.empty((len(tests), replications))
     band_rows = _band_rows(tests, n)
     for lo, hi in _tiles(replications, n):
         rows = stream.random((hi - lo, n))
-        if quantile is not None:
-            rows = quantile(rows)
+        if transform is not None:
+            rows = transform(rows)
         rows.sort(axis=1)
         out[:, lo:hi] = _score_rows(rows, tests, band_rows)
     return out
@@ -739,7 +739,7 @@ def _power_cells(alternatives, sizes, tests, gamma, replications, seed, threads)
             return []
         n, scored = grids[j]
         model = alternatives[ai]
-        stats = _score(gof_alternative_stream(seed, n, ai), n, reps, scored, model.quantile)
+        stats = _score(gof_alternative_stream(seed, n, ai), n, reps, scored, model._transform)
         return [
             PowerCell(
                 alternative=model.spec_string(),

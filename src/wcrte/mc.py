@@ -247,14 +247,15 @@ _SCALED_FROM = 2.0**500
 
 
 def _chunk_moments(out: np.ndarray, truths, replications: int, where: str) -> list[tuple]:
-    """(bias, mse, mse_se) of each row of a finished chunk of estimates.
+    """(bias, mse, mse_se) of each row of an unscaled chunk of estimates.
 
     The error, its square and the square's deviation are formed in ``out``
     itself, and each moment is one row reduction along axis 1: for every
     row, the bits of ``ndarray.mean`` and ``ndarray.std`` of that row alone.
     A lane whose squared deviations overflow gets its mse_se from the
-    deviations scaled by an exact power of two; a bias or mse that leaves
-    the float range raises NumericError, naming ``where``.
+    deviations scaled by an exact power of two; a bias or mse that is not
+    finite (an estimate out of the float range makes it so) raises
+    NumericError, naming ``where``: the one finiteness check of a chunk.
     """
     r = replications
     with np.errstate(over="ignore", invalid="ignore"):
@@ -282,10 +283,13 @@ def _run_block(block: _BlockPlan, replications: int, seed: int, rows: dict) -> l
     if not block.specs:
         return []
     stream = mc_stream(seed, block.model_index, block.n)
-    xs = block.model.quantile(stream.random((replications, block.n)))
-    # One validation, sort and squaring for the whole block, in the drawn
-    # array itself; the cells' coefficient rows (from ``rows``) are then
-    # contracted with it and reduced one chunk at a time.
+    # The block lives in one R x n buffer from the draw to the moments: the
+    # draws (already in [0, 1)) are mapped through the model's quantile
+    # formula, sorted, validated and squared in place, and the first spacing
+    # chunk turns the squares into spacings in place, so the L-statistic
+    # chunks go first. The cells' coefficient rows (from ``rows``) are
+    # contracted and reduced one chunk at a time.
+    xs = block.model._transform(stream.random((replications, block.n)))
     xs.sort(axis=1)
     squares = est._SortedSquares(_check_sorted(xs))
     truths = {cell.estimator: cell.truth for cell in block.specs}
@@ -293,7 +297,7 @@ def _run_block(block: _BlockPlan, replications: int, seed: int, rows: dict) -> l
     where = f"{model} at n={block.n}"
     moments = {}
     for chunk in est._chunks(truths):
-        out = squares.finish(squares.chunk([rows[(spec, block.n)] for spec in chunk]))
+        out = squares.unscale(squares.chunk([rows[(spec, block.n)] for spec in chunk]))
         truth = [truths[spec] for spec in chunk]
         moments.update(zip(chunk, _chunk_moments(out, truth, replications, where)))
         del out  # released before the next chunk's product is allocated

@@ -109,13 +109,18 @@ def _real_array(x, copy: bool = False) -> np.ndarray:
     """``x`` as a float array, a new one when ``copy``.
 
     Raises DomainError for what is not an array of real numbers: a string
-    that is not a number, a ragged nesting, a complex value (which numpy
-    would cast to its real part).
+    or bytes value (which numpy would parse), a ragged nesting, a complex
+    value (which numpy would cast to its real part). A number too large to
+    convert, such as the integer ``10**400``, is a non-finite value, as
+    ``1e400`` is.
     """
     try:
         arr = np.asarray(x)
-        if arr.dtype.kind != "c":
+        if arr.dtype.kind not in "cSU" and not (
+                arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)):
             return arr.astype(float, copy=copy)
+    except OverflowError:
+        raise DomainError("sample contains non-finite values") from None
     except (TypeError, ValueError):
         pass
     raise DomainError("sample values must be real numbers")

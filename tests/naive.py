@@ -7,9 +7,9 @@ fast implementations compute the right quantity.
 
 The last section is different: it keeps the earlier whole-batch numpy forms
 of the four competitor statistics and of the two-branch alternative quantile
-verbatim, and the earlier study-cell reduction, coefficient builder and
-per-test tile scorer, so that the leaner kernels can be held to their exact
-bits.
+verbatim, the earlier out-of-place quantile formula of every family, and the
+earlier study-cell reduction, coefficient builder and per-test tile scorer,
+so that the leaner kernels can be held to their exact bits.
 """
 
 import math
@@ -290,6 +290,44 @@ def stephens_quantile(family, j, u):
             0.5 - (np.maximum(0.5 - v, 0.0) / c) ** (1.0 / j),
             0.5 + (np.maximum(v - 0.5, 0.0) / c) ** (1.0 / j),
         )
+    return out.item() if out.ndim == 0 else out
+
+
+def quantile(model, u):
+    """The earlier out-of-place quantile formula of ``model``'s family at ``u``.
+
+    Families B and C keep the earlier one-pass form, whose bits equal
+    :func:`stephens_quantile`. A 0-d ``u`` becomes a numpy scalar at the
+    first step, so its pow is numpy's scalar one.
+    """
+    name = type(model).__name__
+    v = np.asarray(u, dtype=float)
+    if name == "Uniform":
+        out = v * model.theta
+    elif name == "Exponential":
+        out = -np.log1p(-v) / model.rate
+    elif name == "Rayleigh":
+        out = model.sigma * np.sqrt(-2.0 * np.log1p(-v))
+    elif name == "ParetoOne":
+        out = model.scale * (1.0 - v) ** (-1.0 / model.shape)
+    elif name == "Weibull":
+        out = (-np.log1p(-v)) ** (1.0 / model.shape) / model.rate
+    elif model.family == "A":
+        out = 1.0 - (1.0 - v) ** (1.0 / model.j)
+    else:
+        j = model.j
+        c = 2.0 ** (j - 1.0)
+        if model.family == "B":
+            sign = 0.5 - v
+            w = np.minimum(v, 1.0 - v)
+        else:
+            sign = v - 0.5
+            w = np.abs(sign)
+        w /= c
+        w **= 1.0 / j
+        w = np.copysign(w, sign)
+        w += (v > 0.5) if model.family == "B" else 0.5
+        out = w
     return out.item() if out.ndim == 0 else out
 
 

@@ -247,11 +247,11 @@ def test_estimate_prints_the_bits_of_standalone_calls(tmp_path, capsys, n, top):
         assert out == "".join(_standalone_line(text, x) for text in TEN_SPECS)
 
 
-def test_estimate_holds_at_most_four_and_a_half_vectors_beside_its_array(monkeypatch, capsys):
+def test_estimate_holds_at_most_three_and_a_half_vectors_beside_its_array(monkeypatch, capsys):
     """At n = 200 000 the ten specs run beside the array the file was read
-    into, which is sorted and squared in place, within 4.5 more n-length
-    vectors: the spacings, one order's tail weights, and a coefficient row
-    or the variance companion's two buffers."""
+    into, which is sorted, squared and turned into spacings in place, within
+    3.5 more n-length vectors: one order's tail weights, and a coefficient
+    row being built or the variance companion's two buffers."""
     n = 200_000
     values = [Exponential(1.0).quantile(derive_stream(19, n).random(n))]
     monkeypatch.setattr(cli, "_read_values", lambda path: values.pop())
@@ -266,7 +266,25 @@ def test_estimate_holds_at_most_four_and_a_half_vectors_beside_its_array(monkeyp
         tracemalloc.stop()
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == len(TEN_SPECS)
-    assert peak <= 4.5 * 8 * n, peak / (8 * n)
+    assert peak <= 3.5 * 8 * n, peak / (8 * n)
+
+
+@pytest.mark.parametrize("texts, failing", [
+    (["wcrte:e,alpha=2", "wcre:v", "wcre:l"], "wcre:v"),
+    (["wcrte:l,alpha=2", "wcre:l", "wcre:v"], "wcre:l"),
+])
+def test_estimate_reports_the_first_failing_spec_in_command_line_order(
+        tmp_path, capsys, texts, failing):
+    """The L-statistic estimates run before the spacing ones, but the error
+    reported is that of the first failing spec on the command line."""
+    x = Exponential(1.0).quantile(derive_stream(17, 50).random(50)) * 2.0**512
+    path = tmp_path / "huge.txt"
+    path.write_text("".join(f"{float(v)!r}\n" for v in x))
+    code, out, err = run_cli(
+        ["estimate", "--data", str(path), *(a for t in texts for a in ("--estimator", t))], capsys
+    )
+    assert (code, out) == (4, "")
+    assert err == f"error: {failing}: the estimate is not finite: it leaves the float range\n"
 
 
 def test_a_variance_out_of_float_range_drops_only_its_interval(tmp_path, capsys):

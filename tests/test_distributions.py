@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import naive
 from test_cli import run_cli
 from wcrte import (
     DivergenceError,
@@ -203,6 +204,40 @@ def test_quantile_slope_matches_finite_differences():
     for model in (Uniform(2.0), Exponential(1.5), Rayleigh(0.8), Weibull(1.0, 2.0)):
         approx = (model.quantile(u + h) - model.quantile(u - h)) / (2.0 * h)
         assert np.allclose(model.quantile_slope(u), approx, rtol=1e-5)
+
+
+#: One model per family and shape of formula, alternatives included.
+EVERY_FAMILY = (
+    Uniform(2.5), Exponential(1.7), Rayleigh(0.8), ParetoOne(1.5, 3.0), Weibull(1.3, 2.0),
+    Weibull(0.7, 1.5), StephensAlternative("A", 2.0), StephensAlternative("A", 1.5),
+    StephensAlternative("B", 1.5), StephensAlternative("B", 3.0), StephensAlternative("C", 2.0),
+    StephensAlternative("C", 1.5),
+)
+
+
+@pytest.mark.parametrize("model", EVERY_FAMILY, ids=str)
+def test_quantile_has_the_bits_of_the_out_of_place_formula(model):
+    """Each family's in-place formula gives the bits of its earlier
+    out-of-place expression (``naive.quantile``) on arrays of every layout,
+    the ends 0 and nextafter(1, 0) included, and on 0-d arguments, whose pow
+    is numpy's scalar one; the argument is never modified."""
+    ends = [0.0, np.nextafter(1.0, 0.0), 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 5e-324]
+    u = np.concatenate([np.random.default_rng(12).random(30_000), ends])
+    for arg in (u, u.reshape(-1, 6), u.reshape(-1, 6)[:, ::-1], u.reshape(6, -1).T):
+        before = arg.copy()
+        readonly = arg.copy()
+        readonly.flags.writeable = False
+        for given in (arg, readonly):
+            got = model.quantile(given)
+            assert got.shape == arg.shape
+            assert got.tobytes() == naive.quantile(model, arg).tobytes()
+        assert np.array_equal(arg, before)
+    for value in [*u[:300].tolist(), *ends]:
+        for given in (value, np.array(value)):
+            got = model.quantile(given)
+            assert isinstance(got, float)
+            assert got == naive.quantile(model, value), value
+    assert model.quantile(u[:2].tolist()).tobytes() == naive.quantile(model, u[:2]).tobytes()
 
 
 def test_quantile_domain():

@@ -41,7 +41,7 @@ from wcrte import (
     wcrte_vasicek,
 )
 from wcrte import sample as sample_module
-from wcrte.estimators import _build_coefficients, _coefficient_rows, _SortedSquares
+from wcrte.estimators import _SPACING_BLOCK, _build_coefficients, _coefficient_rows, _SortedSquares
 
 
 # --- hand-computed values -----------------------------------------------------
@@ -235,14 +235,17 @@ def test_each_contracted_row_is_the_plain_einsum_of_its_key():
         specs.append(EstimatorSpec(EstimatorKind.LSTAT, 2.0))
         if n >= 3:
             specs.append(EstimatorSpec(EstimatorKind.VASICEK, 2.0, 1))
-        squares = _SortedSquares(srt)
-        coefs = [_one_row(spec, n) for spec in specs]
-        got = squares.contract(coefs)
-        assert got.shape == (len(specs), r)
-        for row, spec, coef in zip(got, specs, coefs):
-            plain = squares.s2 if spec.kind is EstimatorKind.LSTAT else squares.d
-            want = np.einsum("ij,j->i", plain, coef)
-            assert row.tobytes() == want.tobytes(), (n, r, spec)
+        # The squares become the spacings once these are read: one batch per row kind.
+        for lstat in (True, False):
+            kind_specs = [spec for spec in specs if (spec.kind is EstimatorKind.LSTAT) == lstat]
+            squares = _SortedSquares(srt.copy())
+            coefs = [_one_row(spec, n) for spec in kind_specs]
+            got = squares.contract(coefs)
+            assert got.shape == (len(kind_specs), r)
+            for row, spec, coef in zip(got, kind_specs, coefs):
+                plain = squares.s2 if spec.kind is EstimatorKind.LSTAT else squares.d
+                want = np.einsum("ij,j->i", plain, coef)
+                assert row.tobytes() == want.tobytes(), (n, r, spec)
 
 
 def _batches():
@@ -267,6 +270,21 @@ def test_batch_spacings_equal_np_diff_of_the_squares():
             assert squares.d.shape == want.shape, srt.shape
             assert squares.d.tobytes() == want.tobytes(), (srt.shape, readonly)
             assert (squares.shift > 0) == (srt.max() >= 2.0**511)
+
+
+def test_the_spacings_replace_the_squares_in_their_buffer():
+    """A batch holds one buffer: the squares are taken in the array it is
+    given, the first read of ``d`` turns them into their spacings there,
+    across blocks of ``_SPACING_BLOCK`` values, and ``s2`` is gone after it."""
+    rows = np.sort(np.random.default_rng(44).random((1000, 40)), axis=1)
+    assert rows.size > _SPACING_BLOCK
+    want = np.diff(rows * rows)
+    squares = _SortedSquares(rows)
+    assert np.shares_memory(squares.s2, rows)
+    assert squares.d.tobytes() == want.tobytes()
+    assert np.shares_memory(squares.d, rows)
+    with pytest.raises(AttributeError, match="once its spacings are read"):
+        squares.s2
 
 
 def test_contractions_over_the_spacing_view_equal_a_contiguous_copy():

@@ -1,5 +1,6 @@
 """Monte Carlo study harness: windows, grids, shared draws, determinism."""
 
+import hashlib
 import io
 import math
 import os
@@ -330,7 +331,8 @@ def _oracle_cells(config):
     want = []
     for n in config.sample_sizes:
         rows = np.sort(model.quantile(wcrte.mc.mc_stream(config.seed, 0, n).random((r, n))), axis=1)
-        squares = est._SortedSquares(rows.copy())
+        # The squares become the spacings once these are read: one batch per row kind.
+        batches = {lstat: est._SortedSquares(rows.copy()) for lstat in (True, False)}
         for order in config.orders:
             truth = closed_wcre(model) if order is None else closed_wcrte(model, order)
             for kind in config.kinds:
@@ -338,7 +340,7 @@ def _oracle_cells(config):
                     continue
                 for window in config.windows_for(kind, n):
                     spec = EstimatorSpec(kind, order, window)
-                    lane = _chunk_of(squares, [spec], n)[0]
+                    lane = _chunk_of(batches[kind is EstimatorKind.LSTAT], [spec], n)[0]
                     # The standalone contraction agrees up to rounding.
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")  # orders below 1
@@ -362,6 +364,23 @@ def test_chunk_moments_equal_the_per_cell_reduction_bit_for_bit(r):
     for g, w in zip(got, want):
         assert g[:4] == w[:4]
         assert [v.hex() for v in g[4:]] == [v.hex() for v in w[4:]], g[:4]
+
+
+def test_sweep_cells_keep_their_recorded_bits():
+    """The bias, mse and mse_se of every cell of the four window-sweep
+    models at n = 10 and 50, orders 2 and WCRE, every kind and window,
+    R = 2000, seed 0x5EED: the SHA-256 of one line of hex values per cell,
+    recorded before each block was held in one buffer."""
+    models = ("exp:lambda=1", "uniform:theta=1", "weibull:lambda=1,p=2", "rayleigh:sigma=1")
+    config = McStudyConfig(
+        models=tuple(map(wcrte.parse_model, models)), sample_sizes=(10, 50), orders=(2.0, None),
+        kinds=ALL_KINDS, windows="sweep", replications=2000, seed=0x5EED,
+    )
+    lines = [f"{c.model},{c.n},{c.order},{c.kind.value},{c.window},"
+             f"{c.bias.hex()},{c.mse.hex()},{c.mse_se.hex()}\n" for c in run_study(config).cells]
+    assert len(lines) == 704
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "b664493ffc8867eaf37472f660f2771bb895f116221c58cbbcf6cc8030575707"
 
 
 @pytest.mark.parametrize("r", [1, 2, 301, 4000])
@@ -396,6 +415,19 @@ def test_a_study_scaled_by_a_power_of_two_scales_every_cell_exactly():
             assert getattr(b, name).hex() == math.ldexp(getattr(a, name), shift).hex(), name
     with pytest.raises(NumericError, match="uniform:theta=.* at n=10 leaves the float range"):
         cells(2.0**260)
+
+
+def test_a_study_estimate_out_of_float_range_names_its_block():
+    """Heavy-tailed draws whose squares leave the float range, under a finite
+    truth: the chunk's one finiteness check names the model and n."""
+    config = McStudyConfig(
+        models=(ParetoOne(2.0**510, 3.0),), sample_sizes=(10,), orders=(2.0, None),
+        kinds=ALL_KINDS, windows="sweep", replications=2000, seed=1,
+    )
+    assert math.isfinite(closed_wcrte(config.models[0], 2.0))
+    with pytest.raises(NumericError, match=r"^the bias or mse of a cell of pareto1:k=.*,delta=3 "
+                                           r"at n=10 leaves the float range$"):
+        run_study(config)
 
 
 @pytest.mark.parametrize(
@@ -532,7 +564,8 @@ def test_cells_do_not_depend_on_blas_or_study_threads():
 
 def test_a_block_holds_its_prepared_batch_and_one_chunk():
     """Chunks are computed on first read and dropped after their last one,
-    and the block is sorted and squared in the drawn array itself."""
+    and the block is mapped to the model, sorted, squared and turned into
+    spacings in the drawn array itself: one R x n buffer."""
     n, r = 50, 8000
     spacing_kinds = (EstimatorKind.EMPIRICAL, EstimatorKind.VASICEK,
                      EstimatorKind.EBRAHIMI, EstimatorKind.MODIFIED_N)
@@ -545,7 +578,7 @@ def test_a_block_holds_its_prepared_batch_and_one_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    prepared = 8 * r * n + 8 * r * (n - 1)  # the squares and their spacings
+    prepared = 8 * r * n  # the draws, then their squares, then their spacings
     chunk = 8 * W * r
     # Half a chunk more covers the coefficient memo, one tile and a cell's vectors.
     assert peak <= prepared + chunk + chunk // 2

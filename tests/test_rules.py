@@ -248,6 +248,9 @@ REAL_ENTRIES = {
     "Sample dict": lambda: Sample({"a": 1}),
     "uniformity_test": lambda: uniformity_test([1, "x"], "ks", replications=1000),
     "competitor_statistic": lambda: competitor_statistic("ks", [0.5, 1j]),
+    "Sample numeric strings": lambda: Sample(["1.5", "2.5"]),
+    "Sample numeric string objects": lambda: Sample(np.array(["1.5", "2.5"], dtype=object)),
+    "wcrte_empirical bytes": lambda: wcrte_empirical([b"1", b"2"], 2.0),
 }
 
 
@@ -258,6 +261,15 @@ def test_samples_must_hold_real_numbers(call):
     not cast to its real part."""
     with pytest.raises(DomainError, match=f"^{REAL}$"):
         call()
+
+
+@pytest.mark.parametrize("values", [[10**400, 1], [1e400, 1]], ids=["int", "float"])
+def test_a_number_beyond_the_float_range_is_a_non_finite_value(values):
+    """An integer too large for a float is refused as a float overflowing
+    to inf is, not with numpy's OverflowError."""
+    for call in (lambda: wcrte_empirical(values, 2), lambda: Sample(values)):
+        with pytest.raises(DomainError, match="^sample contains non-finite values$"):
+            call()
 
 
 def test_integral_floats_and_numpy_integers_are_sizes():
