@@ -5,12 +5,14 @@ estimators with asymptotic-variance companions, a seeded Monte Carlo
 bias/MSE harness, uniformity tests with simulated critical values and a
 power study, plus a comparison harness against bundled published tables.
 
-The package namespace is the union of the modules' ``__all__`` lists. It is
-built on first access (PEP 562): ``import wcrte`` loads only
-``distributions`` (with numpy, ``errors`` and ``sample``), the first public
-name looked up loads every module, and ``wcrte.gof`` or ``wcrte.cli`` loads
-only that module and what it imports. So a command of ``python -m wcrte``
-loads only the modules it runs.
+The package namespace is the union of the modules' ``__all__`` lists, read
+on each access (PEP 562). ``import wcrte`` loads only ``distributions``
+(with numpy, ``errors`` and ``sample``). A public name loads the modules in
+dependency order up to the first one that exports it, so ``parse_estimator``
+loads ``estimators`` and ``McStudyConfig`` also ``mc``; ``wcrte.gof`` or
+``wcrte.cli`` loads only that module and what it imports. ``__all__``,
+``dir(wcrte)`` and ``from wcrte import *`` load every module. So a command
+of ``python -m wcrte`` loads only the modules it runs.
 """
 
 import importlib
@@ -28,16 +30,16 @@ _MODULES = ("distributions", "errors", "sample", "estimators", "mc", "gof", "ref
 def __getattr__(name: str):
     if name in (*_MODULES, "cli"):
         return importlib.import_module(f".{name}", __name__)
-    namespace = globals()
-    if "__all__" not in namespace:
-        modules = [importlib.import_module(f".{m}", __name__) for m in _MODULES]
-        namespace.update({n: getattr(m, n) for m in modules for n in m.__all__})
-        namespace["__all__"] = ["__version__", *(n for m in modules for n in m.__all__)]
-    if name in namespace:
-        return namespace[name]
+    if name == "__all__":
+        return ["__version__", *(n for m in _MODULES for n in __getattr__(m).__all__)]
+    # Each lookup reads the defining module, so a name patched there (or
+    # wrapped by a tracer and unwrapped again) is what the package returns.
+    if not (name.startswith("__") and name.endswith("__")):
+        for module in map(__getattr__, _MODULES):
+            if name in module.__all__:
+                return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    __getattr__("__all__")
-    return sorted(globals())
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -1,4 +1,9 @@
-"""The package namespace is the union of its modules' ``__all__`` lists, and what it loads."""
+"""The package namespace is the union of its modules' ``__all__`` lists, and what it loads.
+
+A public name is read from the module that defines it on every lookup, and
+loads only the modules up to that one; ``__all__`` and ``dir`` load them
+all. The load checks run in fresh interpreters.
+"""
 
 import importlib
 import os
@@ -6,6 +11,8 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import wcrte
 
@@ -47,6 +54,51 @@ def test_names_moved_out_of_mc_still_resolve_there():
     assert wcrte.mc.DEFAULT_SEED == wcrte.distributions.DEFAULT_SEED == 0xC0FFEE
     assert {"heuristic_window", "DEFAULT_SEED"} <= set(wcrte.mc.__all__)
     assert wcrte.heuristic_window is wcrte.mc.heuristic_window
+
+
+LOAD_GUARD = """
+import sys
+import wcrte
+
+before = set(sys.modules)
+{lookup}
+loaded = {{m for m in set(sys.modules) - before if m.startswith("wcrte.")}}
+assert loaded == set(sys.argv[1:]), sorted(loaded)
+"""
+
+
+@pytest.mark.parametrize("lookup, loads", [
+    ("wcrte.parse_estimator", ["wcrte.estimators"]),
+    ("wcrte.EstimatorSpec", ["wcrte.estimators"]),
+    ("wcrte.McStudyConfig", ["wcrte.estimators", "wcrte.mc"]),
+    ("assert not hasattr(wcrte, '__wrapped__')", []),
+    ("wcrte.load_reference_tables",
+     ["wcrte.estimators", "wcrte.mc", "wcrte.gof", "wcrte.reference"]),
+], ids=["parse_estimator", "EstimatorSpec", "McStudyConfig", "dunder-probe", "everything"])
+def test_a_name_loads_only_the_modules_up_to_its_own(lookup, loads):
+    """A name loads its defining module and those before it in dependency
+    order; a dunder probe loads nothing."""
+    done = subprocess.run([sys.executable, "-c", LOAD_GUARD.format(lookup=lookup), *loads],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wcrte.no_such_name  # noqa: B018
+
+
+def test_a_name_patched_in_its_module_is_what_the_package_returns(monkeypatch):
+    original = wcrte.mc.run_study
+
+    def fake(*args, **kwargs):
+        raise AssertionError("not to be called")
+
+    monkeypatch.setattr(wcrte.mc, "run_study", fake)
+    assert wcrte.run_study is fake
+    monkeypatch.undo()
+    assert wcrte.run_study is original
 
 
 IMPORT_GUARD = """
