@@ -31,7 +31,8 @@ def __getattr__(name: str):
     if name in (*_MODULES, "cli"):
         return importlib.import_module(f".{name}", __name__)
     if name == "__all__":
-        return ["__version__", *(n for m in _MODULES for n in __getattr__(m).__all__)]
+        names = (n for m in _MODULES for n in __getattr__(m).__all__)
+        return list(dict.fromkeys(["__version__", *names]))  # mc re-exports two names
     # Each lookup reads the defining module, so a name patched there (or
     # wrapped by a tracer and unwrapped again) is what the package returns.
     if not (name.startswith("__") and name.endswith("__")):

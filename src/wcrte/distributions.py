@@ -34,6 +34,7 @@ from .sample import _check_size
 
 __all__ = [
     "WCRE_LIMIT",
+    "DEFAULT_SEED",
     "Model",
     "Uniform",
     "Exponential",

@@ -104,6 +104,7 @@ __all__ = [
     "parse_estimator",
     "parse_kind",
     "estimate",
+    "heuristic_window",
     "ebrahimi_weights",
     "clamp_order_stat",
     "max_window",

@@ -71,10 +71,13 @@ assert loaded == set(sys.argv[1:]), sorted(loaded)
     ("wcrte.parse_estimator", ["wcrte.estimators"]),
     ("wcrte.EstimatorSpec", ["wcrte.estimators"]),
     ("wcrte.McStudyConfig", ["wcrte.estimators", "wcrte.mc"]),
+    ("wcrte.heuristic_window", ["wcrte.estimators"]),
+    ("wcrte.DEFAULT_SEED", []),
     ("assert not hasattr(wcrte, '__wrapped__')", []),
     ("wcrte.load_reference_tables",
      ["wcrte.estimators", "wcrte.mc", "wcrte.gof", "wcrte.reference"]),
-], ids=["parse_estimator", "EstimatorSpec", "McStudyConfig", "dunder-probe", "everything"])
+], ids=["parse_estimator", "EstimatorSpec", "McStudyConfig", "heuristic_window", "DEFAULT_SEED",
+     "dunder-probe", "everything"])
 def test_a_name_loads_only_the_modules_up_to_its_own(lookup, loads):
     """A name loads its defining module and those before it in dependency
     order; a dunder probe loads nothing."""

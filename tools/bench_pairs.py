@@ -1,13 +1,14 @@
 """Run the benchmark on a parent tree and a changed tree in alternating pairs.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --seeds 2601-2610 \
-        --claim estimate:setup_s --out BENCH_26.json [--workloads estimate,sweep,verify] \
-        [--seconds 25]
+        --claim estimate:setup_s --out BENCH_26.json
 
-Each tree's own ``perfbench/run.py`` runs as a black box, with
-``PYTHONDONTWRITEBYTECODE=1`` so every probe compiles the package as a
-fresh checkout does. For each seed the workloads run in turn, each once per
-tree: the parent first at odd seeds, the change first at even ones. The
+Each tree's own ``perfbench/run.py`` runs as a black box, for the
+``run_seconds`` and over the workloads that the changed tree's
+``BENCHMARK.json`` declares, with ``PYTHONDONTWRITEBYTECODE=1`` so every
+probe compiles the package as a fresh checkout does. For each seed the
+workloads run in turn, each once per tree: the parent first at odd seeds,
+the change first at even ones. The
 output keeps the schema of the earlier ``BENCH_*.json`` files: ``summary``
 holds each metric's median over one side's runs, and ``claim`` the pair
 count in which the change read lower and each side's quartiles
@@ -82,21 +83,21 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="the parent commit's tree")
     parser.add_argument("--change", type=Path, required=True, help="the changed tree")
     parser.add_argument("--seeds", type=_seeds, required=True, help="FIRST-LAST, inclusive")
-    parser.add_argument("--workloads", default="estimate,sweep,verify")
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC, lower is better")
     parser.add_argument("--note", default="", help="appended to the generated note")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
 
-    runs, provenance = [], {}
+    runs, provenance, blas_threads = [], {}, {}
     for seed in args.seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for workload in workloads:
             for side in order:
-                provenance[side], result = run_once(trees[side], workload, seed, args.seconds)
+                provenance[side], result = run_once(trees[side], workload, seed, seconds)
+                blas_threads[workload] = provenance[side]["blas_threads"]
                 runs.append({"workload": workload, "seed": seed, "side": side, "result": result})
                 value = result["metrics"]["setup_s"]["value"]
                 print(f"{workload} {seed} {side}: setup_s {value:.4f}", file=sys.stderr)
@@ -104,15 +105,17 @@ def main(argv=None) -> int:
     claim_workload, metric = args.claim.split(":")
     shared = {k: v for k, v in provenance["change"].items()
               if k not in ("commit", "seed", "workload_threads")}
+    shared["blas_threads"] = ", ".join(f"{w} {t}" for w, t in blas_threads.items())
     doc = {
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0",
         "parent": provenance["parent"]["commit"],
         "claim": claim(runs, claim_workload, metric),
         "provenance": shared,
-        "note": (f"{len(args.seeds)} pairs per workload at seeds {args.seeds[0]}-{args.seeds[-1]}, "
-                 "parent first at odd seeds and change first at even seeds, the workloads "
-                 "interleaved seed by seed, each side from its own copy of the tree with "
+        "note": (f"{len(args.seeds)} pairs per workload at seeds "
+                 f"{args.seeds[0]}-{args.seeds[-1]}, parent first at odd seeds and change first "
+                 "at even seeds, the workloads interleaved seed by seed, each side from its own "
+                 "copy of the tree with "
                  "PYTHONDONTWRITEBYTECODE=1 (no bytecode cache); written by "
                  f"tools/bench_pairs.py. {args.note}").strip(),
         "summary": {w: {side: summarize(runs, w, side) for side in ("parent", "change")}
