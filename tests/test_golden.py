@@ -43,7 +43,7 @@ def _flags(flag, values):
     return [arg for value in values for arg in (flag, value)]
 
 
-#: Every case's arguments. The pooled ones also run at --threads 1, 2 and 3.
+#: The pooled commands, each run in CSV at --threads 1, 2 and 3 and in JSON at 2.
 POOLED = {
     "mse-study": ["mse-study", *_flags("--model", SWEEP_MODELS), "--n", "10,50",
                   "--alpha", "2,1", "--m", "sweep", "--reps", "500"],
@@ -53,12 +53,13 @@ POOLED = {
               *_flags("--test", TESTS), "--n", "10,20,30", "--reps", "1000"],
     "critical-values": ["critical-values", "--n", "10,50,20", "--reps", "1000"],
 }
+CV_DATA = ["critical-values", "--data", "unit.txt", *_flags("--test", TESTS), "--reps", "1000"]
+ESTIMATE = ["estimate", *_flags("--estimator", ESTIMATE_SPECS)]
 SINGLE = {
-    "critical-values-data": ["critical-values", "--data", "unit.txt", *_flags("--test", TESTS),
-                             "--reps", "1000"],
-    "estimate": ["estimate", "--data", "sample.txt", *_flags("--estimator", ESTIMATE_SPECS)],
-    "estimate-scaled": ["estimate", "--data", "scaled.txt",
-                        *_flags("--estimator", ESTIMATE_SPECS)],
+    "critical-values-data-csv": [*CV_DATA, "--format", "csv"],
+    "critical-values-data-json": [*CV_DATA, "--format", "json"],
+    "estimate": [*ESTIMATE, "--data", "sample.txt"],
+    "estimate-scaled": [*ESTIMATE, "--data", "scaled.txt"],
 }
 
 DIGESTS = {
@@ -109,19 +110,17 @@ def _blas() -> str:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         return f"{blas['name']} {blas['version']}"
-    except Exception:  # the layout of numpy's build record is not an API
+    except (KeyError, TypeError):  # the layout of numpy's build record is not an API
         return "an unknown BLAS"
 
 
-#: (test id, digest key, arguments): CSV at every thread count, JSON at one.
+#: (test id, digest key, arguments) of every run.
 CASES = [(f"{name}-{fmt}-threads{threads}", f"{name}-{fmt}",
           [*argv, "--format", fmt, "--threads", str(threads)])
          for name, argv in POOLED.items()
          for fmt, thread_counts in (("csv", (1, 2, 3)), ("json", (2,)))
          for threads in thread_counts]
-CASES += [(f"critical-values-data-{fmt}", f"critical-values-data-{fmt}",
-           [*SINGLE["critical-values-data"], "--format", fmt]) for fmt in ("csv", "json")]
-CASES += [(name, name, SINGLE[name]) for name in ("estimate", "estimate-scaled")]
+CASES += [(name, name, argv) for name, argv in SINGLE.items()]
 
 
 @pytest.fixture(scope="module")

@@ -8,13 +8,12 @@ Each tree's own ``perfbench/run.py`` runs as a black box, for the
 ``BENCHMARK.json`` declares, with ``PYTHONDONTWRITEBYTECODE=1`` so every
 probe compiles the package as a fresh checkout does. For each seed the
 workloads run in turn, each once per tree: the parent first at odd seeds,
-the change first at even ones. The
-output keeps the schema of the earlier ``BENCH_*.json`` files: ``summary``
-holds each metric's median over one side's runs, and ``claim`` the pair
-count in which the change read lower and each side's quartiles
-[Q1, median, Q3]. A claim holds when the change is lower in at least 9 of
-10 pairs and the medians differ by more than the parent's interquartile
-range; the verdict goes to stderr.
+the change first at even ones. The output keeps the schema of the earlier
+``BENCH_*.json`` files: ``summary`` holds each metric's median over one
+side's runs, and ``claim`` the pair count in which the change read lower
+and each side's quartiles [Q1, median, Q3]. A claim holds when the change
+is lower in at least 9 of 10 pairs and the medians differ by more than the
+parent's interquartile range; the verdict goes to stderr.
 """
 
 import argparse
@@ -84,9 +83,10 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="the changed tree")
     parser.add_argument("--seeds", type=_seeds, required=True, help="FIRST-LAST, inclusive")
     parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC, lower is better")
-    parser.add_argument("--note", default="", help="appended to the generated note")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("--seeds needs at least two seeds to give quartiles")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
@@ -115,9 +115,8 @@ def main(argv=None) -> int:
         "note": (f"{len(args.seeds)} pairs per workload at seeds "
                  f"{args.seeds[0]}-{args.seeds[-1]}, parent first at odd seeds and change first "
                  "at even seeds, the workloads interleaved seed by seed, each side from its own "
-                 "copy of the tree with "
-                 "PYTHONDONTWRITEBYTECODE=1 (no bytecode cache); written by "
-                 f"tools/bench_pairs.py. {args.note}").strip(),
+                 "copy of the tree with PYTHONDONTWRITEBYTECODE=1 (no bytecode cache); written "
+                 "by tools/bench_pairs.py."),
         "summary": {w: {side: summarize(runs, w, side) for side in ("parent", "change")}
                     for w in workloads},
         "runs": runs,
