@@ -48,9 +48,12 @@ interval, not the run. ``--threads`` (default: the CPUs this process may
 use) is declared once, in ``_add_common``, and goes to the library as
 given; the library's pool checks it after the specs and sizes and before
 any draw. ``critical-values --data`` runs in the calling thread and checks
-it itself. ``critical-values`` table mode and ``power`` each pass all their
-sizes to one library call, which checks every size before any draw and runs
-them on one pool.
+it itself. ``critical-values`` and ``power`` pass their flags as lists to
+the public :mod:`wcrte.gof` functions, which take one value or a list:
+table mode gives :func:`~wcrte.gof.critical_values` its sizes and orders,
+``--data`` mode :func:`~wcrte.gof.uniformity_test` its tests, and ``power``
+:func:`~wcrte.gof.power_study` its sizes, in one call each; a call over
+sizes checks every size before any draw and runs them on one pool.
 
 Model, estimator and test specifications share one grammar: a
 case-insensitive head, then after a colon an optional positional token
@@ -278,7 +281,7 @@ def cmd_mse_study(args) -> int:
 
 
 def cmd_critical_values(args) -> int:
-    from .gof import CRITICAL_COLUMNS, GOF_COLUMNS, _critical_pairs, _uniformity_results
+    from .gof import CRITICAL_COLUMNS, GOF_COLUMNS, critical_values, uniformity_test
     from .mc import _check_threads
 
     if args.data and args.n is not None:
@@ -292,27 +295,27 @@ def cmd_critical_values(args) -> int:
         if not args.tests:
             raise ParseError("single-test mode needs at least one --test")
         x = read_sample(args.data[0])
-        results = _uniformity_results(x, args.tests, args.gamma, args.replications, args.seed)
+        results = uniformity_test(x, args.tests, args.gamma, args.replications, args.seed)
         _write_rows(args, _table(GOF_COLUMNS, results), GOF_COLUMNS)
         return 0
 
     if args.n is None:
         raise ParseError("table mode needs --n (or use --data for single-test mode)")
-    pairs = _critical_pairs(args.n, args.alpha, args.gamma, args.replications, args.seed,
+    pairs = critical_values(args.n, args.alpha, args.gamma, args.replications, args.seed,
                             args.threads)
     _write_rows(args, _table(CRITICAL_COLUMNS, pairs, args.seed), CRITICAL_COLUMNS)
     return 0
 
 
 def cmd_power(args) -> int:
-    from .gof import POWER_COLUMNS, _power_cells
+    from .gof import POWER_COLUMNS, power_study
 
     if not args.alternatives:
         raise ParseError("power needs at least one --alternative")
     if not args.tests:
         raise ParseError("power needs at least one --test")
-    cells = _power_cells(args.alternatives, args.n, args.tests, args.gamma, args.replications,
-                         args.seed, args.threads)
+    cells = power_study(args.alternatives, args.n, args.tests, args.gamma, args.replications,
+                        args.seed, args.threads)
     _write_rows(args, _table(POWER_COLUMNS, cells, args.seed), POWER_COLUMNS)
     return 0
 

@@ -12,20 +12,23 @@ and a spacing-entropy test (rejects for small values). Their critical
 values are simulated under the null with the same draws and replication
 budget as the entropy tests, so the power columns are size-matched.
 
-Null draws are keyed by (seed, n) only: a critical pair computed standalone
-is identical to the one computed inside a sweep over orders or test kinds.
-Within one call, each (seed, n, replications) null batch is drawn, sorted
-and squared once and every test reads it: all orders of one n, all
-``--test`` flags of single-test mode, and all tests of one
-:func:`power_study` call, which also sorts and squares each alternative's
-draws once. Nothing is kept between calls. Critical values and power over
-several sample sizes (``wcrte critical-values`` and ``verify_table(7)``;
-``wcrte power`` and ``verify_table(8)``) check every size, then run on one
-pool, larger sizes first: each size's calibration, then for power each
-(size, alternative), which scores its draws, waits for its size's critical
-values and keeps only its cells. A critical value is numpy's default
-(``linear``) quantile, taken from one ``np.partition`` at its rank
-(``_quantile``) with ``np.quantile``'s bits.
+One or several: :func:`critical_values` takes one size and one order or a
+list or tuple of either, :func:`power_study` one size or a list, and
+:func:`uniformity_test` one test or a list. One value gives one result (for
+power, the cells of one size), a list gives a list, as the estimators treat
+one sample and a batch; the commands and ``verify_table(7)`` and ``(8)``
+pass lists and call these functions. Null draws are keyed by (seed, n)
+only: a critical pair computed standalone is identical to the one computed
+inside a sweep over sizes, orders or test kinds. Within one call, each
+(seed, n, replications) null batch is drawn, sorted and squared once and
+every test reads it: all orders of one n, all tests of one sample, and all
+tests of one n in :func:`power_study`, which also sorts and squares each
+alternative's draws once. Nothing is kept between calls. Several sizes
+are all checked, then run on one pool, larger sizes first: each size's
+calibration, then for power each (size, alternative), which scores its
+draws, waits for its size's critical values and keeps only its cells. A
+critical value is numpy's default (``linear``) quantile, taken from one
+``np.partition`` at its rank (``_quantile``) with ``np.quantile``'s bits.
 
 Every scoring path takes its tests resolved at the batch's n
 (:meth:`GofTest.resolved`: ``ent`` with its window filled in), so a test's
@@ -494,44 +497,59 @@ def _reject(stats, lo, hi):
     return (False if lo is None else stats <= lo) | (False if hi is None else stats >= hi)
 
 
+def _is_list(value) -> bool:
+    """True for a list or tuple: several sizes, orders or tests, not one."""
+    return isinstance(value, (list, tuple))
+
+
+def _listed(value, what: str) -> list:
+    """``value`` as a list: a list's or tuple's items, or one value alone.
+
+    An empty list raises DomainError naming ``what``.
+    """
+    if not _is_list(value):
+        return [value]
+    if not value:
+        raise DomainError(f"need at least one {what}")
+    return list(value)
+
+
 def critical_values(
-    n: int,
+    n,
     order=None,
     gamma: float = 0.05,
     replications: int = 10_000,
     seed: int = DEFAULT_SEED,
-) -> CriticalPair:
-    """Simulated two-sided critical pair for the entropy-band statistic.
+    threads: int | None = None,
+) -> CriticalPair | list[CriticalPair]:
+    """Simulated two-sided critical pairs for the entropy-band statistic.
 
     Empirical gamma/2 and 1-gamma/2 quantiles of the null statistic over
-    ``replications`` uniform samples of size ``n``. The draws depend only on
-    (seed, n), so pairs for different orders share them.
-    """
-    return _critical_pairs((n,), (order,), gamma, replications, seed)[0]
-
-
-def _critical_pairs(sizes, orders, gamma, replications, seed, threads=None) -> list[CriticalPair]:
-    """:func:`critical_values` at each n of ``sizes`` in turn, for each of ``orders``.
-
-    Checked as one call per n would be, then ``threads`` (by the pool), all
-    before any draw. Each n's null batch, scored by every order, is a task on
-    ``threads`` threads, largest n first.
+    ``replications`` uniform samples of size ``n``. ``n`` and ``order`` each
+    take one value or a list or tuple: one of each gives one pair, else a
+    list, n by n, each n's pairs in the order of ``order``. The sizes are
+    checked in turn (the orders with the first), then ``threads`` (by the
+    pool), all before any draw. Each n's null batch is drawn once and
+    scored by every order, as one task on ``threads`` threads, largest n
+    first; the draws depend only on (seed, n).
     """
     checked = []
-    for n in sizes:
-        n, g, reps = _check_null_grid(n, gamma, replications)
+    for size in _listed(n, "sample size"):
+        size, g, reps = _check_null_grid(size, gamma, replications)
         if not checked:
-            tests = [GofTest(name="wcre" if a is None else "wcrte", order=a) for a in orders]
-        checked.append(n)
+            tests = [GofTest(name="wcre" if a is None else "wcrte", order=a)
+                     for a in _listed(order, "order")]
+        checked.append(size)
 
-    def calibrate(n: int) -> list[CriticalPair]:
+    def calibrate(size: int) -> list[CriticalPair]:
         return [
-            CriticalPair(n=n, order=t.order, gamma=g, lower=lo, upper=hi, replications=reps)
-            for t, (lo, hi) in zip(tests, _null_bands(n, tests, g, reps, seed))
+            CriticalPair(n=size, order=t.order, gamma=g, lower=lo, upper=hi, replications=reps)
+            for t, (lo, hi) in zip(tests, _null_bands(size, tests, g, reps, seed))
         ]
 
-    parts = _pool_map(calibrate, checked, threads, cost=lambda n: n)
-    return [pair for part in parts for pair in part]
+    parts = _pool_map(calibrate, checked, threads, cost=lambda size: size)
+    pairs = [pair for part in parts for pair in part]
+    return pairs if _is_list(n) or _is_list(order) else pairs[0]
 
 
 def competitor_critical_value(
@@ -598,47 +616,41 @@ GOF_COLUMNS = _columns(
 
 def uniformity_test(
     x,
-    test: GofTest | str,
+    test,
     gamma: float = 0.05,
     replications: int = 10_000,
     seed: int = DEFAULT_SEED,
-) -> GofResult:
-    """Run one test on one sample; critical values are simulated on the fly.
+) -> GofResult | list[GofResult]:
+    """Run tests on one sample; critical values are simulated on the fly.
 
-    Rejection is inclusive at the critical values. Entropy-band tests reject
-    outside [lower, upper]; ks/cvm/ad reject at or above their value; ent
-    rejects at or below its value.
-    """
-    return _uniformity_results(x, [test], gamma, replications, seed)[0]
-
-
-def _uniformity_results(x, tests, gamma, replications, seed) -> list[GofResult]:
-    """:func:`uniformity_test` for each of ``tests``, all on one null batch.
-
-    Each spec is parsed and its window resolved in turn, and the sample
-    checked with the first, so errors surface in the order one call per test
-    would raise them; the null batch is then scored once for every test.
+    ``test`` is one :class:`GofTest` or spec string, giving one result, or a
+    list or tuple of them, giving a list. Each spec is parsed and its window
+    resolved in turn, the sample checked with the first, and all of them are
+    calibrated on one null batch. Rejection is inclusive at the critical
+    values. Entropy-band tests reject outside [lower, upper]; ks/cvm/ad
+    reject at or above their value; ent rejects at or below its value.
     """
     scored = []
-    for test in tests:
-        if isinstance(test, str):
-            test = parse_test(test)
+    for t in _listed(test, "test"):
+        if isinstance(t, str):
+            t = parse_test(t)
         if not scored:
             srt = _sorted_rows(x, upper=1.0)
             if srt.ndim != 1:
                 raise DomainError("uniformity_test takes a single 1-D sample")
             n, g, reps = _check_null_grid(srt.size, gamma, replications)
-        scored.append(test.resolved(n))
+        scored.append(t.resolved(n))
     bands = _null_bands(n, scored, g, reps, seed)
     stats = _score_rows(np.atleast_2d(srt), scored, _band_rows(scored, n))
-    return [
+    results = [
         GofResult(
-            test=test.name, n=n, order=test.order, m=test.m, gamma=g,
+            test=t.name, n=n, order=t.order, m=t.m, gamma=g,
             statistic=float(stat[0]), lower=lo, upper=hi,
             reject=bool(_reject(stat[0], lo, hi)), replications=reps,
         )
-        for test, (lo, hi), stat in zip(scored, bands, stats)
+        for t, (lo, hi), stat in zip(scored, bands, stats)
     ]
+    return results if _is_list(test) else results[0]
 
 
 # --- power study -----------------------------------------------------------------
@@ -663,7 +675,7 @@ POWER_COLUMNS = _columns("alternative", "n", "test", *_TEST_PARAM_COLUMNS, "powe
 
 def power_study(
     alternatives,
-    n: int,
+    n,
     tests,
     gamma: float = 0.05,
     replications: int = 10_000,
@@ -672,41 +684,29 @@ def power_study(
 ) -> list[PowerCell]:
     """Rejection rates of every test against every alternative at size n.
 
-    One null batch (keyed by (seed, n)) calibrates every test; each
-    alternative gets its own stream keyed by its position in the list, and
-    its draws are sorted and squared once for all tests. Passing the
-    uniform model as an alternative estimates the empirical size, since its
-    draws are independent of the null calibration draws. An alternative
+    ``n`` is one size or a list or tuple of them; the cells come back n by
+    n, and within an n one per (alternative, test), alternatives outermost.
+    One null batch per n (keyed by (seed, n)) calibrates every test; each
+    alternative gets its own stream keyed by n and its position in the
+    list, and its draws are sorted and squared once for all tests. Passing
+    the uniform model as an alternative estimates the empirical size, since
+    its draws are independent of the null calibration draws. An alternative
     whose largest draw, ``quantile(nextafter(1, 0))``, exceeds 1 raises
-    DomainError before anything is drawn. The specs and n are checked
-    first, then ``threads``, all before any draw.
+    DomainError. The sizes are checked in turn (the specs with the first),
+    then ``threads`` (by the pool), all before any draw.
 
-    The calibration and each alternative are tasks on ``threads`` worker
-    threads (``None`` or 1 runs them in the calling thread), the
-    calibration first; an alternative scores its draws, then waits for the
-    calibration. The cells come back one per (alternative, test),
-    alternatives outermost, and no value depends on the thread count.
-    """
-    return _power_cells(alternatives, (n,), tests, gamma, replications, seed, threads)
-
-
-def _power_cells(alternatives, sizes, tests, gamma, replications, seed, threads) -> list[PowerCell]:
-    """:func:`power_study` at each n of ``sizes`` in turn, all on one pool.
-
-    The specs are checked as one call per n, in order, would check them,
-    then ``threads`` (by the pool), all before anything is drawn. Then the
-    null calibration of every n and every (n, alternative) are tasks on
-    ``threads`` worker threads: the calibrations first, then the
-    alternatives, each group largest n first. An alternative's task scores
-    its batch, then takes its n's bands, waiting while that n's calibration
-    runs (or making it, if no task has started it), and reduces its
-    statistics to cells; so no more than ``threads`` alternatives' statistic
-    vectors are held at once. Each null batch is drawn once. The cells come
-    back n by n, each n as :func:`power_study` gives them.
+    The calibration of every n and every (n, alternative) are tasks on
+    ``threads`` worker threads (``None`` or 1 runs them in the calling
+    thread): the calibrations first, then the alternatives, each group
+    largest n first. An alternative's task scores its batch, then takes its
+    n's bands, waiting while that n's calibration runs (or making it, if no
+    task has started it), and reduces its statistics to cells; so no more
+    than ``threads`` alternatives' statistic vectors are held at once. No
+    value depends on the thread count.
     """
     grids = []
-    for n in sizes:
-        n, g, reps = _check_null_grid(n, gamma, replications, min_replications=100)
+    for size in _listed(n, "sample size"):
+        size, g, reps = _check_null_grid(size, gamma, replications, min_replications=100)
         if not grids:
             tests = [parse_test(t) if isinstance(t, str) else t for t in tests]
             alternatives = [parse_model(a) if isinstance(a, str) else a for a in alternatives]
@@ -720,7 +720,7 @@ def _power_cells(alternatives, sizes, tests, gamma, replications, seed, threads)
                         f"alternative {model.spec_string()} draws values up to {top:g}; "
                         "sample values must not exceed 1"
                     )
-        grids.append((n, [test.resolved(n) for test in tests]))
+        grids.append((size, [test.resolved(size) for test in tests]))
 
     bands: dict[int, list[tuple]] = {}
     locks = [threading.Lock() for _ in grids]

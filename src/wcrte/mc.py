@@ -45,7 +45,6 @@ __all__ = [
     "McStudyResult",
     "run_study",
     "heuristic_window",
-    "best_window",
     "study_config_from_json",
 ]
 
@@ -177,9 +176,6 @@ class McStudyResult:
     skipped: tuple[str, ...]
     seed: int
     replications: int
-
-    def best_windows(self) -> dict[tuple[str, str, int], int]:
-        return best_window(self.cells)
 
 
 @dataclass(frozen=True)
@@ -423,21 +419,3 @@ def study_config_from_json(doc) -> McStudyConfig:
         replications=value.get("replications", 10_000),
         seed=value.get("seed", DEFAULT_SEED),
     )
-
-
-def best_window(cells) -> dict[tuple[str, str, int], int]:
-    """Minimum-MSE window per (model, kind, n); ties go to the smaller window.
-
-    Only windowed cells participate.
-    """
-    best: dict[tuple[str, str, int], tuple[float, int]] = {}
-    for cell in cells:
-        if cell.window is None:
-            continue
-        key = (cell.model, cell.kind.value, cell.n)
-        cand = (cell.mse, cell.window)
-        if key not in best or cand < best[key]:
-            best[key] = cand
-    if not best:
-        raise DomainError("no windowed cells in the study")
-    return {key: m for key, (_, m) in best.items()}

@@ -26,7 +26,7 @@ from importlib import resources
 
 from .distributions import order_from_label, order_label, parse_model
 from .errors import DomainError
-from .gof import _TEST_PARAM_COLUMNS, _critical_pairs, _power_cells
+from .gof import _TEST_PARAM_COLUMNS, critical_values, power_study
 from .mc import DEFAULT_SEED, McStudyConfig, run_study
 from .sample import _check_size
 
@@ -139,7 +139,7 @@ def _verify_critical_values(table_id: int, group: dict, reps, seed, threads) -> 
     sizes = tuple(dict.fromkeys(int(r["n"]) for r in rows))
     orders = tuple(dict.fromkeys(order_from_label(r["alpha"]) for r in rows))
     pairs = {(pair.n, pair.order): pair
-             for pair in _critical_pairs(sizes, orders, gamma, reps, seed, threads)}
+             for pair in critical_values(sizes, orders, gamma, reps, seed, threads)}
 
     report: list[dict] = []
     for ref in rows:
@@ -159,7 +159,7 @@ def _verify_power(table_id: int, group: dict, reps, seed, threads) -> list[dict]
 
     # Cells come back one per (n, alternative, test), in that nesting, and are
     # keyed by the group's own (n, alternative, test) strings.
-    cells = _power_cells(alternatives, sizes, tests, gamma, reps, seed, threads)
+    cells = power_study(alternatives, sizes, tests, gamma, reps, seed, threads)
     computed = dict(zip(itertools.product(sizes, alternatives, tests), cells, strict=True))
 
     report: list[dict] = []

@@ -13,6 +13,7 @@ import pytest
 from scipy.optimize import brentq
 
 import naive
+from wcrte import cli
 from wcrte import estimators as est
 from wcrte import gof
 from wcrte import (
@@ -360,8 +361,8 @@ def test_uniformity_tests_score_a_read_only_sample_without_writing_it():
     sample = Sample(u)
     before = sample.sorted_values.copy()
     tests = ["wcre", "ks", "wcrte:alpha=2", "ent"]
-    got = gof._uniformity_results(sample, tests, 0.05, 1000, 3)
-    assert got == gof._uniformity_results(u, tests, 0.05, 1000, 3)
+    got = uniformity_test(sample, tests, 0.05, 1000, 3)
+    assert got == uniformity_test(u, tests, 0.05, 1000, 3)
     assert np.array_equal(sample.sorted_values, before)
 
 
@@ -443,7 +444,7 @@ def test_power_over_sizes_equals_one_power_study_per_size(threads, null_draws):
     alternatives = ["alt:A,j=2", "uniform:theta=1", "alt:C,j=1.5"]
     tests = ["wcre", "wcrte:alpha=2", "ks", "ad", "ent"]
     sizes = (20, 10, 30, 10)
-    cells = gof._power_cells(alternatives, sizes, tests, 0.05, 300, 11, threads)
+    cells = power_study(alternatives, sizes, tests, 0.05, 300, 11, threads)
     assert sorted(null_draws) == sorted((11, n) for n in sizes)
     want = [cell for n in sizes for cell in power_study(alternatives, n, tests, replications=300,
                                                         seed=11)]
@@ -456,7 +457,7 @@ def test_power_over_sizes_under_thread_switching_draws_each_null_once(null_draws
     of its size, and the run finishes."""
     alternatives = ["alt:A,j=2", "alt:B,j=2", "alt:C,j=2", "uniform:theta=1"]
     sizes = (10, 12, 14, 16, 18, 20)
-    want = gof._power_cells(alternatives, sizes, ["wcre", "ks"], 0.05, 100, 5, 1)
+    want = power_study(alternatives, sizes, ["wcre", "ks"], 0.05, 100, 5, 1)
     null_draws.clear()
     bands = gof._null_bands
     monkeypatch.setattr(gof, "_null_bands", lambda *a: time.sleep(0.05) or bands(*a))
@@ -465,7 +466,7 @@ def test_power_over_sizes_under_thread_switching_draws_each_null_once(null_draws
     sys.setswitchinterval(1e-6)
     try:
         worker = threading.Thread(target=lambda: got.append(
-            gof._power_cells(alternatives, sizes, ["wcre", "ks"], 0.05, 100, 5, 6)))
+            power_study(alternatives, sizes, ["wcre", "ks"], 0.05, 100, 5, 6)))
         worker.start()
         worker.join(timeout=120)
     finally:
@@ -479,7 +480,7 @@ def test_power_over_sizes_checks_every_size_before_any_draw(null_draws):
     """A window that a later size does not admit fails before any size is
     drawn, with the error one call per size would raise."""
     with pytest.raises(DomainError, match="m=5 for n=10"):
-        gof._power_cells(["alt:A,j=2"], (30, 10), ["ent:m=5"], 0.05, 300, 11, 2)
+        power_study(["alt:A,j=2"], (30, 10), ["ent:m=5"], 0.05, 300, 11, 2)
     assert null_draws == []
 
 
@@ -503,7 +504,7 @@ def null_draws(monkeypatch):
 @pytest.mark.parametrize("n", [10, 37, 100])
 def test_critical_pairs_equal_one_order_calls(n):
     orders = (None, 1.5, 2.0, 10.0)
-    pairs = gof._critical_pairs((n,), orders, 0.05, 1000, 17)
+    pairs = critical_values((n,), orders, 0.05, 1000, 17)
     assert pairs == [critical_values(n, a, 0.05, 1000, 17) for a in orders]
 
 
@@ -512,7 +513,7 @@ def test_critical_pairs_over_sizes_equal_one_call_per_pair(threads, null_draws):
     """Several sizes on one pool give, n by n, the pairs of one
     critical_values call each, and draw each size's null batch once."""
     sizes, orders = (20, 10, 30), (None, 1.5, 7.0)
-    pairs = gof._critical_pairs(sizes, orders, 0.05, 1000, 17, threads)
+    pairs = critical_values(sizes, orders, 0.05, 1000, 17, threads)
     assert sorted(null_draws) == [(17, n) for n in sorted(sizes)]
     assert pairs == [critical_values(n, a, 0.05, 1000, 17) for n in sizes for a in orders]
 
@@ -526,6 +527,58 @@ def test_verify_tables_draw_each_null_batch_once(null_draws):
     assert len(null_draws) == 3
 
 
+def test_one_value_gives_one_result_and_a_list_a_list():
+    u = derive_stream(9000, 42).random(20)
+    pair = critical_values(10, 2.0, replications=1000)
+    assert critical_values([10], 2.0, replications=1000) == [pair]
+    assert critical_values(10, (2.0,), replications=1000) == [pair]
+    assert critical_values(10, [None, 2.0], replications=1000) == [
+        critical_values(10, a, replications=1000) for a in (None, 2.0)]
+    result = uniformity_test(u, "ks", replications=1000)
+    assert uniformity_test(u, ["ks"], replications=1000) == [result]
+    assert uniformity_test(u, (parse_test("ks"),), replications=1000) == [result]
+    # One size already gives a list of cells; a list of sizes gives each size's in turn.
+    cells = power_study(["alt:A,j=2"], 10, ["ks", "wcre"], replications=100)
+    assert power_study(["alt:A,j=2"], [10], ["ks", "wcre"], replications=100) == cells
+
+
+@pytest.fixture
+def public_calls(monkeypatch):
+    """The names of the ``gof.critical_values`` and ``gof.power_study`` calls made.
+
+    Each is wrapped wherever a loaded ``wcrte`` module binds it, as a tracer
+    that wraps functions by identity would see the calls.
+    """
+    calls = []
+    modules = [m for key, m in list(sys.modules.items())
+               if m is not None and (key == "wcrte" or key.startswith("wcrte."))]
+    for name in ("critical_values", "power_study"):
+        orig = getattr(gof, name)
+
+        def counting(*args, _orig=orig, _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("run, name", [
+    pytest.param(lambda: verify_table(7, replications=1000), "critical_values", id="table 7"),
+    pytest.param(lambda: verify_table(8, replications=1000), "power_study", id="table 8"),
+    pytest.param(lambda: cli.main(["critical-values", "--n", "10,20", "--reps", "1000"]),
+                 "critical_values", id="critical-values"),
+    pytest.param(lambda: cli.main(["power", "--alternative", "alt:A,j=2", "--test", "ks",
+                                   "--reps", "100"]), "power_study", id="power"),
+])
+def test_commands_call_the_public_gof_functions_once(public_calls, run, name, capsys):
+    run()
+    assert public_calls == [name]
+
+
 def test_critical_pairs_hold_two_batches_at_peak():
     # Each tile of draws (655 rows of 100) is squared in place, so the peak
     # is about one tile's squares and their spacings plus the statistic
@@ -534,10 +587,10 @@ def test_critical_pairs_hold_two_batches_at_peak():
     # two and a half whole batches.
     n, reps = 100, 1000
     orders = (None, 2.0, 5.0, 7.0, 10.0)
-    gof._critical_pairs((n,), orders, 0.05, reps, 3)  # first-call allocations
+    critical_values((n,), orders, 0.05, reps, 3)  # first-call allocations
     tracemalloc.start()
     try:
-        gof._critical_pairs((n,), orders, 0.05, reps, 3)
+        critical_values((n,), orders, 0.05, reps, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -783,10 +836,10 @@ def test_power_holds_two_alternatives_statistics_at_two_threads():
     peaks = {}
     for threads in (1, 2):
         # First-call allocations.
-        gof._power_cells(alternatives[:1], (50,), tests, 0.05, reps, 3, threads)
+        power_study(alternatives[:1], (50,), tests, 0.05, reps, 3, threads)
         tracemalloc.start()
         try:
-            gof._power_cells(alternatives, (50, 40), tests, 0.05, reps, 3, threads)
+            power_study(alternatives, (50, 40), tests, 0.05, reps, 3, threads)
             peaks[threads] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -21,13 +21,11 @@ from wcrte import (
     EstimatorKind,
     EstimatorSpec,
     Exponential,
-    McCell,
     McStudyConfig,
     NumericError,
     ParetoOne,
     ParseError,
     Uniform,
-    best_window,
     closed_wcre,
     closed_wcrte,
     derive_stream,
@@ -662,61 +660,6 @@ def test_divergent_cells_are_skipped_not_fatal():
     )
     assert len(mixed.skipped) == 1
     assert [(c.order, c.kind) for c in mixed.cells] == [(2.0, EstimatorKind.LSTAT)]
-
-
-# --- window selection ---------------------------------------------------------------
-
-
-def _mk(model, n, kind, window, mse):
-    return McCell(
-        model=model,
-        n=n,
-        order=2.0,
-        kind=kind,
-        window=window,
-        truth=1.0,
-        bias=0.0,
-        mse=mse,
-        mse_se=0.001,
-        replications=100,
-    )
-
-
-def test_best_window_picks_min_mse_and_breaks_ties_low():
-    v = EstimatorKind.VASICEK
-    cells = [
-        _mk("exp:lambda=1", 10, v, 1, 0.5),
-        _mk("exp:lambda=1", 10, v, 2, 0.2),
-        _mk("exp:lambda=1", 10, v, 3, 0.2),  # tie with m=2
-        _mk("exp:lambda=1", 20, v, 4, 0.9),
-        _mk("exp:lambda=1", 10, EstimatorKind.EMPIRICAL, None, 0.01),
-    ]
-    got = best_window(cells)
-    assert got == {
-        ("exp:lambda=1", "vasicek", 10): 2,
-        ("exp:lambda=1", "vasicek", 20): 4,
-    }
-
-
-def test_best_window_needs_windowed_cells():
-    cells = [_mk("exp:lambda=1", 10, EstimatorKind.EMPIRICAL, None, 0.01)]
-    with pytest.raises(DomainError):
-        best_window(cells)
-
-
-def test_best_windows_method_matches_sweep_argmin():
-    cfg = McStudyConfig(
-        models=(EXP1,),
-        sample_sizes=(10,),
-        orders=(2.0,),
-        kinds=(EstimatorKind.VASICEK,),
-        windows="sweep",
-        replications=400,
-    )
-    result = run_study(cfg)
-    by_window = {c.window: c.mse for c in result.cells}
-    want = min(sorted(by_window), key=lambda m: (by_window[m], m))
-    assert result.best_windows() == {("exp:lambda=1", "vasicek", 10): want}
 
 
 # --- JSON study configs ----------------------------------------------------------------

@@ -27,7 +27,7 @@ PUBLIC = {
     "wcrte_vasicek", "wcrte_ebrahimi", "wcrte_modified_n", "wcrte_lstat",
     "wcrte_lstat_variance", "wcre_empirical", "wcre_vasicek", "wcre_ebrahimi",
     "wcre_modified_n", "wcre_lstat", "wcre_lstat_variance", "McStudyConfig", "McCell",
-    "McStudyResult", "run_study", "best_window", "heuristic_window", "derive_stream",
+    "McStudyResult", "run_study", "heuristic_window", "derive_stream",
     "study_config_from_json", "GofTest", "parse_test", "CriticalPair", "CriticalValue",
     "critical_values", "competitor_critical_value", "competitor_statistic",
     "default_spacing_window", "statistic_bound", "null_statistic_value",

@@ -142,9 +142,9 @@ def fixed_results(monkeypatch, tmp_path):
     """Every command's Monte Carlo replaced by the hand-built results above."""
     study = McStudyResult(cells=CELLS, skipped=(), seed=7, replications=100)
     monkeypatch.setattr(mc, "run_study", lambda config, threads=None: study)
-    monkeypatch.setattr(gof, "_critical_pairs", _pairs)
-    monkeypatch.setattr(gof, "_uniformity_results", _results)
-    monkeypatch.setattr(gof, "_power_cells", _power)
+    monkeypatch.setattr(gof, "critical_values", _pairs)
+    monkeypatch.setattr(gof, "uniformity_test", _results)
+    monkeypatch.setattr(gof, "power_study", _power)
     path = tmp_path / "unit.txt"
     path.write_text("0.25\n0.5\n")
     return str(path)

@@ -204,6 +204,38 @@ def test_sample_size_rule(entry, files, capsys):
     check_entry(entry, SIZE, files, capsys)
 
 
+EMPTY_ENTRIES = {
+    "critical_values sizes": (DomainError, lambda: critical_values((), (2.0,), 7, 5, 1),
+                              "need at least one sample size"),
+    "critical_values orders": (DomainError, lambda: critical_values((10,), ()),
+                               "need at least one order"),
+    "uniformity_test": (DomainError, lambda: uniformity_test(U10, []), "need at least one test"),
+    "power_study sizes": (DomainError, lambda: power_study(["alt:A,j=2"], (), ["ks"], 7, 5, 1),
+                          "need at least one sample size"),
+    "power_study tests": (DomainError, lambda: power_study(["alt:A,j=2"], (10,), []),
+                          "need at least one test"),
+    "cli critical-values sizes": (2, ["critical-values", "--n", ",", "--reps", "1000"],
+                                  "n: empty list"),
+    "cli critical-values orders": (2, ["critical-values", "--n", "10", "--alpha", ",",
+                                       "--reps", "1000"], "alpha: empty list"),
+    "cli critical-values tests": (2, ["critical-values", "--data", "u20", "--reps", "1000"],
+                                  "needs at least one --test"),
+    "cli power sizes": (2, ["power", "--alternative", "alt:A,j=2", "--test", "ks", "--n", ",",
+                            "--reps", "100"], "n: empty list"),
+    "cli power tests": (2, ["power", "--alternative", "alt:A,j=2", "--n", "10", "--reps", "100"],
+                        "needs at least one --test"),
+}
+
+
+@pytest.mark.parametrize("entry", EMPTY_ENTRIES.values(), ids=EMPTY_ENTRIES)
+def test_empty_lists_are_refused_before_any_draw(entry, files, capsys, monkeypatch):
+    """An empty list of sizes, orders or tests raises before any draw; empty
+    sizes raise before the (invalid) level and replications are checked."""
+    monkeypatch.setattr("wcrte.mc.derive_stream", lambda *key: pytest.fail(f"drew {key}"))
+    *entry, message = entry
+    check_entry(entry, message, files, capsys)
+
+
 COUNT_ENTRIES = {
     "critical_values n": (lambda: critical_values(10.7, 2.0, replications=1500), "n", 10.7),
     "critical_values replications": (

@@ -1,7 +1,7 @@
 """Run the benchmark on a parent tree and a changed tree in alternating pairs.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --seeds 2601-2610 \
-        --claim estimate:setup_s --out BENCH_26.json
+        [--claim estimate:setup_s] --out BENCH_26.json
 
 Each tree's own ``perfbench/run.py`` runs as a black box, for the
 ``run_seconds`` and over the workloads that the changed tree's
@@ -14,6 +14,13 @@ side's runs, and ``claim`` the pair count in which the change read lower
 and each side's quartiles [Q1, median, Q3]. A claim holds when the change
 is lower in at least 9 of 10 pairs and the medians differ by more than the
 parent's interquartile range; the verdict goes to stderr.
+
+Without ``--claim`` the file records ``"claim": null``, and stderr gives,
+for each workload and each ``end_to_end`` metric of ``BENCHMARK.json``,
+both medians and the change's relative move against the metric's
+``bound``: ``within`` or ``worse``, or ``unresolved`` where the parent's
+interquartile range, relative to its median, is wider than the bound and
+not every run of the change reads better than every run of the parent.
 """
 
 import argparse
@@ -56,19 +63,42 @@ def summarize(runs: list[dict], workload: str, side: str) -> dict:
     return summary
 
 
+def values(runs: list[dict], workload: str, metric: str, side: str) -> list[float]:
+    """``metric`` of each run of ``side`` on ``workload``, in seed order."""
+    return [r["result"]["metrics"][metric]["value"] for r in runs
+            if r["workload"] == workload and r["side"] == side]
+
+
 def claim(runs: list[dict], workload: str, metric: str) -> dict:
-    values = {side: [r["result"]["metrics"][metric]["value"] for r in runs
-                     if r["workload"] == workload and r["side"] == side]
-              for side in ("parent", "change")}
+    parent, change = (values(runs, workload, metric, side) for side in ("parent", "change"))
     return {
         "workload": workload,
         "metric": metric,
         "better": "lower",
-        "pairs": len(values["change"]),
-        "change_lower": sum(c < p for p, c in zip(values["parent"], values["change"])),
-        "parent_q": quartiles(values["parent"]),
-        "change_q": quartiles(values["change"]),
+        "pairs": len(change),
+        "change_lower": sum(c < p for p, c in zip(parent, change)),
+        "parent_q": quartiles(parent),
+        "change_q": quartiles(change),
     }
+
+
+def no_regression(runs: list[dict], workload: str, metric: dict) -> str:
+    """One line: both medians of an end-to-end ``metric`` and the change's move against its bound."""
+    name, bound, lower = metric["name"], metric["bound"], metric["better"] == "lower"
+    parent_runs, change_runs = (values(runs, workload, name, side)
+                                for side in ("parent", "change"))
+    q1, parent, q3 = quartiles(parent_runs)
+    change = statistics.median(change_runs)
+    move = (change - parent) / parent
+    spread = (q3 - q1) / parent
+    all_better = (max(change_runs) < min(parent_runs) if lower
+                  else min(change_runs) > max(parent_runs))
+    if spread > bound and not all_better:
+        verdict = "unresolved"
+    else:
+        verdict = "worse" if (move if lower else -move) > bound else "within"
+    return (f"{workload} {name}: parent {parent:.6g}, change {change:.6g}, {move:+.1%} "
+            f"against a bound of {bound:.0%} (parent IQR {spread:.1%}): {verdict}")
 
 
 def holds(c: dict) -> bool:
@@ -82,7 +112,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="the parent commit's tree")
     parser.add_argument("--change", type=Path, required=True, help="the changed tree")
     parser.add_argument("--seeds", type=_seeds, required=True, help="FIRST-LAST, inclusive")
-    parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC, lower is better")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC, lower is better (default: no claim; "
+                        "check each end-to-end metric against its bound)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
@@ -102,7 +133,6 @@ def main(argv=None) -> int:
                 value = result["metrics"]["setup_s"]["value"]
                 print(f"{workload} {seed} {side}: setup_s {value:.4f}", file=sys.stderr)
 
-    claim_workload, metric = args.claim.split(":")
     shared = {k: v for k, v in provenance["change"].items()
               if k not in ("commit", "seed", "workload_threads")}
     shared["blas_threads"] = ", ".join(f"{w} {t}" for w, t in blas_threads.items())
@@ -110,7 +140,7 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0",
         "parent": provenance["parent"]["commit"],
-        "claim": claim(runs, claim_workload, metric),
+        "claim": claim(runs, *args.claim.split(":")) if args.claim else None,
         "provenance": shared,
         "note": (f"{len(args.seeds)} pairs per workload at seeds "
                  f"{args.seeds[0]}-{args.seeds[-1]}, parent first at odd seeds and change first "
@@ -122,9 +152,14 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    verdict = "holds" if holds(doc["claim"]) else "does not hold"
-    print(f"claim {args.claim}: {doc['claim']['change_lower']}/{doc['claim']['pairs']} "
-          f"pairs lower; {verdict}", file=sys.stderr)
+    if args.claim:
+        verdict = "holds" if holds(doc["claim"]) else "does not hold"
+        print(f"claim {args.claim}: {doc['claim']['change_lower']}/{doc['claim']['pairs']} "
+              f"pairs lower; {verdict}", file=sys.stderr)
+    else:
+        for workload in workloads:
+            for metric in bench["end_to_end"]:
+                print(no_regression(runs, workload, metric), file=sys.stderr)
     return 0
 
 
