@@ -11,54 +11,18 @@ out-of-range observations), 4 for numerical failures.
 
 All randomness flows from ``--seed``; the default is the fixed constant
 0xC0FFEE rather than fresh entropy, so published runs are reproducible.
-Every option a config can set has one name, the argparse destination of
-its flag, and that name is its config key: the long flag name, with the
-plural for the repeatable flags (models, estimators, tests, alternatives;
-``--data`` stays ``data``) and ``replications`` for ``--reps``.
-``--config FILE`` is read by the JSON reader behind
-:func:`wcrte.mc.study_config_from_json` and fills the options no flag set;
-``_DEFAULTS`` and a subcommand's own defaults fill the rest. Every flag and
-config value goes through the one converter of its key (``_CONVERTERS``),
-so ``"n": "10,20"``, ``"n": [10, 20]`` and ``--n 10,20`` are the same; the
-repeatable keys take a string or a list of strings and ``out`` a path
-string, and a value of the wrong type exits 2 with a message naming its
-key. ``mse-study`` builds its grid through
-:func:`wcrte.mc.study_config_from_json`. Numeric list flags are comma
-separated; model, estimator and test specifications are repeatable flags
-because model parameters themselves contain commas.
+Every option a config can set has one name, the argparse destination of its
+flag, and that name is its config key (``_CONVERTERS``): the long flag name,
+with the plural for the repeatable flags (models, estimators, tests,
+alternatives; ``--data`` stays ``data``) and ``replications`` for ``--reps``.
+Numeric list flags are comma separated; model, estimator and test
+specifications are repeatable flags because their parameters contain commas
+(one grammar for all three: ``distributions._split_spec``).
 
-Each table command runs the library, then writes one row per result
-through the columns stated next to the result type: ``mc.STUDY_COLUMNS``,
-``gof.CRITICAL_COLUMNS``, ``gof.GOF_COLUMNS``, ``gof.POWER_COLUMNS`` and
-``reference.REPORT_FIELDS``; the master seed is the one column no result
-holds. ``mc``, ``gof`` and ``reference`` are imported inside the commands
-that run them, and ``json`` and ``csv`` inside the branches of
-``_write_rows`` that write JSON or CSV, so an ``estimate`` launch, which
-prints lines of text, loads neither writer. ``estimate``
-parses every ``--estimator`` before it reads the data file, so a malformed
-spec fails first. It then prepares its sample once (validated, sorted and
-squared in the array the file was read into, with no :class:`Sample` copy)
-and passes that one prepared batch to every estimator and variance
-companion it runs. The L-statistic estimates run first, since the first
-spacing estimate turns the squares into spacings in place; the lines, and
-the first error reported, keep the command line's order, and an error in
-one spec names the spec's ``--estimator`` text. A variance estimate that
-leaves the float range costs its line the
-interval, not the run. ``--threads`` (default: the CPUs this process may
-use) is declared once, in ``_add_common``, and goes to the library as
-given; the library's pool checks it after the specs and sizes and before
-any draw. ``critical-values --data`` runs in the calling thread and checks
-it itself. ``critical-values`` and ``power`` pass their flags as lists to
-the public :mod:`wcrte.gof` functions, which take one value or a list:
-table mode gives :func:`~wcrte.gof.critical_values` its sizes and orders,
-``--data`` mode :func:`~wcrte.gof.uniformity_test` its tests, and ``power``
-:func:`~wcrte.gof.power_study` its sizes, in one call each; a call over
-sizes checks every size before any draw and runs them on one pool.
-
-Model, estimator and test specifications share one grammar: a
-case-insensitive head, then after a colon an optional positional token
-(the ``alt`` family or the estimator kind) and ``key=value`` pairs,
-comma separated; keys are case-insensitive and a repeated key is an error.
+``critical-values`` and ``power`` pass their flags as lists to the public
+:mod:`wcrte.gof` functions, whose module docstring says what one value and a
+list give. ``mc``, ``gof`` and ``reference`` are imported inside the
+commands that run them, so an ``estimate`` launch loads none of them.
 """
 
 from __future__ import annotations
@@ -144,7 +108,15 @@ _DEFAULTS = {
 }
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from ``--config``, convert every value, then fill defaults."""
+    """Fill unset options from ``--config``, convert every value, then fill defaults.
+
+    ``--config FILE`` is read by the JSON reader behind
+    :func:`wcrte.mc.study_config_from_json`. Every flag and config value goes
+    through the one converter of its key, so ``"n": "10,20"``, ``"n": [10,
+    20]`` and ``--n 10,20`` are the same; the repeatable keys take a string
+    or a list of strings and ``out`` a path string, and a value of the wrong
+    type exits 2 with a message naming its key.
+    """
     doc = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -169,12 +141,20 @@ def _csv_cell(value) -> str:
 
 
 def _table(columns: dict, results, seed=None) -> list[dict]:
-    """One row per result: each column of ``columns`` read from it and the master ``seed``."""
+    """One row per result: each column of ``columns`` read from it and the master ``seed``.
+
+    The columns are stated next to each result type (``mc.STUDY_COLUMNS``,
+    ``gof.CRITICAL_COLUMNS``, ...); the seed is the one column no result holds.
+    """
     return [{name: read(result, seed) for name, read in columns.items()} for result in results]
 
 
 def _write_rows(args, rows, fields=None) -> None:
-    """Write ``rows`` to ``--out`` or stdout: CSV or JSON, or lines of text without ``fields``."""
+    """Write ``rows`` to ``--out`` or stdout: CSV or JSON, or lines of text without ``fields``.
+
+    ``json`` and ``csv`` are imported in their branches, so an ``estimate``
+    launch, which prints lines of text, loads neither writer.
+    """
     if fields is None:
         text = "".join(f"{row}\n" for row in rows)
     elif args.format == "json":
@@ -206,6 +186,7 @@ def cmd_estimate(args) -> int:
         raise ParseError("estimate needs exactly one --data file")
     if not args.estimators:
         raise ParseError("estimate needs at least one --estimator")
+    # Every spec is parsed before the data file is read, so a malformed one fails first.
     specs = [parse_estimator(text) for text in args.estimators]
     # One validation, sort and squaring for every spec, all in the array the
     # file was read into: its size was checked by the reader, and its values
@@ -213,9 +194,9 @@ def cmd_estimate(args) -> int:
     values = _read_values(args.data[0])
     values.sort()
     x = _SortedSquares(_check_sorted(values))
-    # The L-statistics weigh the squares, which the first spacing estimate or
-    # variance turns into spacings in place, so their estimates come first;
-    # the lines, and the first error, keep the command line's order.
+    # The L-statistic estimates come first, by the one-buffer rule of
+    # ``_SortedSquares``; the lines, and the first error, keep the command
+    # line's order.
     first = {}
     for i, spec in enumerate(specs):
         if spec.kind is EstimatorKind.LSTAT:
@@ -336,13 +317,13 @@ def _repeatable(sub: argparse.ArgumentParser, flag: str, dest: str, help: str) -
     sub.add_argument(flag, dest=dest, action="append", metavar=flag[2:].upper(), help=help)
 
 
-def _add_common(sub: argparse.ArgumentParser, *extra: str) -> None:
+def _add_common(sub: argparse.ArgumentParser, *extra: str, reps: str = "default 10000") -> None:
     sub.add_argument("--seed", help="master seed (default 0xC0FFEE)")
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--config", help="JSON file supplying defaults for unset flags")
     if "replications" in extra:
         sub.add_argument("--reps", dest="replications", metavar="REPS",
-                         help="Monte Carlo replications (default 10000)")
+                         help=f"Monte Carlo replications ({reps})")
     if "format" in extra:
         sub.add_argument("--format", help="output format: csv or json (default csv)")
     if "threads" in extra:
@@ -409,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-tables", help="compare against bundled published values")
     p.add_argument("--table", type=int, choices=range(2, 9), required=True,
                    help="published table id (2-8)")
-    _add_common(p, "replications", "format", "threads")
-    # No --reps recomputes each group at its published replication count.
+    _add_common(p, "replications", "format", "threads",
+                reps="default: each group's published count")
     p.set_defaults(func=cmd_verify_tables, defaults={"replications": None})
 
     return parser

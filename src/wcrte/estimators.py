@@ -1,81 +1,30 @@
 """Nonparametric estimators of the weighted cumulative residual measures.
 
 All estimators work on order statistics of a nonnegative sample. Each public
-function accepts either a single sample (1-D array or :class:`Sample`) and
-returns a float, or a batch of samples as a 2-D array of shape (B, n) and
-returns a length-B vector; the Monte Carlo harness relies on the batch path.
+function takes one sample (1-D array or :class:`Sample`) and returns a float,
+or a batch of samples as a 2-D array of shape (B, n) and returns a length-B
+vector. Five kinds estimate the order-``a`` measure and its order -> 1 limit
+(the WCRE):
 
-Five estimator kinds are provided for the order-``a`` measure and for its
-order -> 1 limit (the WCRE):
-
-* ``empirical``: plug the empirical survival function into the defining
-  integral; a sum over squared order statistic differences.
-* ``vasicek``: replace the density-like slope with a symmetric difference of
-  squared order statistics over a window of half-width ``m``.
-* ``ebrahimi``: the same spacing sum with boundary-corrected denominators.
-* ``modified_n``: boundary correction applied with squared denominators.
+* ``empirical``: the empirical survival function plugged into the defining
+  integral;
+* ``vasicek``: symmetric differences of squared order statistics over a
+  window of half-width ``m``, clamped to the sample extremes at the edges;
+* ``ebrahimi``: the same spacing sum with boundary-corrected denominators;
+* ``modified_n``: boundary correction with squared denominators;
 * ``lstat``: a linear combination of squared order statistics with smooth
-  coefficients; the only kind with a companion variance estimator.
-
-Windowed kinds clamp out-of-range order statistics to the sample extremes,
-so the first and last spacings are one-sided.
+  coefficients, the only kind with a variance companion.
 
 Every kind, at every order, window and plotting position, is a fixed linear
 functional of the sorted squares ``s2``: the L-statistic weighs ``s2``, the
-other kinds weigh the spacings ``d = diff(s2)``. A clamped difference
-``s2[hi] - s2[lo]`` is a sum of consecutive spacings, so the coefficient of a
-spacing is a windowed sum of scaled tail weights, read off one nondecreasing
-cumulative sum. No spacing coefficient is negative, so tied samples give
-exactly 0 and no spacing estimate is negative.
-
-A batch is thus validated, sorted and squared once, and each estimator is
-one contraction with its O(n) coefficient row. The batch holds one buffer:
-the first contraction that weighs spacings turns the squares into their
-spacings in place, so the rows that weigh ``s2`` go first.
-:func:`_build_coefficients` is the one maker of coefficient rows, and the
-caller that knows its workload builds them once; the prepared batch
-(:class:`_SortedSquares`) is data only and contracts the rows it is handed. Every spacing kind of one
-order weighs the same tail weights (``1 - i/n``, then ``log`` or ``pow``),
-built once per (order, n) and shared through a ``tails`` dict that holds
-one (order, n) at a time.
-
-* A standalone call builds its own row from the batch's ``tails``, which
-  keep the last order's weights for the next call on that batch, and
-  contracts it by ``np.einsum``; ``wcrte estimate`` prepares its sample
-  once, in the array the file was read into, and passes that batch to every
-  estimator and variance companion it runs, its L-statistic estimates
-  first. An L-statistic row is built in the buffer of its plotting
-  positions, and the companion runs in two (n - 1)-length buffers, so at
-  most four n-length vectors are live at a time, the batch's one included,
-  beside blocks of ``_HEAD_BLOCK`` or ``_SPACING_BLOCK`` entries.
-* A Monte Carlo study builds every row before its workers start
-  (:func:`_coefficient_rows`, keyed by ``(EstimatorSpec, n)``): one matrix
-  per (kind, order, plotting position, n), one row per window. Each block
-  contracts its rows in chunks of W = 16 (:func:`_chunks`, the L-statistic
-  chunks first), one BLAS product ``tile @ C.T`` per tile of rows, lanes
-  along the product's columns.
-* A uniformity-test scorer (:mod:`wcrte.gof`) builds the rows of its
-  entropy-band tests once per call, before its first tile, and contracts
-  them by ``np.einsum`` as a standalone call does.
-The harness then reduces a whole chunk at once: it undoes the scaling of
-the (lanes, R) product with :meth:`_SortedSquares.unscale`, forms the errors
-in the product itself, and takes every lane's moments by row reductions
-along axis 1, which give the bits of a 1-D reduction of each row; a bias or
-mse out of the float range is its one finiteness check.
-The harness promises that adding cells or threads never moves a cell, and
-BLAS may round differently with the shape, so every chunk product has the
-same shape. Each rule below was measured with OpenBLAS 0.3.31 (Haswell
-kernels):
-
-* a chunk always has W columns, unused ones zero: a product's bits changed
-  with its column count for 3 columns or fewer;
-* lanes run along the columns: along the rows (``C @ tile.T``) lanes 12 and
-  up rounded differently at R = 301 and 334, along the columns no lane or
-  neighbour moved a result, at 1 and at 2 BLAS threads;
-* a tile holds at most 262 144 / (W * K) rows, so OpenBLAS runs it on the
-  calling thread, whatever its thread count;
-* a block computes one chunk at a time and releases it before the next
-  product is allocated, so it holds its one R x n buffer and one chunk.
+other kinds weigh the spacings ``d = diff(s2)``. :func:`_build_coefficients`
+is the one maker of coefficient rows. A prepared batch
+(:class:`_SortedSquares`) is validated, sorted and squared once and contracts
+the rows it is handed: by ``np.einsum`` (:meth:`~_SortedSquares.contract`)
+for a standalone call, ``wcrte estimate`` and the uniformity tests, and by
+fixed-shape BLAS products (:meth:`~_SortedSquares.chunk`) for a Monte Carlo
+study, which builds every row before its workers start
+(:func:`_coefficient_rows`).
 """
 
 from __future__ import annotations
@@ -145,9 +94,11 @@ class EstimatorKind(str, Enum):
         )
 
 
-#: Coefficient vectors per chunk, and the column count of every chunk
-#: product (the module docstring gives the measured reasons for both
-#: constants).
+#: W, the lanes of a chunk and the column count of every chunk product, the
+#: unused columns zero. A study promises that adding cells or threads never
+#: moves a cell, and BLAS rounds by shape: with OpenBLAS 0.3.31 (Haswell
+#: kernels) a product's bits changed with its column count at 3 columns or
+#: fewer, so every product has W columns.
 _CHUNK_WIDTH = 16
 #: Most multiply-adds (rows x W x K) in one tile product: OpenBLAS runs a
 #: product of at most 65536 * 4 on the calling thread, so a tile neither
@@ -164,8 +115,8 @@ def _chunks(specs) -> list[list[EstimatorSpec]]:
 
     Spacing specs and L-statistic specs fill separate chunks, each in order
     of first appearance; a repeated spec keeps its first lane. The
-    L-statistic chunks come first: they weigh the squares, which the first
-    spacing chunk turns into spacings (see :class:`_SortedSquares`).
+    L-statistic chunks come first, by the one-buffer rule of
+    :class:`_SortedSquares`.
     """
     chunks: dict[bool, list[list[EstimatorSpec]]] = {True: [], False: []}
     for spec in dict.fromkeys(specs):
@@ -184,19 +135,19 @@ class _SortedSquares:
     :func:`_build_coefficients`; a row of n entries weighs ``s2``, one of
     n - 1 entries weighs ``d``. A batch whose largest value reaches 2**511 is
     stored as the squares of ``x * 2**-shift``; :meth:`unscale` and
-    :meth:`finish` scale results back exactly. ``tails`` keeps the tail
-    weights of one order at a time for the callers that build rows for this
-    batch alone (see :func:`_tail_weights`). ``srt`` is one sorted sample
+    :meth:`finish` scale results back exactly. ``tails`` is the tail-weight
+    memo (see :func:`_tail_weights`) of the callers that build rows for this
+    batch alone. ``srt`` is one sorted sample
     (1-D) or a batch of them (2-D), and ``shape`` is its shape. The scaling
     and the squares are taken in ``srt`` itself unless it is read-only or
     not contiguous, so a caller hands over an array it no longer reads as
     sorted values.
 
-    The batch holds one buffer. The first read of ``d`` turns the squares
-    into their spacings in it, in place, and ``s2`` is gone after that
-    (reading it is an internal error), so a caller contracts every row that
-    weighs ``s2`` first. ``d`` is a view, the first n - 1 columns of the
-    buffer; its values are those of ``np.diff(s2)``.
+    The one-buffer rule: the batch holds one buffer, and the first read of
+    ``d`` turns the squares into their spacings in it, in place. ``s2`` is
+    gone after that (reading it is an internal error), so a caller contracts
+    every row that weighs ``s2`` first. ``d`` is a view, the first n - 1
+    columns of the buffer; its values are those of ``np.diff(s2)``.
     """
 
     __slots__ = ("s2", "d", "shape", "shift", "tails")
@@ -248,18 +199,22 @@ class _SortedSquares:
         """Rows of (len(coefs), R) for one chunk (see :func:`_chunks`), before :meth:`unscale`.
 
         Lane ``j`` is contracted with ``coefs[j]``; all of them weigh one row
-        kind. Each tile of rows is one product ``tile @ C.T`` of fixed shape,
-        W lanes along its columns, transposed into the result.
+        kind. Each tile of rows (at most ``_TILE_MACS`` multiply-adds) is one
+        product ``tile @ C.T`` of W columns, lanes along the columns: along
+        the rows (``C @ tile.T``) lanes 12 and up rounded differently at
+        R = 301 and 334, along the columns no lane or neighbour moved a
+        result, at 1 and at 2 BLAS threads. Only the real lanes are copied
+        out of each product, so the result owns its len(coefs) rows.
         """
         rows = self._weighed(coefs[0])
         r, k = rows.shape
         coef = np.zeros((_CHUNK_WIDTH, k))
         coef[: len(coefs)] = coefs
-        out = np.empty((_CHUNK_WIDTH, r))
+        out = np.empty((len(coefs), r))
         step = max(1, _TILE_MACS // (_CHUNK_WIDTH * k))
         for lo in range(0, r, step):
-            out[:, lo : lo + step] = (rows[lo : lo + step] @ coef.T).T
-        return out[: len(coefs)]
+            out[:, lo : lo + step] = (rows[lo : lo + step] @ coef.T)[:, : len(coefs)].T
+        return out
 
     def unscale(self, out: np.ndarray, power: int = 1) -> np.ndarray:
         """Undo the scaling of ``out``, a result of degree ``power`` in ``s2``, in place.
@@ -421,7 +376,11 @@ def _build_coefficients(kind: EstimatorKind, order, windows, plotting, n: int,
     checked against n; a kind without a window takes ``(None,)`` and gets
     one row. Spacing kinds take their order's tail weights from ``tails``
     (see :func:`_tail_weights`). The L-statistic row is built in place in
-    the buffer of its plotting positions.
+    the buffer of its plotting positions. A clamped difference
+    ``s2[hi] - s2[lo]`` is a sum of consecutive spacings, so the coefficient
+    of a spacing is a windowed sum of scaled tail weights, read off one
+    nondecreasing cumulative sum: no spacing coefficient is negative, so tied
+    samples give exactly 0 and no spacing estimate is negative.
     """
     if kind is EstimatorKind.LSTAT:
         # The plotting default: i/(n+1) for the WCRE, i/n for other orders.

@@ -1,55 +1,28 @@
 """Uniformity tests built on the weighted residual measures, plus competitors.
 
-The entropy-based tests reject the standard uniform hypothesis when the
-plug-in statistic falls outside a two-sided band of simulated quantiles;
-both tails get half of the level, and the band endpoints themselves reject
-(closed critical region). The statistic is bounded above by a closed-form
-constant, so the upper critical value can never exceed that bound.
-
-Four classical competitors are included for the power study: Kolmogorov-
-Smirnov, Cramer-von Mises, Anderson-Darling (all reject for large values)
-and a spacing-entropy test (rejects for small values). Their critical
-values are simulated under the null with the same draws and replication
-budget as the entropy tests, so the power columns are size-matched.
+The entropy-band tests (``wcrte``, ``wcre``) reject the standard uniform
+hypothesis when the plug-in statistic falls outside a two-sided band of
+simulated quantiles: both tails get half of the level, and the band endpoints
+themselves reject. The statistic is bounded above by a closed-form constant
+(:func:`statistic_bound`). Four classical competitors serve the power study:
+Kolmogorov-Smirnov, Cramer-von Mises and Anderson-Darling reject large
+values, the spacing-entropy test (``ent``) small ones. All are calibrated on
+the same null draws and replication budget, so the power columns are
+size-matched.
 
 One or several: :func:`critical_values` takes one size and one order or a
 list or tuple of either, :func:`power_study` one size or a list, and
 :func:`uniformity_test` one test or a list. One value gives one result (for
 power, the cells of one size), a list gives a list, as the estimators treat
 one sample and a batch; the commands and ``verify_table(7)`` and ``(8)``
-pass lists and call these functions. Null draws are keyed by (seed, n)
-only: a critical pair computed standalone is identical to the one computed
-inside a sweep over sizes, orders or test kinds. Within one call, each
-(seed, n, replications) null batch is drawn, sorted and squared once and
-every test reads it: all orders of one n, all tests of one sample, and all
-tests of one n in :func:`power_study`, which also sorts and squares each
-alternative's draws once. Nothing is kept between calls. Several sizes
-are all checked, then run on one pool, larger sizes first: each size's
-calibration, then for power each (size, alternative), which scores its
-draws, waits for its size's critical values and keeps only its cells. A
-critical value is numpy's default (``linear``) quantile, taken from one
-``np.partition`` at its rank (``_quantile``) with ``np.quantile``'s bits.
+pass lists. Several sizes are all checked before any draw, then run on one
+pool, larger sizes first.
 
-Every scoring path takes its tests resolved at the batch's n
-(:meth:`GofTest.resolved`: ``ent`` with its window filled in), so a test's
-window lives in the test alone. A batch is drawn and scored in tiles of rows
-(``_score``): the coefficient row of each entropy-band test is built once
-per call, before the first tile (``_band_rows``, through
-:func:`wcrte.estimators._coefficient_rows`); then each tile is drawn, mapped
-in place by the alternative's quantile formula if any, sorted, scored by
-every competitor, then squared in place if an entropy-band test reads it,
-and only each test's vector of statistics spans the whole batch. The
-entropy-band tests of a tile are scored in one pass (``_score_rows``): each
-is its own contraction of the tile's spacings with its row, written into
-one row of a (tests, rows) array, and one ``finish`` checks them all; that
-is the contraction a standalone estimate makes, so the values are unchanged.
-A single sample (:func:`uniformity_test`) builds its rows once the same way.
-Every step acts row by row, so a tiled batch, down to tiles of one row,
-gives the bits of the whole one. The KS kernel reduces across replications
-(its deviations are laid out in column order), the spacing-entropy kernel
-sums each row in index order (column by column when a tile has more rows
-than columns, else as the last column of the running sum; same bits), and
-CvM and AD keep each row's own contiguous sum.
+Null draws are keyed by (seed, n) only: a critical pair computed standalone
+is identical to the one computed inside a sweep over sizes, orders or tests.
+Within one call each (seed, n, replications) null batch is drawn, sorted and
+squared once and every test reads it, and a power study sorts and squares
+each alternative's draws once. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -150,9 +123,12 @@ def default_spacing_window(n: int) -> int:
 
 
 def _ks_stat(sorted_rows: np.ndarray) -> np.ndarray:
+    """Kolmogorov-Smirnov statistic of each sorted row: a max, exact in any order.
+
+    The deviations are laid out in column order, so each max runs across rows.
+    """
     n = sorted_rows.shape[1]
     i = np.arange(1, n + 1, dtype=float)
-    # Deviations in column order, so each max runs across replications.
     dev = np.subtract(i / n, sorted_rows, order="F")
     out = dev.max(axis=1)
     np.subtract(sorted_rows, (i - 1.0) / n, out=dev)
@@ -160,21 +136,28 @@ def _ks_stat(sorted_rows: np.ndarray) -> np.ndarray:
 
 
 def _cvm_stat(sorted_rows: np.ndarray) -> np.ndarray:
+    """Cramer-von Mises statistic of each sorted row.
+
+    Each row is summed over its own contiguous terms, as one row alone is.
+    """
     n = sorted_rows.shape[1]
     grid = (2.0 * np.arange(1, n + 1, dtype=float) - 1.0) / (2.0 * n)
     return ((sorted_rows - grid) ** 2).sum(axis=1) + 1.0 / (12.0 * n)
 
 
-def _ad_stat(sorted_rows: np.ndarray) -> np.ndarray:
+def _ad_stat(sorted_rows: np.ndarray, stacklevel: int = 3) -> np.ndarray:
+    """Anderson-Darling statistic of each sorted row.
+
+    Each row is summed over its own contiguous terms, as one row alone is.
+    Values within ``_AD_EPS`` of 0 or 1 are clamped, with a warning at
+    ``stacklevel`` (see :func:`_ent_stat`).
+    """
     n = sorted_rows.shape[1]
     # Rows are sorted, so only a row's ends can fall outside the clamp.
     if sorted_rows[:, 0].min() < _AD_EPS or sorted_rows[:, -1].max() > 1.0 - _AD_EPS:
-        warnings.warn(
-            "observations at 0 or 1 clamped for the Anderson-Darling logs",
-            stacklevel=3,
-        )
+        warnings.warn("observations at 0 or 1 clamped for the Anderson-Darling logs",
+                      stacklevel=stacklevel)
         sorted_rows = np.clip(sorted_rows, _AD_EPS, 1.0 - _AD_EPS)
-    # Each row is summed over its own contiguous terms, as one row alone is.
     terms = np.negative(sorted_rows[:, ::-1])
     np.log1p(terms, out=terms)
     terms += np.log(sorted_rows)
@@ -199,8 +182,16 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ent_stat(sorted_rows: np.ndarray, m: int) -> np.ndarray:
-    """Spacing-entropy statistic of window m, already checked against n."""
+def _ent_stat(sorted_rows: np.ndarray, m: int, stacklevel: int = 3) -> np.ndarray:
+    """Spacing-entropy statistic of window m, already checked against n.
+
+    Each row's logs are summed by :func:`_row_sums`. A zero spacing's log is
+    replaced by ``_ENT_LOG_FLOOR``, with a warning at ``stacklevel``, counted
+    from here as :func:`warnings.warn` counts it. The public single-sample
+    functions pass a level that names their caller; a batch, scored on a pool
+    thread, keeps the default, which names the line of this module that
+    scored it.
+    """
     n = sorted_rows.shape[1]
     idx = np.arange(1, n + 1)
     hi = np.minimum(idx + m, n) - 1
@@ -215,10 +206,8 @@ def _ent_stat(sorted_rows: np.ndarray, m: int) -> np.ndarray:
     out = _row_sums(logs) / n
     # Spacings are never negative, and only a zero one makes a mean -inf.
     if np.isneginf(out).any():
-        warnings.warn(
-            "zero spacings in the spacing-entropy statistic; using a log floor",
-            stacklevel=3,
-        )
+        warnings.warn("zero spacings in the spacing-entropy statistic; using a log floor",
+                      stacklevel=stacklevel)
         logs[np.isneginf(logs)] = _ENT_LOG_FLOOR
         out = _row_sums(logs) / n
     return out
@@ -233,7 +222,7 @@ def competitor_statistic(name: str, x, m: int | None = None):
     if test.is_entropy_band:
         raise DomainError(f"unknown competitor {name!r} (known: ks, cvm, ad, ent)")
     srt = _sorted_rows(x, min_n=1, upper=1.0)
-    out = _competitor_null_stats(test.resolved(srt.shape[-1]), np.atleast_2d(srt))
+    out = _competitor_null_stats(test.resolved(srt.shape[-1]), np.atleast_2d(srt), stacklevel=3)
     return float(out[0]) if srt.ndim == 1 else out
 
 
@@ -282,7 +271,10 @@ class GofTest:
         return self.name == "ent"
 
     def resolved(self, n: int) -> GofTest:
-        """This test at sample size n: ``ent`` with its window filled in and checked against n."""
+        """This test at sample size n: ``ent`` with its window filled in and checked against n.
+
+        Every scoring path takes its tests resolved, so a window lives in the test alone.
+        """
         if self.name != "ent":
             return self
         m = default_spacing_window(n) if self.m is None else est._check_window(self.m, n)
@@ -395,13 +387,14 @@ def _band_rows(tests, n: int) -> list[np.ndarray]:
     return [rows[(spec, n)] for spec in specs]
 
 
-def _score_rows(rows: np.ndarray, tests, band_rows) -> np.ndarray:
+def _score_rows(rows: np.ndarray, tests, band_rows, stacklevel: int = 1) -> np.ndarray:
     """Statistics of the resolved ``tests`` on sorted [0, 1] ``rows``: row k for ``tests[k]``.
 
-    The competitors read the sorted rows first. Then, if an entropy-band test
-    is scored, the rows are squared once (in place, unless they are
-    read-only: a caller that reads them afterwards passes a copy), each
-    such test is one row of one :meth:`~wcrte.estimators._SortedSquares.contract`
+    The competitors read the sorted rows first, warning at ``stacklevel``
+    counted from here. Then, if an entropy-band test is scored, the rows are
+    squared once (in place, unless they are read-only: a caller that reads
+    them afterwards passes a copy) and the band tests are scored in one pass:
+    each is one row of one :meth:`~wcrte.estimators._SortedSquares.contract`
     with its row of ``band_rows`` (see :func:`_band_rows`), and all of them
     get a single ``finish``: the contraction and checks of a standalone
     estimate, so each statistic keeps its bits.
@@ -412,7 +405,7 @@ def _score_rows(rows: np.ndarray, tests, band_rows) -> np.ndarray:
         if test.is_entropy_band:
             band.append(k)
         else:
-            out[k] = _competitor_null_stats(test, rows)
+            out[k] = _competitor_null_stats(test, rows, stacklevel + 1)
     if band:
         squares = est._SortedSquares(rows)
         out[band] = squares.finish(squares.contract(band_rows))
@@ -422,11 +415,12 @@ def _score_rows(rows: np.ndarray, tests, band_rows) -> np.ndarray:
 def _score(stream, n: int, replications: int, tests, transform=None) -> np.ndarray:
     """Statistics of a (replications, n) batch of ``stream``: row k for ``tests[k]``.
 
-    The band rows are built once, before the first tile. Each tile of draws
-    is mapped by ``transform`` (an alternative's in-place quantile formula;
-    None keeps the uniform null), sorted and scored; the tile is this call's
-    own, so it is mapped and squared in place. Draws, transforms, sorts and row statistics act row by
-    row, so tiles give the bits of one whole batch.
+    The band rows are built once, before the first tile (:func:`_tiles`).
+    Each tile of draws is mapped by ``transform`` (an alternative's in-place
+    quantile formula; None keeps the uniform null), sorted and scored; the
+    tile is this call's own, so it is mapped and squared in place. Draws,
+    transforms, sorts and statistics act row by row, so any tile height, down
+    to one row, gives the bits of the whole batch.
     """
     out = np.empty((len(tests), replications))
     band_rows = _band_rows(tests, n)
@@ -439,15 +433,18 @@ def _score(stream, n: int, replications: int, tests, transform=None) -> np.ndarr
     return out
 
 
-def _competitor_null_stats(test: GofTest, sorted_null: np.ndarray) -> np.ndarray:
-    """The statistic of the resolved competitor ``test`` on each sorted row."""
+def _competitor_null_stats(test: GofTest, sorted_null: np.ndarray, stacklevel=2) -> np.ndarray:
+    """The statistic of the resolved competitor ``test`` on each sorted row.
+
+    ``stacklevel`` is that of the statistic's warnings, counted from here.
+    """
     if test.name == "ks":
         return _ks_stat(sorted_null)
     if test.name == "cvm":
         return _cvm_stat(sorted_null)
     if test.name == "ad":
-        return _ad_stat(sorted_null)
-    return _ent_stat(sorted_null, test.m)
+        return _ad_stat(sorted_null, stacklevel + 1)
+    return _ent_stat(sorted_null, test.m, stacklevel + 1)
 
 
 def _quantile(stats: np.ndarray, q: float) -> float:
@@ -531,7 +528,7 @@ def critical_values(
     checked in turn (the orders with the first), then ``threads`` (by the
     pool), all before any draw. Each n's null batch is drawn once and
     scored by every order, as one task on ``threads`` threads, largest n
-    first; the draws depend only on (seed, n).
+    first.
     """
     checked = []
     for size in _listed(n, "sample size"):
@@ -562,8 +559,7 @@ def competitor_critical_value(
 ) -> CriticalValue:
     """Simulated one-sided critical value for ks/cvm/ad/ent.
 
-    Shares its null draws with :func:`critical_values` for the same
-    (seed, n, replications).
+    Shares its null draws with :func:`critical_values` (see the module docstring).
     """
     test = GofTest(name=name, m=m)
     if test.is_entropy_band:
@@ -641,7 +637,7 @@ def uniformity_test(
             n, g, reps = _check_null_grid(srt.size, gamma, replications)
         scored.append(t.resolved(n))
     bands = _null_bands(n, scored, g, reps, seed)
-    stats = _score_rows(np.atleast_2d(srt), scored, _band_rows(scored, n))
+    stats = _score_rows(np.atleast_2d(srt), scored, _band_rows(scored, n), stacklevel=3)
     results = [
         GofResult(
             test=t.name, n=n, order=t.order, m=t.m, gamma=g,
@@ -686,9 +682,8 @@ def power_study(
 
     ``n`` is one size or a list or tuple of them; the cells come back n by
     n, and within an n one per (alternative, test), alternatives outermost.
-    One null batch per n (keyed by (seed, n)) calibrates every test; each
-    alternative gets its own stream keyed by n and its position in the
-    list, and its draws are sorted and squared once for all tests. Passing
+    One null batch per n calibrates every test; each alternative gets its
+    own stream keyed by n and its position in the list. Passing
     the uniform model as an alternative estimates the empirical size, since
     its draws are independent of the null calibration draws. An alternative
     whose largest draw, ``quantile(nextafter(1, 0))``, exceeds 1 raises

@@ -247,7 +247,8 @@ def _chunk_moments(out: np.ndarray, truths, replications: int, where: str) -> li
 
     The error, its square and the square's deviation are formed in ``out``
     itself, and each moment is one row reduction along axis 1: for every
-    row, the bits of ``ndarray.mean`` and ``ndarray.std`` of that row alone.
+    row, the bits of ``ndarray.mean`` and ``ndarray.std`` of that row alone,
+    so neither the chunk a cell lands in nor its neighbours there move it.
     A lane whose squared deviations overflow gets its mse_se from the
     deviations scaled by an exact power of two; a bias or mse that is not
     finite (an estimate out of the float range makes it so) raises
@@ -281,10 +282,9 @@ def _run_block(block: _BlockPlan, replications: int, seed: int, rows: dict) -> l
     stream = mc_stream(seed, block.model_index, block.n)
     # The block lives in one R x n buffer from the draw to the moments: the
     # draws (already in [0, 1)) are mapped through the model's quantile
-    # formula, sorted, validated and squared in place, and the first spacing
-    # chunk turns the squares into spacings in place, so the L-statistic
-    # chunks go first. The cells' coefficient rows (from ``rows``) are
-    # contracted and reduced one chunk at a time.
+    # formula, sorted, validated and squared in place, and its chunks follow
+    # the one-buffer rule of ``_SortedSquares``. The cells' coefficient rows
+    # (from ``rows``) are contracted and reduced one chunk at a time.
     xs = block.model._transform(stream.random((replications, block.n)))
     xs.sort(axis=1)
     squares = est._SortedSquares(_check_sorted(xs))

@@ -752,6 +752,18 @@ def test_verify_tables_rejects_zero_replications(capsys):
     assert err == "error: need replications >= 1000, got 0\n"
 
 
+@pytest.mark.parametrize("command, default", [
+    ("verify-tables", "default: each group's published count"),
+    ("mse-study", "default 10000"),
+    ("critical-values", "default 10000"),
+    ("power", "default 10000"),
+])
+def test_reps_help_names_each_commands_default(command, default, capsys):
+    code, out, _ = run_cli([command, "--help"], capsys)
+    assert code == 0
+    assert f"Monte Carlo replications ({default})" in " ".join(out.split())
+
+
 # --- config and seed handling ---------------------------------------------------------
 
 

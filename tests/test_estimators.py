@@ -41,7 +41,14 @@ from wcrte import (
     wcrte_vasicek,
 )
 from wcrte import sample as sample_module
-from wcrte.estimators import _SPACING_BLOCK, _build_coefficients, _coefficient_rows, _SortedSquares
+from wcrte.estimators import (
+    _CHUNK_WIDTH,
+    _SPACING_BLOCK,
+    _TILE_MACS,
+    _build_coefficients,
+    _coefficient_rows,
+    _SortedSquares,
+)
 
 
 # --- hand-computed values -----------------------------------------------------
@@ -306,6 +313,28 @@ def test_contractions_over_the_spacing_view_equal_a_contiguous_copy():
             got = getattr(squares, method)(coefs)
             want = getattr(copy, method)(coefs)
             assert got.tobytes() == want.tobytes(), (srt.shape, method)
+
+
+@pytest.mark.parametrize("n", [10, 50])
+@pytest.mark.parametrize("lanes", [1, 2, 15, 16])
+def test_a_chunk_returns_only_its_lanes(n, lanes):
+    """``chunk`` returns one row per coefficient row, owning its data, with the
+    bits of the first rows of the product padded to W lanes, tile by tile."""
+    srt = np.sort(np.random.default_rng(45).random((2000, n)), axis=1)
+    specs = [EstimatorSpec(EstimatorKind.VASICEK, order, m)
+             for order in (2.0, None, 7.0, 0.5) for m in range(1, max_window(n) + 1)]
+    coefs = [_one_row(spec, n) for spec in specs[:lanes]]
+    squares = _SortedSquares(srt)
+    got = squares.chunk(coefs)
+    padded = np.zeros((_CHUNK_WIDTH, n - 1))
+    padded[:lanes] = coefs
+    step = max(1, _TILE_MACS // (_CHUNK_WIDTH * (n - 1)))
+    assert step < len(srt)
+    want = np.concatenate([(squares.d[lo : lo + step] @ padded.T).T
+                           for lo in range(0, len(srt), step)], axis=1)
+    assert got.shape == (lanes, len(srt))
+    assert got.base is None and got.flags.owndata
+    assert got.tobytes() == want[:lanes].tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 31])

@@ -148,6 +148,22 @@ def test_ent_floors_zero_spacings():
     assert got < -100.0  # hugely negative, so the test rejects low
 
 
+@pytest.mark.parametrize("run", [
+    lambda x, name: competitor_statistic(name, x),
+    lambda x, name: uniformity_test(x, name, replications=1000),
+], ids=["competitor_statistic", "uniformity_test"])
+@pytest.mark.parametrize("x, name, message", [
+    ([0.5, 0.5, 0.5, 0.7], "ent", "zero spacings"),
+    ([0.0, 0.5, 0.7], "ad", "clamped"),
+])
+def test_competitor_warnings_name_the_callers_line(run, x, name, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(x, name)
+    (w,) = [w for w in caught if message in str(w.message)]
+    assert w.filename == __file__
+
+
 def test_competitor_validation():
     with pytest.raises(DomainError):
         competitor_statistic("watson", [0.1, 0.9])
