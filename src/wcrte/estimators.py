@@ -23,8 +23,8 @@ is the one maker of coefficient rows. A prepared batch
 the rows it is handed: by ``np.einsum`` (:meth:`~_SortedSquares.contract`)
 for a standalone call, ``wcrte estimate`` and the uniformity tests, and by
 fixed-shape BLAS products (:meth:`~_SortedSquares.chunk`) for a Monte Carlo
-study, which builds every row before its workers start
-(:func:`_coefficient_rows`).
+study, whose rows come from :func:`_coefficient_rows` by the plan rule of
+:mod:`wcrte.mc`.
 """
 
 from __future__ import annotations

@@ -8,6 +8,12 @@ those common draws. Sharing draws is what makes the bias/MSE columns and the
 window sweeps directly comparable: two estimators differ because of how they
 treat the same samples, not because of draw noise.
 
+The plan rule: one lane plan per sample size and cell layout (the orders
+whose truth a model has), built before any worker starts. It holds the
+size's chunks of lanes, each with its coefficient rows, and each cell's
+lane; every (model, n) block of that size and layout reads it and builds
+nothing of its own.
+
 Worker threads parallelize across (model, n) blocks, the largest (n times
 lanes) started first, and the reduction happens in grid order, which keeps
 output bit-identical for any thread count.
@@ -179,9 +185,19 @@ class McStudyResult:
 
 
 @dataclass(frozen=True)
-class _CellSpec:
-    estimator: est.EstimatorSpec
-    truth: float
+class _LanePlan:
+    """The lanes of every block of one sample size and cell layout.
+
+    ``chunks`` holds each chunk's coefficient rows (see
+    :func:`estimators._chunks`), stacked: chunk lanes are numbered on from
+    one chunk to the next. ``orders`` gives each lane's order position in
+    the grid, which picks its truth, and ``cells`` each grid cell's
+    ``(spec, order position, lane)``, in grid order.
+    """
+
+    chunks: tuple[np.ndarray, ...]
+    orders: np.ndarray
+    cells: tuple[tuple[est.EstimatorSpec, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -189,7 +205,8 @@ class _BlockPlan:
     model_index: int
     model: Model
     n: int
-    specs: tuple[_CellSpec, ...]
+    truths: tuple[float | None, ...]  # by order position; None where the measure diverges
+    lanes: _LanePlan
 
 
 def _plan_blocks(config: McStudyConfig) -> tuple[list[_BlockPlan], list[str]]:
@@ -205,8 +222,8 @@ def _plan_blocks(config: McStudyConfig) -> tuple[list[_BlockPlan], list[str]]:
     skipped: list[str] = []
     truth_cache: dict[tuple[int, float | None], float | None] = {}
     spec_cache: dict[tuple, tuple[est.EstimatorSpec, ...]] = {}
+    plans: dict[tuple, _LanePlan] = {}
     for (mi, model), n in itertools.product(enumerate(config.models), config.sample_sizes):
-        specs: list[_CellSpec] = []
         for order, kind in itertools.product(config.orders, config.kinds):
             key = (mi, order)
             if key not in truth_cache:
@@ -215,14 +232,36 @@ def _plan_blocks(config: McStudyConfig) -> tuple[list[_BlockPlan], list[str]]:
                 except DivergenceError as exc:
                     truth_cache[key] = None
                     skipped.append(str(exc))
-            truth = truth_cache[key]
-            if truth is None:
-                continue
-            if (order, kind, n) not in spec_cache:
+            if truth_cache[key] is not None and (order, kind, n) not in spec_cache:
                 spec_cache[(order, kind, n)] = _specs(kind, order, config.windows_for(kind, n), skipped)
-            specs.extend(_CellSpec(spec, truth) for spec in spec_cache[(order, kind, n)])
-        blocks.append(_BlockPlan(mi, model, n, tuple(specs)))
+        truths = tuple(truth_cache[(mi, order)] for order in config.orders)
+        layout = (n, tuple(truth is not None for truth in truths))  # the orders kept
+        if layout not in plans:
+            cells = [(spec, j) for j, order in enumerate(config.orders) if truths[j] is not None
+                     for kind in config.kinds for spec in spec_cache[(order, kind, n)]]
+            plans[layout] = _lane_plan(n, cells)
+        blocks.append(_BlockPlan(mi, model, n, truths, plans[layout]))
     return blocks, skipped
+
+
+def _lane_plan(n: int, cells: list[tuple[est.EstimatorSpec, int]]) -> _LanePlan:
+    """The lane plan of a block's ``(spec, order position)`` cells, in grid order.
+
+    Every coefficient row comes from one :func:`estimators._coefficient_rows`
+    call. Equal specs share a lane and have equal orders, so any of their
+    order positions gives the lane its truth.
+    """
+    chunks = est._chunks(spec for spec, _ in cells)
+    rows = est._coefficient_rows((spec, n) for chunk in chunks for spec in chunk)
+    lane_of = {spec: lane for lane, spec in enumerate(itertools.chain.from_iterable(chunks))}
+    lanes = [lane_of[spec] for spec, _ in cells]
+    orders = np.empty(len(lane_of), dtype=np.intp)
+    orders[lanes] = [j for _, j in cells]
+    return _LanePlan(
+        chunks=tuple(np.array([rows[(spec, n)] for spec in chunk]) for chunk in chunks),
+        orders=orders,
+        cells=tuple((spec, j, lane) for (spec, j), lane in zip(cells, lanes)),
+    )
 
 
 def _specs(kind, order, windows, skipped: list[str]) -> tuple[est.EstimatorSpec, ...]:
@@ -242,80 +281,71 @@ def _specs(kind, order, windows, skipped: list[str]) -> tuple[est.EstimatorSpec,
 _SCALED_FROM = 2.0**500
 
 
-def _chunk_moments(out: np.ndarray, truths, replications: int, where: str) -> list[tuple]:
-    """(bias, mse, mse_se) of each row of an unscaled chunk of estimates.
+def _chunk_moments(out: np.ndarray, truths: np.ndarray, replications: int, where: str,
+                   moments: np.ndarray) -> None:
+    """(bias, mse, mse_se) of each row of an unscaled chunk of estimates, into ``moments``.
 
-    The error, its square and the square's deviation are formed in ``out``
-    itself, and each moment is one row reduction along axis 1: for every
-    row, the bits of ``ndarray.mean`` and ``ndarray.std`` of that row alone,
-    so neither the chunk a cell lands in nor its neighbours there move it.
-    A lane whose squared deviations overflow gets its mse_se from the
-    deviations scaled by an exact power of two; a bias or mse that is not
-    finite (an estimate out of the float range makes it so) raises
-    NumericError, naming ``where``: the one finiteness check of a chunk.
+    ``moments`` is a (3, rows) view: bias, mse and mse_se by row. The error,
+    its square and the square's deviation are formed in ``out`` itself, and
+    each moment is one row reduction along axis 1: for every row, the bits
+    of ``ndarray.mean`` and ``ndarray.std`` of that row alone, so neither
+    the chunk a cell lands in nor its neighbours there move it. A lane whose
+    squared deviations overflow gets its mse_se from the deviations scaled
+    by an exact power of two; a bias or mse that is not finite (an estimate
+    out of the float range makes it so) raises NumericError, naming
+    ``where``: the one finiteness check of a chunk. The caller ignores
+    overflow and invalid operations, as :func:`_run_block` does.
     """
     r = replications
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = np.subtract(out, np.asarray(truths)[:, None], out=out)
-        bias = np.add.reduce(err, axis=1) / r
-        sq = np.multiply(err, err, out=err)
-        mse = np.add.reduce(sq, axis=1) / r
-        if not (np.isfinite(bias).all() and np.isfinite(mse).all()):
-            raise NumericError(f"the bias or mse of a cell of {where} leaves the float range")
-        dev = np.subtract(sq, mse[:, None], out=sq)
-        big = np.flatnonzero(mse >= _SCALED_FROM / r)
-        kept = dev[big]  # a copy
-        var = np.add.reduce(np.multiply(dev, dev, out=dev), axis=1) / r
-    se = [math.sqrt(v) / math.sqrt(r) for v in var.tolist()]
+    bias, mse, se = moments
+    err = np.subtract(out, truths[:, None], out=out)
+    np.add.reduce(err, axis=1, out=bias)
+    sq = np.multiply(err, err, out=err)
+    np.add.reduce(sq, axis=1, out=mse)
+    moments[:2] /= r
+    if not np.isfinite(moments[:2]).all():
+        raise NumericError(f"the bias or mse of a cell of {where} leaves the float range")
+    dev = np.subtract(sq, mse[:, None], out=sq)
+    big = np.flatnonzero(mse >= _SCALED_FROM / r)
+    kept = dev[big]  # a copy
+    np.divide(np.add.reduce(np.multiply(dev, dev, out=dev), axis=1, out=se), r, out=se)
+    np.divide(np.sqrt(se, out=se), math.sqrt(r), out=se)
     for lane, row in zip(big.tolist(), kept):
         if not math.isfinite(se[lane]):
             k = math.frexp(float(np.abs(row).max()))[1]
             row = np.ldexp(row, -k, out=row)
             v = float(np.add.reduce(np.multiply(row, row, out=row)) / r)
             se[lane] = math.ldexp(math.sqrt(v) / math.sqrt(r), k)
-    return list(zip(bias.tolist(), mse.tolist(), se))
 
 
-def _run_block(block: _BlockPlan, replications: int, seed: int, rows: dict) -> list[McCell]:
-    if not block.specs:
+def _run_block(block: _BlockPlan, replications: int, seed: int) -> list[McCell]:
+    plan = block.lanes
+    if not plan.cells:
         return []
     stream = mc_stream(seed, block.model_index, block.n)
     # The block lives in one R x n buffer from the draw to the moments: the
     # draws (already in [0, 1)) are mapped through the model's quantile
     # formula, sorted, validated and squared in place, and its chunks follow
-    # the one-buffer rule of ``_SortedSquares``. The cells' coefficient rows
-    # (from ``rows``) are contracted and reduced one chunk at a time.
+    # the one-buffer rule of ``_SortedSquares``.
     xs = block.model._transform(stream.random((replications, block.n)))
     xs.sort(axis=1)
     squares = est._SortedSquares(_check_sorted(xs))
-    truths = {cell.estimator: cell.truth for cell in block.specs}
+    truths = np.array(block.truths, dtype=float)[plan.orders]
     model = block.model.spec_string()
     where = f"{model} at n={block.n}"
-    moments = {}
-    for chunk in est._chunks(truths):
-        out = squares.unscale(squares.chunk([rows[(spec, block.n)] for spec in chunk]))
-        truth = [truths[spec] for spec in chunk]
-        moments.update(zip(chunk, _chunk_moments(out, truth, replications, where)))
-        del out  # released before the next chunk's product is allocated
-    cells: list[McCell] = []
-    for cell in block.specs:
-        spec = cell.estimator
-        bias, mse, mse_se = moments[spec]
-        cells.append(
-            McCell(
-                model=model,
-                n=block.n,
-                order=spec.order,
-                kind=spec.kind,
-                window=spec.window,
-                truth=cell.truth,
-                bias=bias,
-                mse=mse,
-                mse_se=mse_se,
-                replications=replications,
-            )
-        )
-    return cells
+    moments = np.empty((3, truths.size))
+    lo = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coefs in plan.chunks:
+            hi = lo + len(coefs)
+            out = squares.unscale(squares.chunk(coefs))
+            _chunk_moments(out, truths[lo:hi], replications, where, moments[:, lo:hi])
+            del out  # released before the next chunk's product is allocated
+            lo = hi
+    bias, mse, mse_se = moments.tolist()
+    return [McCell(model, block.n, spec.order, spec.kind, spec.window, block.truths[j],
+                   bias[lane], mse[lane], mse_se[lane], replications)
+            for spec, j, lane in plan.cells]
 
 
 def _check_threads(threads: int | None) -> None:
@@ -362,16 +392,12 @@ def run_study(config: McStudyConfig, threads: int | None = None) -> McStudyResul
     is checked, and both before any draw.
     """
     blocks, skipped = _plan_blocks(config)
-    # Every coefficient row is built here, before any worker starts, as a
-    # row of one matrix per (kind, order, plotting, n); the blocks then only
-    # read this dict.
-    rows = est._coefficient_rows((cell.estimator, b.n) for b in blocks for cell in b.specs)
 
     def run(b: _BlockPlan) -> list[McCell]:
-        return _run_block(b, config.replications, config.seed, rows)
+        return _run_block(b, config.replications, config.seed)
 
     # A block's work grows with its size times its lanes; the largest start first.
-    parts = _pool_map(run, blocks, threads, cost=lambda b: b.n * len(b.specs))
+    parts = _pool_map(run, blocks, threads, cost=lambda b: b.n * len(b.lanes.cells))
     cells = [cell for part in parts for cell in part]
     return McStudyResult(
         cells=tuple(cells),

@@ -596,6 +596,73 @@ def test_windowed_study_below_order_one_still_warns():
     assert cell.order == 0.5 and cell.window == 2
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_study_warns_at_its_caller_and_keeps_the_error_state(threads):
+    """The order warning names the line that called ``run_study``, and the
+    floating-point error state a block sets is restored, also when it raises."""
+    cfg = McStudyConfig(models=(EXP1,), sample_sizes=(10, 20), orders=(0.5,),
+                        kinds=(EstimatorKind.VASICEK,), windows=(2,), replications=50)
+    before = np.geterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_study(cfg, threads=threads)
+    assert [str(w.message)[:17] for w in caught] == ["order 0.5 is belo"] * 2  # once per n
+    assert [w.filename for w in caught] == [__file__] * 2
+    assert np.geterr() == before
+    huge = McStudyConfig(models=(ParetoOne(2.0**510, 3.0),), sample_sizes=(10, 20),
+                         orders=(2.0,), kinds=ALL_KINDS, windows="sweep", replications=2000, seed=1)
+    with pytest.raises(NumericError, match="leaves the float range$"):
+        run_study(huge, threads=threads)
+    assert np.geterr() == before
+
+
+SWEEP_MODELS = tuple(map(wcrte.parse_model, (
+    "exp:lambda=1", "uniform:theta=1", "weibull:lambda=1,p=2", "rayleigh:sigma=1")))
+
+
+def test_a_study_plans_each_size_and_layout_once(monkeypatch):
+    """Blocks of one size and cell layout share one lane plan, built before
+    any block runs: two plans for two sizes, whatever the number of models."""
+    built = []
+    lane_plan = wcrte.mc._lane_plan
+    monkeypatch.setattr(wcrte.mc, "_lane_plan", lambda n, cells: built.append(n) or lane_plan(n, cells))
+    for models in (SWEEP_MODELS[:1], SWEEP_MODELS):
+        built.clear()
+        config = McStudyConfig(models=models, sample_sizes=(10, 20), orders=(2.0, None),
+                               kinds=ALL_KINDS, windows="sweep", replications=50)
+        for threads in (1, 2):
+            assert len(run_study(config, threads=threads).cells) == len(models) * (28 + 58)
+        assert built == [10, 20] * 2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blocks_of_one_size_with_different_layouts_keep_their_cells(threads):
+    """Pareto's order-0.5 cells are skipped and the exponential's are not, so
+    the two blocks of each size have different lanes. Each model's cells are
+    those it gets alone (first position) or beside a twin of itself (second
+    position, where the draws are keyed alike)."""
+    exp, pareto = wcrte.parse_model("exp:lambda=1"), wcrte.parse_model("pareto1:k=1,delta=3")
+    lstat = "the L-statistic and the uniformity tests need order > 1, got 0.5"
+    diverges = ("WCRTE of order 0.5 diverges for pareto1:k=1,delta=3: "
+                "needs delta > 2 and delta * alpha > 2")
+
+    def study(*models):
+        config = McStudyConfig(models=models, sample_sizes=(10, 20), orders=(0.5, 2.0),
+                               kinds=ALL_KINDS, windows="sweep", replications=50, seed=29)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "order 0.5 is below 1")
+            return run_study(config, threads=threads)
+
+    for pair, skipped in (((exp, pareto), (lstat, diverges)), ((pareto, exp), (diverges, lstat))):
+        both = study(*pair)
+        assert both.skipped == skipped
+        first, second = (tuple(c for c in both.cells if c.model == m.spec_string()) for m in pair)
+        assert first == study(pair[0]).cells
+        twins = study(pair[1], pair[1]).cells
+        assert second == twins[len(twins) // 2:]
+        assert len(first) + len(second) == 127
+
+
 def test_other_models_do_not_perturb_a_models_draws():
     kw = dict(
         sample_sizes=(15,),
