@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, NumericError, ParseError
+from .errors import DivergenceError, DomainError, NumericError, ParseError, _warn
 from .sample import _check_size
 
 __all__ = [
@@ -419,6 +419,7 @@ class StephensAlternative(Model):
     Family A pushes mass toward 0, family B toward the center, family C
     toward both endpoints; j = 1 is the uniform in every family. Pairs
     outside the standard study grid are accepted but flagged with a warning.
+    B and C scale by 2**(j - 1), which leaves the float range from j = 1025.
     """
 
     family: str
@@ -430,20 +431,19 @@ class StephensAlternative(Model):
             raise DomainError(f"alternative family must be A, B or C, got {self.family!r}")
         object.__setattr__(self, "family", fam)
         _require_positive(self)
+        if fam != "A" and self.j >= 1025.0:
+            raise DomainError(f"alternative {fam} needs j < 1025, got {self.j!r}")
         if (fam, float(self.j)) not in _STUDIED_ALTERNATIVES:
-            warnings.warn(
-                f"alternative {fam} with j={self.j:g} is outside the standard "
-                "power-study grid; treating it as an extension",
-                stacklevel=2,
-            )
+            _warn(f"alternative {fam} with j={self.j:g} is outside the standard "
+                  "power-study grid; treating it as an extension")
 
     def cdf(self, x):
         z = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
         j = self.j
-        c = 2.0 ** (j - 1.0)
         if self.family == "A":
-            out = 1.0 - (1.0 - z) ** j
-        elif self.family == "B":
+            return _ret(1.0 - (1.0 - z) ** j)
+        c = 2.0 ** (j - 1.0)
+        if self.family == "B":
             out = np.where(z <= 0.5, c * z**j, 1.0 - c * (1.0 - z) ** j)
         else:
             out = np.where(
@@ -455,13 +455,13 @@ class StephensAlternative(Model):
 
     def _transform(self, v):
         j = self.j
-        c = 2.0 ** (j - 1.0)
         if self.family == "A":
             # 1 - (1 - v)**(1/j)
             np.subtract(1.0, v, out=v)
             _power(v, 1.0 / j)
             np.subtract(1.0, v, out=v)
             return v
+        c = 2.0 ** (j - 1.0)
         # Both halves in one pass: r = (w / c)**(1/j) with w the distance to
         # the nearer end (B) or to the center (C), signed toward the half of v;
         # B then gives r below one half and 1 - r above, C gives 0.5 +- r. One

@@ -30,7 +30,6 @@ study, whose rows come from :func:`_coefficient_rows` by the plan rule of
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Literal, get_args
@@ -44,7 +43,7 @@ from .distributions import (
     check_order,
     order_label,
 )
-from .errors import DomainError, NumericError, ParseError
+from .errors import DomainError, NumericError, ParseError, _warn
 from .sample import _check_size, _sorted_rows
 
 __all__ = [
@@ -451,25 +450,19 @@ def _coefficient_rows(keys) -> dict:
     return rows
 
 
-def _warn_order(spec: EstimatorSpec, stacklevel: int) -> None:
+def _warn_order(spec: EstimatorSpec) -> None:
     """The warnings an evaluation of ``spec`` gives, whatever its sample."""
     if spec.kind.needs_window and spec.order is not None and spec.order < 1.0:
-        warnings.warn(
-            f"order {spec.order:g} is below 1; the underlying measure may be infinite "
-            "and the spacing estimate need not stabilize",
-            stacklevel=stacklevel + 1,
-        )
+        _warn(f"order {spec.order:g} is below 1; the underlying measure may be infinite "
+              "and the spacing estimate need not stabilize")
     if spec.order is None and spec.plotting == "n":
-        warnings.warn(
-            "plotting position i/n makes the last WCRE L-statistic term "
-            "log(0); dropping the i = n term",
-            stacklevel=stacklevel + 1,
-        )
+        _warn("plotting position i/n makes the last WCRE L-statistic term "
+              "log(0); dropping the i = n term")
 
 
 def _evaluate(spec: EstimatorSpec, x):
     """``spec`` on ``x``; every public estimator ends here."""
-    _warn_order(spec, stacklevel=3)
+    _warn_order(spec)
     sq = _prepare(x)
     n = sq.shape[-1]
     coef = _build_coefficients(spec.kind, spec.order, (spec.window,), spec.plotting, n, sq.tails)
@@ -567,7 +560,7 @@ def _lstat_variance(x, order):
         inner = pairs.sum(axis=1)
     out = sq.finish(inner / denominator, power=2)
     if np.any(np.asarray(out) < 0.0):
-        warnings.warn("negative variance estimate (small-sample artifact)", stacklevel=3)
+        _warn("negative variance estimate (small-sample artifact)")
     return out
 
 

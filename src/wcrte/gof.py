@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,7 +43,7 @@ from .distributions import (
     order_label,
     parse_model,
 )
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, _warn
 from .mc import (
     _RUN_COLUMNS, DEFAULT_SEED, _columns, _pool_map, gof_alternative_stream, gof_null_stream,
 )
@@ -145,18 +144,16 @@ def _cvm_stat(sorted_rows: np.ndarray) -> np.ndarray:
     return ((sorted_rows - grid) ** 2).sum(axis=1) + 1.0 / (12.0 * n)
 
 
-def _ad_stat(sorted_rows: np.ndarray, stacklevel: int = 3) -> np.ndarray:
+def _ad_stat(sorted_rows: np.ndarray) -> np.ndarray:
     """Anderson-Darling statistic of each sorted row.
 
     Each row is summed over its own contiguous terms, as one row alone is.
-    Values within ``_AD_EPS`` of 0 or 1 are clamped, with a warning at
-    ``stacklevel`` (see :func:`_ent_stat`).
+    Values within ``_AD_EPS`` of 0 or 1 are clamped, with a warning.
     """
     n = sorted_rows.shape[1]
     # Rows are sorted, so only a row's ends can fall outside the clamp.
     if sorted_rows[:, 0].min() < _AD_EPS or sorted_rows[:, -1].max() > 1.0 - _AD_EPS:
-        warnings.warn("observations at 0 or 1 clamped for the Anderson-Darling logs",
-                      stacklevel=stacklevel)
+        _warn("observations at 0 or 1 clamped for the Anderson-Darling logs")
         sorted_rows = np.clip(sorted_rows, _AD_EPS, 1.0 - _AD_EPS)
     terms = np.negative(sorted_rows[:, ::-1])
     np.log1p(terms, out=terms)
@@ -182,15 +179,11 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ent_stat(sorted_rows: np.ndarray, m: int, stacklevel: int = 3) -> np.ndarray:
+def _ent_stat(sorted_rows: np.ndarray, m: int) -> np.ndarray:
     """Spacing-entropy statistic of window m, already checked against n.
 
     Each row's logs are summed by :func:`_row_sums`. A zero spacing's log is
-    replaced by ``_ENT_LOG_FLOOR``, with a warning at ``stacklevel``, counted
-    from here as :func:`warnings.warn` counts it. The public single-sample
-    functions pass a level that names their caller; a batch, scored on a pool
-    thread, keeps the default, which names the line of this module that
-    scored it.
+    replaced by ``_ENT_LOG_FLOOR``, with a warning.
     """
     n = sorted_rows.shape[1]
     idx = np.arange(1, n + 1)
@@ -206,8 +199,7 @@ def _ent_stat(sorted_rows: np.ndarray, m: int, stacklevel: int = 3) -> np.ndarra
     out = _row_sums(logs) / n
     # Spacings are never negative, and only a zero one makes a mean -inf.
     if np.isneginf(out).any():
-        warnings.warn("zero spacings in the spacing-entropy statistic; using a log floor",
-                      stacklevel=stacklevel)
+        _warn("zero spacings in the spacing-entropy statistic; using a log floor")
         logs[np.isneginf(logs)] = _ENT_LOG_FLOOR
         out = _row_sums(logs) / n
     return out
@@ -222,7 +214,7 @@ def competitor_statistic(name: str, x, m: int | None = None):
     if test.is_entropy_band:
         raise DomainError(f"unknown competitor {name!r} (known: ks, cvm, ad, ent)")
     srt = _sorted_rows(x, min_n=1, upper=1.0)
-    out = _competitor_null_stats(test.resolved(srt.shape[-1]), np.atleast_2d(srt), stacklevel=3)
+    out = _competitor_null_stats(test.resolved(srt.shape[-1]), np.atleast_2d(srt))
     return float(out[0]) if srt.ndim == 1 else out
 
 
@@ -387,17 +379,17 @@ def _band_rows(tests, n: int) -> list[np.ndarray]:
     return [rows[(spec, n)] for spec in specs]
 
 
-def _score_rows(rows: np.ndarray, tests, band_rows, stacklevel: int = 1) -> np.ndarray:
+def _score_rows(rows: np.ndarray, tests, band_rows) -> np.ndarray:
     """Statistics of the resolved ``tests`` on sorted [0, 1] ``rows``: row k for ``tests[k]``.
 
-    The competitors read the sorted rows first, warning at ``stacklevel``
-    counted from here. Then, if an entropy-band test is scored, the rows are
-    squared once (in place, unless they are read-only: a caller that reads
-    them afterwards passes a copy) and the band tests are scored in one pass:
-    each is one row of one :meth:`~wcrte.estimators._SortedSquares.contract`
-    with its row of ``band_rows`` (see :func:`_band_rows`), and all of them
-    get a single ``finish``: the contraction and checks of a standalone
-    estimate, so each statistic keeps its bits.
+    The competitors read the sorted rows first. Then, if an entropy-band test
+    is scored, the rows are squared once (in place, unless they are
+    read-only: a caller that reads them afterwards passes a copy) and the
+    band tests are scored in one pass: each is one row of one
+    :meth:`~wcrte.estimators._SortedSquares.contract` with its row of
+    ``band_rows`` (see :func:`_band_rows`), and all of them get a single
+    ``finish``: the contraction and checks of a standalone estimate, so each
+    statistic keeps its bits.
     """
     out = np.empty((len(tests), rows.shape[0]))
     band = []
@@ -405,7 +397,7 @@ def _score_rows(rows: np.ndarray, tests, band_rows, stacklevel: int = 1) -> np.n
         if test.is_entropy_band:
             band.append(k)
         else:
-            out[k] = _competitor_null_stats(test, rows, stacklevel + 1)
+            out[k] = _competitor_null_stats(test, rows)
     if band:
         squares = est._SortedSquares(rows)
         out[band] = squares.finish(squares.contract(band_rows))
@@ -433,18 +425,15 @@ def _score(stream, n: int, replications: int, tests, transform=None) -> np.ndarr
     return out
 
 
-def _competitor_null_stats(test: GofTest, sorted_null: np.ndarray, stacklevel=2) -> np.ndarray:
-    """The statistic of the resolved competitor ``test`` on each sorted row.
-
-    ``stacklevel`` is that of the statistic's warnings, counted from here.
-    """
+def _competitor_null_stats(test: GofTest, sorted_null: np.ndarray) -> np.ndarray:
+    """The statistic of the resolved competitor ``test`` on each sorted row."""
     if test.name == "ks":
         return _ks_stat(sorted_null)
     if test.name == "cvm":
         return _cvm_stat(sorted_null)
     if test.name == "ad":
-        return _ad_stat(sorted_null, stacklevel + 1)
-    return _ent_stat(sorted_null, test.m, stacklevel + 1)
+        return _ad_stat(sorted_null)
+    return _ent_stat(sorted_null, test.m)
 
 
 def _quantile(stats: np.ndarray, q: float) -> float:
@@ -637,7 +626,7 @@ def uniformity_test(
             n, g, reps = _check_null_grid(srt.size, gamma, replications)
         scored.append(t.resolved(n))
     bands = _null_bands(n, scored, g, reps, seed)
-    stats = _score_rows(np.atleast_2d(srt), scored, _band_rows(scored, n), stacklevel=3)
+    stats = _score_rows(np.atleast_2d(srt), scored, _band_rows(scored, n))
     results = [
         GofResult(
             test=t.name, n=n, order=t.order, m=t.m, gamma=g,

@@ -272,7 +272,7 @@ def _specs(kind, order, windows, skipped: list[str]) -> tuple[est.EstimatorSpec,
         if str(exc) not in skipped:
             skipped.append(str(exc))
         return ()
-    est._warn_order(spec, stacklevel=4)
+    est._warn_order(spec)
     return tuple(est.EstimatorSpec(kind, order, window) for window in windows)
 
 

@@ -1,12 +1,19 @@
 """Each parameter rule raises one message from every entry point.
 
 A library entry raises the rule's DomainError, or a ParseError naming the
-spec at a parser; a command exits 3 or 2 with the same message.
+spec at a parser; a command exits 3 or 2 with the same message. Each warning
+names the line that called the library.
 """
+
+import ast
+import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wcrte
 from test_cli import run_cli
 from wcrte import (
     DomainError,
@@ -17,6 +24,7 @@ from wcrte import (
     McStudyConfig,
     ParseError,
     Sample,
+    StephensAlternative,
     competitor_critical_value,
     competitor_statistic,
     critical_values,
@@ -26,6 +34,7 @@ from wcrte import (
     estimate,
     heuristic_window,
     parse_estimator,
+    parse_model,
     parse_test,
     power_study,
     statistic_bound,
@@ -158,6 +167,38 @@ PLOTTING_ENTRIES = {
 @pytest.mark.parametrize("entry", PLOTTING_ENTRIES.values(), ids=PLOTTING_ENTRIES)
 def test_plotting_rule(entry, files, capsys):
     check_entry(entry, PLOTTING, files, capsys)
+
+
+ALT_J = "needs j < 1025, got "
+
+ALT_J_ENTRIES = {
+    "StephensAlternative": (DomainError, lambda: StephensAlternative("B", 1025.0)),
+    "parse_model": (DomainError, lambda: parse_model("alt:C,j=1100")),
+    "power_study": (DomainError, lambda: power_study(["alt:B,j=2000"], 10, ["ad"],
+                                                     replications=100)),
+    "cli power B": (3, ["power", "--alternative", "alt:B,j=2000", "--test", "ad", "--n", "10",
+                        "--reps", "100"]),
+    "cli power C": (3, ["power", "--alternative", "alt:C,j=1100", "--test", "ad", "--n", "10",
+                        "--reps", "100"]),
+}
+
+
+@pytest.mark.parametrize("entry", ALT_J_ENTRIES.values(), ids=ALT_J_ENTRIES)
+def test_alternative_scale_rule(entry, files, capsys):
+    """Families B and C scale by 2**(j - 1), which leaves the float range from j = 1025."""
+    check_entry(entry, ALT_J, files, capsys)
+
+
+def test_family_a_takes_any_j(capsys):
+    """Family A has no scale, so a j past B's and C's bound still draws."""
+    with pytest.warns(UserWarning, match="outside the standard"):
+        alt = StephensAlternative("A", 2000.0)
+        below = StephensAlternative("C", 1024.5)
+    assert alt.quantile(0.5) == pytest.approx(1.0 - 0.5 ** (1.0 / 2000.0), rel=1e-12)
+    assert 0.5 < below.quantile(0.75) < 1.0
+    argv = ["power", "--alternative", "alt:A,j=2000", "--test", "ad", "--n", "10", "--reps", "100"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "") and '\n"alt:A,j=2000",10,ad,' in out
 
 
 def test_default_windows_need_three_observations():
@@ -331,3 +372,59 @@ def test_numpy_integer_seeds_are_seeds():
 def test_wcrte_functions_never_take_the_wcre_limit(call):
     with pytest.raises(DomainError, match="order must be a positive real, got None"):
         call()
+
+
+PACKAGE = os.path.dirname(wcrte.__file__)
+
+
+def _here(filename):
+    return filename == __file__
+
+
+def _in_package(filename):
+    return os.path.dirname(filename) == PACKAGE
+
+
+WARNINGS = {
+    "StephensAlternative": ("outside the standard", lambda: StephensAlternative("A", 3.0), _here),
+    "parse_model": ("outside the standard", lambda: parse_model("alt:B,j=4"), _here),
+    "power_study spec": ("outside the standard",
+                         lambda: power_study(["alt:C,j=3"], 10, ["ks"], replications=100), _here),
+    "estimate order": ("is below 1", lambda: estimate(EstimatorSpec(V, 0.5, 2), X10), _here),
+    "estimate plotting": ("plotting position i/n",
+                          lambda: estimate(parse_estimator("wcre:l,plotting=n"), X10), _here),
+    "wcrte_lstat_variance": ("negative variance",
+                             lambda: wcrte_lstat_variance([1.0, 1.1, 5.0], 2.0), _here),
+    **{f"power_study clamp threads={t}": (
+        "clamped",
+        lambda t=t: power_study(["alt:A,j=1e13"], [10, 20], ["ad"], replications=100, threads=t),
+        _in_package if t > 1 else _here) for t in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("message, call, where", WARNINGS.values(), ids=WARNINGS)
+def test_each_warning_names_its_caller(message, call, where):
+    """A warning names the line that called the library; on a pool worker
+    thread, the package line that ran the task."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    found = [w.filename for w in caught if message in str(w.message)]
+    assert found and all(map(where, found)), found
+
+
+def test_only_errors_warns_and_no_function_counts_frames():
+    """``errors._warn`` is the package's one call of ``warnings.warn``, and no
+    function takes a ``stacklevel`` to pass on."""
+    for path in sorted(Path(PACKAGE).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', '')}"
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                called = f"{node.value.id}.{node.attr}"
+                assert path.name == "errors.py" or called != "warnings.warn", where
+            if isinstance(node, ast.ImportFrom) and node.module == "warnings":
+                assert "warn" not in [alias.name for alias in node.names], where
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+                assert "stacklevel" not in params, where
