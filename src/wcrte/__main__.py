@@ -1,8 +1,6 @@
 """Allow ``python -m wcrte`` to run the command line front end."""
 
-import sys
-
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    run()

@@ -28,6 +28,7 @@ commands that run them, so an ``estimate`` launch loads none of them.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -411,5 +412,22 @@ def main(argv=None) -> int:
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
+def run(argv=None) -> None:
+    """The process entry of ``wcrte`` and ``python -m wcrte``: exit with :func:`main`'s code.
+
+    ``gc.freeze()`` moves every object alive when the command ends out of the
+    collector's reach, so interpreter finalization skips collecting the numpy
+    and package object graph and the OS reclaims that heap. This is safe:
+    every file a command writes is closed by a ``with`` before ``main``
+    returns, and atexit handlers and the flush of stdout and stderr still run.
+    Library code and tests call ``main``, which freezes nothing.
+    """
+    try:
+        code = main(argv)
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,9 +2,14 @@
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -965,3 +970,86 @@ def test_seed_accepts_hex(capsys):
     code, out, err = run_cli(argv + ["--seed", "-1"], capsys)
     assert code == 3
     assert out == "" and "nonnegative" in err
+
+
+# --- process entry ----------------------------------------------------------------
+
+
+def launch(argv, head=("-m", "wcrte")):
+    """``python -m wcrte ARGV`` (or ``python HEAD ARGV``) in a fresh interpreter."""
+    return subprocess.run([sys.executable, *head, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+def test_a_launch_prints_what_main_prints(exp30, tmp_path, capsys):
+    argv = ["estimate", "--data", exp30]
+    for text in TEN_SPECS:
+        argv += ["--estimator", text]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out
+    done = launch(argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == out
+    path = tmp_path / "out.txt"
+    done = launch([*argv, "--out", str(path)])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_a_launch_exits_with_mains_code_and_error_line(exp30, tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1e160\n2e160\n3e160\n5e160\n")
+    cases = [
+        (["estimate", "--data", exp30, "--estimator", "wcrte:q,alpha=2"], 2),
+        (["estimate", "--data", exp30, "--estimator", "wcrte:v,alpha=2,m=40"], 3),
+        (["estimate", "--data", str(huge), "--estimator", "wcrte:e,alpha=2"], 4),
+    ]
+    for argv, want in cases:
+        code, out, err = run_cli(argv, capsys)
+        assert code == want and out == "" and err.startswith("error: "), argv
+        done = launch(argv)
+        assert done.returncode == want, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.splitlines()[-1] == err.rstrip("\n")
+
+
+#: ``python -m wcrte ARGS``, reporting at exit how many objects are frozen.
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"frozen {gc.get_freeze_count()}\\n"))
+runpy.run_module("wcrte", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_python_m_wcrte_exits_through_run(exp30):
+    done = launch(["estimate", "--data", exp30, "--estimator", "wcre:e"], ("-c", FREEZE_PROBE))
+    assert done.returncode == 0, done.stderr
+    assert int(done.stderr.rsplit("frozen ", 1)[1]) > 0
+
+
+def test_a_help_launch_exits_zero():
+    done = launch(["--help"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: wcrte ")
+
+
+def test_main_freezes_nothing_and_run_freezes_at_exit(exp30, capsys):
+    argv = ["estimate", "--data", exp30, "--estimator", "wcre:e"]
+    before = gc.get_freeze_count()
+    assert run_cli(argv, capsys)[0] == 0
+    assert gc.get_freeze_count() == before
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.run(argv)
+        assert exit_.value.code == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out == run_cli(argv, capsys)[1]
+
+
+def test_the_console_script_runs_the_process_entry():
+    """Read as text: ``tomllib`` is not in every supported Python."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^\[project\.scripts\]\nwcrte = "wcrte\.cli:run"$', text, re.MULTILINE)

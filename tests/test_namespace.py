@@ -164,6 +164,24 @@ def test_estimate_loads_only_what_it_runs(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_an_estimate_launch_imports_only_what_it_runs(tmp_path):
+    """``python -X importtime -m wcrte estimate``, the process entry included,
+    imports neither mc, gof, reference nor a thread pool."""
+    path = tmp_path / "x.txt"
+    path.write_text("".join(f"{0.1 * k!r}\n" for k in range(1, 41)))
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "wcrte", "estimate",
+                           "--data", str(path), "--estimator", "wcrte:l,alpha=2",
+                           "--estimator", "wcre:v"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"numpy", "wcrte.cli", "wcrte.estimators"} <= imported, sorted(imported)
+    unused = sorted({"wcrte.mc", "wcrte.gof", "wcrte.reference", "concurrent.futures"} & imported)
+    assert not unused, unused
+
+
 def test_gof_and_reference_load_no_thread_pool():
     """The pool is imported when a call first uses more than one thread, not at import."""
     guard = (
