@@ -270,6 +270,8 @@ def cmd_critical_values(args) -> int:
         raise ParseError("give either --n (table mode) or --data (single-test mode), not both")
 
     if args.data:
+        if args.alpha is not None:
+            raise ParseError("--alpha belongs to table mode (--n), not to single-test mode")
         # This mode reaches no pool, so it checks the thread count itself.
         _check_threads(args.threads)
         if len(args.data) != 1:
@@ -281,9 +283,12 @@ def cmd_critical_values(args) -> int:
         _write_rows(args, _table(GOF_COLUMNS, results), GOF_COLUMNS)
         return 0
 
+    if args.tests is not None:
+        raise ParseError("--test belongs to single-test mode (--data), not to table mode")
     if args.n is None:
         raise ParseError("table mode needs --n (or use --data for single-test mode)")
-    pairs = critical_values(args.n, args.alpha, args.gamma, args.replications, args.seed,
+    orders = (None, 2.0, 5.0, 7.0, 10.0) if args.alpha is None else args.alpha
+    pairs = critical_values(args.n, orders, args.gamma, args.replications, args.seed,
                             args.threads)
     _write_rows(args, _table(CRITICAL_COLUMNS, pairs, args.seed), CRITICAL_COLUMNS)
     return 0
@@ -319,7 +324,8 @@ def _repeatable(sub: argparse.ArgumentParser, flag: str, dest: str, help: str) -
 
 
 def _add_common(sub: argparse.ArgumentParser, *extra: str, reps: str = "default 10000") -> None:
-    sub.add_argument("--seed", help="master seed (default 0xC0FFEE)")
+    if "seed" in extra:
+        sub.add_argument("--seed", help="master seed (default 0xC0FFEE)")
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--config", help="JSON file supplying defaults for unset flags")
     if "replications" in extra:
@@ -359,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="orders, comma separated; 1 selects the WCRE limit (default 2)")
     p.add_argument("--m",
                    help="windows: auto, sweep, or a comma separated list (default auto)")
-    _add_common(p, "replications", "format", "threads")
+    _add_common(p, "seed", "replications", "format", "threads")
     p.set_defaults(func=cmd_mse_study,
                    defaults={"estimators": [kind.value for kind in EstimatorKind]})
 
@@ -369,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", help="sample sizes for table mode, comma separated")
     p.add_argument("--alpha",
-                   help="orders, comma separated; 1 selects the WCRE limit "
+                   help="orders for table mode, comma separated; 1 selects the WCRE limit "
                         "(default 1,2,5,7,10)")
     _repeatable(p, "--data", "data",
                 "data file of [0,1] observations: run single tests instead, in the "
@@ -377,21 +383,21 @@ def build_parser() -> argparse.ArgumentParser:
     _repeatable(p, "--test", "tests",
                 "test spec for --data mode: wcrte:alpha=2, wcre, ks, cvm, ad, "
                 "ent, ent:m=5 (repeatable)")
-    _add_common(p, "replications", "format", "threads", "gamma")
-    p.set_defaults(func=cmd_critical_values, defaults={"alpha": (None, 2.0, 5.0, 7.0, 10.0)})
+    _add_common(p, "seed", "replications", "format", "threads", "gamma")
+    p.set_defaults(func=cmd_critical_values)
 
     p = sub.add_parser("power", help="power study against alternatives")
     _repeatable(p, "--alternative", "alternatives",
                 "alternative model spec, e.g. alt:A,j=2 (repeatable)")
     _repeatable(p, "--test", "tests", "test spec (repeatable)")
     p.add_argument("--n", help="sample sizes, comma separated (default 10,20,30)")
-    _add_common(p, "replications", "format", "threads", "gamma")
+    _add_common(p, "seed", "replications", "format", "threads", "gamma")
     p.set_defaults(func=cmd_power, defaults={"n": (10, 20, 30)})
 
     p = sub.add_parser("verify-tables", help="compare against bundled published values")
     p.add_argument("--table", type=int, choices=range(2, 9), required=True,
                    help="published table id (2-8)")
-    _add_common(p, "replications", "format", "threads",
+    _add_common(p, "seed", "replications", "format", "threads",
                 reps="default: each group's published count")
     p.set_defaults(func=cmd_verify_tables, defaults={"replications": None})
 

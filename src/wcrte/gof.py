@@ -15,8 +15,12 @@ list or tuple of either, :func:`power_study` one size or a list, and
 :func:`uniformity_test` one test or a list. One value gives one result (for
 power, the cells of one size), a list gives a list, as the estimators treat
 one sample and a batch; the commands and ``verify_table(7)`` and ``(8)``
-pass lists. Several sizes are all checked before any draw, then run on one
-pool, larger sizes first.
+pass lists. Every entry checks its grid first: each size (or the sample) in
+turn, then the level, then the replication count. Then it checks its specs,
+parsed and then resolved against each size; a power study parses its tests,
+then its alternatives, then checks the alternatives' range. ``threads`` is
+checked last, by the pool, and all of it before any draw. Several sizes then
+run on one pool, larger sizes first.
 
 Null draws are keyed by (seed, n) only: a critical pair computed standalone
 is identical to the one computed inside a sweep over sizes, orders or tests.
@@ -341,16 +345,16 @@ class CriticalValue:
     replications: int
 
 
-def _check_null_grid(n, gamma, replications, min_replications: int = 1000):
-    """Validated (n, level, replications) of a calibration run."""
-    n = _check_size(n)
+def _check_null_grid(sizes, gamma, replications, min_replications: int = 1000):
+    """Validated (sizes, level, replications) of a calibration run, checked in that order."""
+    sizes = [_check_size(n) for n in sizes]
     try:
         g = float(gamma)
     except (TypeError, ValueError):
         g = math.nan  # fails the rule below
     if not (0.0 < g < 1.0):
         raise DomainError(f"level gamma must lie in (0, 1), got {gamma!r}")
-    return n, g, _check_size(replications, min_replications, "replications")
+    return sizes, g, _check_size(replications, min_replications, "replications")
 
 
 #: Values (rows x n) in one tile of a batch. A batch is drawn, transformed,
@@ -513,19 +517,13 @@ def critical_values(
     Empirical gamma/2 and 1-gamma/2 quantiles of the null statistic over
     ``replications`` uniform samples of size ``n``. ``n`` and ``order`` each
     take one value or a list or tuple: one of each gives one pair, else a
-    list, n by n, each n's pairs in the order of ``order``. The sizes are
-    checked in turn (the orders with the first), then ``threads`` (by the
-    pool), all before any draw. Each n's null batch is drawn once and
-    scored by every order, as one task on ``threads`` threads, largest n
-    first.
+    list, n by n, each n's pairs in the order of ``order``. Each n's null
+    batch is drawn once and scored by every order, as one task on
+    ``threads`` threads, largest n first.
     """
-    checked = []
-    for size in _listed(n, "sample size"):
-        size, g, reps = _check_null_grid(size, gamma, replications)
-        if not checked:
-            tests = [GofTest(name="wcre" if a is None else "wcrte", order=a)
-                     for a in _listed(order, "order")]
-        checked.append(size)
+    sizes, g, reps = _check_null_grid(_listed(n, "sample size"), gamma, replications)
+    tests = [GofTest(name="wcre" if a is None else "wcrte", order=a)
+             for a in _listed(order, "order")]
 
     def calibrate(size: int) -> list[CriticalPair]:
         return [
@@ -533,7 +531,7 @@ def critical_values(
             for t, (lo, hi) in zip(tests, _null_bands(size, tests, g, reps, seed))
         ]
 
-    parts = _pool_map(calibrate, checked, threads, cost=lambda size: size)
+    parts = _pool_map(calibrate, sizes, threads, cost=lambda size: size)
     pairs = [pair for part in parts for pair in part]
     return pairs if _is_list(n) or _is_list(order) else pairs[0]
 
@@ -550,10 +548,10 @@ def competitor_critical_value(
 
     Shares its null draws with :func:`critical_values` (see the module docstring).
     """
+    [n], g, reps = _check_null_grid([n], gamma, replications)
     test = GofTest(name=name, m=m)
     if test.is_entropy_band:
         raise DomainError("use critical_values for the entropy-band tests")
-    n, g, reps = _check_null_grid(n, gamma, replications)
     test = test.resolved(n)
     [(lo, hi)] = _null_bands(n, [test], g, reps, seed)
     return CriticalValue(
@@ -609,22 +607,17 @@ def uniformity_test(
     """Run tests on one sample; critical values are simulated on the fly.
 
     ``test`` is one :class:`GofTest` or spec string, giving one result, or a
-    list or tuple of them, giving a list. Each spec is parsed and its window
-    resolved in turn, the sample checked with the first, and all of them are
-    calibrated on one null batch. Rejection is inclusive at the critical
-    values. Entropy-band tests reject outside [lower, upper]; ks/cvm/ad
-    reject at or above their value; ent rejects at or below its value.
+    list or tuple of them, giving a list. All of them are calibrated on one
+    null batch. Rejection is inclusive at the critical values. Entropy-band
+    tests reject outside [lower, upper]; ks/cvm/ad reject at or above their
+    value; ent rejects at or below its value.
     """
-    scored = []
-    for t in _listed(test, "test"):
-        if isinstance(t, str):
-            t = parse_test(t)
-        if not scored:
-            srt = _sorted_rows(x, upper=1.0)
-            if srt.ndim != 1:
-                raise DomainError("uniformity_test takes a single 1-D sample")
-            n, g, reps = _check_null_grid(srt.size, gamma, replications)
-        scored.append(t.resolved(n))
+    srt = _sorted_rows(x, upper=1.0)
+    if srt.ndim != 1:
+        raise DomainError("uniformity_test takes a single 1-D sample")
+    [n], g, reps = _check_null_grid([srt.size], gamma, replications)
+    tests = [parse_test(t) if isinstance(t, str) else t for t in _listed(test, "test")]
+    scored = [t.resolved(n) for t in tests]
     bands = _null_bands(n, scored, g, reps, seed)
     stats = _score_rows(np.atleast_2d(srt), scored, _band_rows(scored, n))
     results = [
@@ -676,8 +669,7 @@ def power_study(
     the uniform model as an alternative estimates the empirical size, since
     its draws are independent of the null calibration draws. An alternative
     whose largest draw, ``quantile(nextafter(1, 0))``, exceeds 1 raises
-    DomainError. The sizes are checked in turn (the specs with the first),
-    then ``threads`` (by the pool), all before any draw.
+    DomainError.
 
     The calibration of every n and every (n, alternative) are tasks on
     ``threads`` worker threads (``None`` or 1 runs them in the calling
@@ -688,23 +680,21 @@ def power_study(
     than ``threads`` alternatives' statistic vectors are held at once. No
     value depends on the thread count.
     """
-    grids = []
-    for size in _listed(n, "sample size"):
-        size, g, reps = _check_null_grid(size, gamma, replications, min_replications=100)
-        if not grids:
-            tests = [parse_test(t) if isinstance(t, str) else t for t in tests]
-            alternatives = [parse_model(a) if isinstance(a, str) else a for a in alternatives]
-            if not tests or not alternatives:
-                raise DomainError("need at least one test and one alternative")
-            for model in alternatives:
-                # The largest uniform draw is nextafter(1, 0), so this bounds every draw.
-                top = model.quantile(np.nextafter(1.0, 0.0))
-                if not top <= 1.0:
-                    raise DomainError(
-                        f"alternative {model.spec_string()} draws values up to {top:g}; "
-                        "sample values must not exceed 1"
-                    )
-        grids.append((size, [test.resolved(size) for test in tests]))
+    sizes, g, reps = _check_null_grid(_listed(n, "sample size"), gamma, replications,
+                                      min_replications=100)
+    tests = [parse_test(t) if isinstance(t, str) else t for t in tests]
+    alternatives = [parse_model(a) if isinstance(a, str) else a for a in alternatives]
+    if not tests or not alternatives:
+        raise DomainError("need at least one test and one alternative")
+    for model in alternatives:
+        # The largest uniform draw is nextafter(1, 0), so this bounds every draw.
+        top = model.quantile(np.nextafter(1.0, 0.0))
+        if not top <= 1.0:
+            raise DomainError(
+                f"alternative {model.spec_string()} draws values up to {top:g}; "
+                "sample values must not exceed 1"
+            )
+    grids = [(size, [test.resolved(size) for test in tests]) for size in sizes]
 
     bands: dict[int, list[tuple]] = {}
     locks = [threading.Lock() for _ in grids]

@@ -659,6 +659,40 @@ def test_critical_values_mode_conflicts(exp30, capsys):
     assert code == 2
 
 
+#: Flags a command does not read: the other ``critical-values`` mode's, and
+#: ``--seed`` on ``estimate``, which draws nothing. Each case: the command
+#: line, the foreign flag with its value, and its config document (None
+#: where the command has no such flag, so a config key is ignored).
+FOREIGN_FLAGS = {
+    "critical-values table --test": (["critical-values", "--n", "10", "--alpha", "2"],
+                                     ["--test", "ks"], {"tests": ["ks"]}),
+    "critical-values data --alpha": (["critical-values", "--data", "UNIT", "--test",
+                                      "wcrte:alpha=2"], ["--alpha", "7"], {"alpha": "7"}),
+    "estimate --seed": (["estimate", "--data", "UNIT", "--estimator", "wcre:e"],
+                        ["--seed", "5"], None),
+}
+
+
+@pytest.mark.parametrize("case", FOREIGN_FLAGS.values(), ids=FOREIGN_FLAGS)
+def test_a_flag_the_command_does_not_read_exits_two(case, tmp_path, capsys, monkeypatch):
+    """The flag, or its config key, exits 2 naming the flag before any draw;
+    a config key without a flag is ignored."""
+    monkeypatch.setattr("wcrte.mc.derive_stream", lambda *key: pytest.fail(f"drew {key}"))
+    unit = tmp_path / "unit.txt"
+    unit.write_text("".join(f"{(i * 0.6180339887) % 1!r}\n" for i in range(1, 21)))
+    base, flag, doc = case
+    base = [str(unit) if a == "UNIT" else a for a in base]
+    code, out, err = run_cli([*base, *flag], capsys)
+    assert (code, out) == (2, "") and flag[0] in err, err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc or {"seed": 5}))
+    code, out, err = run_cli([*base, "--config", str(config)], capsys)
+    if doc is None:
+        assert (code, out, err) == (0, *run_cli(base, capsys)[1:])
+    else:
+        assert (code, out) == (2, "") and err.startswith(f"error: {flag[0]} "), err
+
+
 # --- power -----------------------------------------------------------------------
 
 
@@ -880,8 +914,7 @@ def test_config_values_match_the_equivalent_flags(tmp_path, capsys, five_points)
         (
             ["estimate"],
             {"data": [five_points], "estimators": ["wcre:e", "wcrte:l,alpha=2"], "seed": 3},
-            ["--data", five_points, "--estimator", "wcre:e", "--estimator", "wcrte:l,alpha=2",
-             "--seed", "3"],
+            ["--data", five_points, "--estimator", "wcre:e", "--estimator", "wcrte:l,alpha=2"],
         ),
         (
             ["verify-tables", "--table", "7"],
@@ -930,16 +963,16 @@ def test_option_strings_of_every_subcommand():
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    common = ["-h", "--help", "--seed", "--out", "--config"]
+    common = ["-h", "--help", "--out", "--config"]
     expected = {
         "estimate": ["--data", "--estimator"],
-        "mse-study": ["--model", "--estimator", "--n", "--alpha", "--m", "--reps", "--format",
-                      "--threads"],
-        "critical-values": ["--n", "--alpha", "--data", "--test", "--threads", "--reps",
-                            "--format", "--gamma"],
-        "power": ["--alternative", "--test", "--n", "--threads", "--reps", "--format",
+        "mse-study": ["--model", "--estimator", "--n", "--alpha", "--m", "--seed", "--reps",
+                      "--format", "--threads"],
+        "critical-values": ["--n", "--alpha", "--data", "--test", "--seed", "--threads",
+                            "--reps", "--format", "--gamma"],
+        "power": ["--alternative", "--test", "--n", "--seed", "--threads", "--reps", "--format",
                   "--gamma"],
-        "verify-tables": ["--table", "--threads", "--reps", "--format"],
+        "verify-tables": ["--table", "--seed", "--threads", "--reps", "--format"],
     }
     assert list(subparsers.choices) == list(expected)
     for name, parser in subparsers.choices.items():

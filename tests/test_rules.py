@@ -277,6 +277,49 @@ def test_empty_lists_are_refused_before_any_draw(entry, files, capsys, monkeypat
     check_entry(entry, message, files, capsys)
 
 
+LEVEL = "level gamma must lie in (0, 1), got 2"
+
+CHECK_ORDER_ENTRIES = {
+    "critical_values sizes before orders": (
+        DomainError, lambda: critical_values([10, 1], 0.5, replications=1000), SIZE),
+    "power_study sizes before alternatives": (
+        DomainError, lambda: power_study(["exp:lambda=1"], [10, 1], ["ks"], replications=100),
+        SIZE),
+    "uniformity_test every spec parsed before one is resolved": (
+        ParseError, lambda: uniformity_test(U10, ["ent:m=9", "bogus"], replications=1000),
+        "'bogus'"),
+    "uniformity_test level before specs": (
+        DomainError, lambda: uniformity_test(U10, "bogus", gamma=2), LEVEL),
+    "competitor_critical_value size before window": (
+        DomainError, lambda: competitor_critical_value("ent", 1, replications=1000, m=0), SIZE),
+    "competitor_critical_value level before name": (
+        DomainError, lambda: competitor_critical_value("bogus", 10, gamma=2), LEVEL),
+}
+
+
+@pytest.mark.parametrize("entry", CHECK_ORDER_ENTRIES.values(), ids=CHECK_ORDER_ENTRIES)
+def test_the_grid_is_checked_before_the_specs(entry, files, capsys, monkeypatch):
+    """Each calibration entry checks its sizes (or sample), level and count,
+    then parses its specs, then resolves them against each size, all before
+    any draw; an input with several faults reports the first in that order."""
+    monkeypatch.setattr("wcrte.mc.derive_stream", lambda *key: pytest.fail(f"drew {key}"))
+    *entry, message = entry
+    check_entry(entry, message, files, capsys)
+
+
+def test_each_calibration_entry_checks_its_grid_once(monkeypatch):
+    """One grid check per public call, whatever the number of sizes."""
+    calls = []
+    check = wcrte.gof._check_null_grid
+    monkeypatch.setattr(wcrte.gof, "_check_null_grid",
+                        lambda *args, **kw: calls.append(args[0]) or check(*args, **kw))
+    critical_values([10, 12, 14], [2.0, 3.0], replications=1000)
+    power_study(["alt:A,j=2"], [10, 12], ["ks", "ent"], replications=100)
+    uniformity_test(U10, ["ks", "ent"], replications=1000)
+    competitor_critical_value("ent", 10, replications=1000)
+    assert calls == [[10, 12, 14], [10, 12], [10], [10]]
+
+
 COUNT_ENTRIES = {
     "critical_values n": (lambda: critical_values(10.7, 2.0, replications=1500), "n", 10.7),
     "critical_values replications": (

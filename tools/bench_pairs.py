@@ -1,9 +1,13 @@
-"""Run the benchmark on a parent tree and a changed tree in alternating pairs.
+"""Run the benchmark on a parent commit and a changed tree in alternating pairs.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --seeds 2601-2610 \
+    python3 tools/bench_pairs.py --parent HEAD --change . --seeds 2601-2610 \
         [--claim estimate:setup_s] --out BENCH_26.json
 
-Each tree's own ``perfbench/run.py`` runs as a black box, for the
+``--parent`` is a git revision of the repository this tool belongs to. It is
+resolved with ``git rev-parse --verify REV^{commit}``, that sha is written to
+the output's ``"parent"``, and the commit's files are exported with ``git
+archive`` into a temporary directory, which is deleted afterwards. Each
+tree's own ``perfbench/run.py`` runs as a black box, for the
 ``run_seconds`` and over the workloads that the changed tree's
 ``BENCHMARK.json`` declares, with ``PYTHONDONTWRITEBYTECODE=1`` so every
 probe compiles the package as a fresh checkout does. For each seed the
@@ -29,12 +33,29 @@ import os
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
+
+#: The repository this tool belongs to, where ``--parent`` is resolved.
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _seeds(text: str) -> list[int]:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
+
+
+def export(rev: str, into: Path) -> str:
+    """The sha of commit ``rev`` of :data:`REPO`, its files exported into ``into``."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=REPO,
+                         capture_output=True, text=True, check=True).stdout.strip()
+    with subprocess.Popen(["git", "archive", sha], cwd=REPO, stdout=subprocess.PIPE) as proc:
+        with tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
+            tar.extractall(into)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    return sha
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -109,7 +130,8 @@ def holds(c: dict) -> bool:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True, help="the parent commit's tree")
+    parser.add_argument("--parent", required=True,
+                        help="the parent commit: a git revision of this repository")
     parser.add_argument("--change", type=Path, required=True, help="the changed tree")
     parser.add_argument("--seeds", type=_seeds, required=True, help="FIRST-LAST, inclusive")
     parser.add_argument("--claim", help="WORKLOAD:METRIC, lower is better (default: no claim; "
@@ -118,20 +140,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("--seeds needs at least two seeds to give quartiles")
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
 
     runs, provenance, blas_threads = [], {}, {}
-    for seed in args.seeds:
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
-        for workload in workloads:
-            for side in order:
-                provenance[side], result = run_once(trees[side], workload, seed, seconds)
-                blas_threads[workload] = provenance[side]["blas_threads"]
-                runs.append({"workload": workload, "seed": seed, "side": side, "result": result})
-                value = result["metrics"]["setup_s"]["value"]
-                print(f"{workload} {seed} {side}: setup_s {value:.4f}", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench_parent_") as parent_tree:
+        try:
+            parent = export(args.parent, Path(parent_tree))
+        except subprocess.CalledProcessError:
+            parser.error(f"--parent {args.parent!r} names no commit of {REPO}")
+        trees = {"parent": Path(parent_tree), "change": args.change.resolve()}
+        for seed in args.seeds:
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            for workload in workloads:
+                for side in order:
+                    provenance[side], result = run_once(trees[side], workload, seed, seconds)
+                    blas_threads[workload] = provenance[side]["blas_threads"]
+                    runs.append({"workload": workload, "seed": seed, "side": side,
+                                 "result": result})
+                    value = result["metrics"]["setup_s"]["value"]
+                    print(f"{workload} {seed} {side}: setup_s {value:.4f}", file=sys.stderr)
 
     shared = {k: v for k, v in provenance["change"].items()
               if k not in ("commit", "seed", "workload_threads")}
@@ -139,14 +167,15 @@ def main(argv=None) -> int:
     doc = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0",
-        "parent": provenance["parent"]["commit"],
+        "parent": parent,
         "claim": claim(runs, *args.claim.split(":")) if args.claim else None,
         "provenance": shared,
         "note": (f"{len(args.seeds)} pairs per workload at seeds "
                  f"{args.seeds[0]}-{args.seeds[-1]}, parent first at odd seeds and change first "
-                 "at even seeds, the workloads interleaved seed by seed, each side from its own "
-                 "copy of the tree with PYTHONDONTWRITEBYTECODE=1 (no bytecode cache); written "
-                 "by tools/bench_pairs.py."),
+                 "at even seeds, the workloads interleaved seed by seed, the parent from a git "
+                 "archive of its commit and the change from its own tree, each with "
+                 "PYTHONDONTWRITEBYTECODE=1 (no bytecode cache); written by "
+                 "tools/bench_pairs.py."),
         "summary": {w: {side: summarize(runs, w, side) for side in ("parent", "change")}
                     for w in workloads},
         "runs": runs,
